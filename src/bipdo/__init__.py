@@ -16,11 +16,9 @@ from .decompose import (DecompositionIndex, Mollifier, smooth_step, varphi,
 from .symbols import (SymbolDescriptor, ProbeSpec, make_symbol, default_probe,
                       seminorm, class_check, builtin, bessel_modulate,
                       scale_symbol, BUILTIN_PARAMS)
-from .operators import (QuantizedOperator, SpectralField, ScalingOp, quantize,
-                        apply, apply_at, adjoint_apply, kernel_slice,
-                        kernel_l1, kernel_l1_split, bessel_apply,
-                        dilate_symbol, scaling_apply, spectral_from_field,
-                        spectral_eval, spectral_l2)
+from .operators import (QuantizedOperator, quantize, apply, apply_at,
+                        adjoint_apply, kernel_slice, kernel_l1,
+                        kernel_l1_split, dilate_symbol)
 from .analysis import (LinearFieldMap, OpNormEstimate, OrthoMatrix,
                        KernelDecayReport, BoundednessReport, SharpnessTable,
                        compose, adjoint_of, l2_opnorm, fit_line,

@@ -28,8 +28,8 @@ import numpy as np
 
 from .grid import (GridSpec, SampledField, bmo_norm, linf_norm, lp_norm,
                    make_grid)
-from .decompose import (DecompositionIndex, default_ell_max, derived_symbol,
-                        mollifier_lambda, varphi)
+from .decompose import (DecompositionIndex, _block_norms, default_ell_max,
+                        derived_symbol, mollifier_lambda, varphi)
 from .symbols import SymbolDescriptor, builtin
 from .operators import adjoint_apply, apply, kernel_l1, quantize
 
@@ -188,14 +188,6 @@ class OrthoMatrix:
     min_gap: int
     converged: bool
 
-    def matrix(self) -> np.ndarray:
-        J = len(self.js)
-        out = np.zeros((J, J))
-        for a, j in enumerate(self.js):
-            for b, k in enumerate(self.js):
-                out[a, b] = self.entries[(j, k)]
-        return out
-
     def to_dict(self) -> dict:
         return {
             "js": list(self.js),
@@ -328,11 +320,7 @@ class BoundednessReport:
 
     def variation(self) -> float:
         """Relative spread (max-min)/max of the last three ratios."""
-        tail = self.ratios[-3:]
-        hi = max(tail)
-        if hi == 0.0:
-            return 0.0
-        return (hi - min(tail)) / hi
+        return _variation(self.ratios)
 
     def to_dict(self) -> dict:
         return {
@@ -347,6 +335,14 @@ class BoundednessReport:
             "seed": self.seed,
             "battery": self.battery,
         }
+
+
+def _variation(ratios) -> float:
+    tail = ratios[-3:]
+    hi = max(tail)
+    if hi == 0.0:
+        return 0.0
+    return (hi - min(tail)) / hi
 
 
 def _symbol_params(sigma: SymbolDescriptor, extra: dict | None = None) -> dict:
@@ -380,16 +376,12 @@ def l2_uniformity_sweep(sigma: SymbolDescriptor, N_list, period: float = 1.0,
         grid = make_grid(sigma.n1, sigma.n2, N, period)
         values.append(l2_opnorm(quantize(sigma, grid), tol, max_iter).value)
     values = tuple(values)
-    report = BoundednessReport(
+    return BoundednessReport(
         experiment="l2_uniformity", symbol_name=sigma.name,
         params=_symbol_params(sigma, {"p": 2.0}), n_values=Ns, ratios=values,
-        growth_exponent=_growth_exponent(Ns, values), verdict="",
+        growth_exponent=_growth_exponent(Ns, values),
+        verdict="PASS" if _variation(values) <= 0.20 else "FAIL",
         seed=OPNORM_SEED, battery="power-iteration")
-    verdict = "PASS" if report.variation() <= 0.20 else "FAIL"
-    return BoundednessReport(report.experiment, report.symbol_name,
-                             report.params, Ns, values,
-                             report.growth_exponent, verdict,
-                             report.seed, report.battery)
 
 
 # ---------------------------------------------------------------------------
@@ -521,26 +513,16 @@ def bmo_experiment(sigma: SymbolDescriptor, battery, N_list,
             best = max(best, bmo_norm(apply(T, f)) / denom)
         ratios.append(best)
     ratios = tuple(ratios)
-    report = BoundednessReport(
+    return BoundednessReport(
         experiment="bmo", symbol_name=sigma.name,
         params=_symbol_params(sigma, {"p": "inf-proxy"}), n_values=Ns,
         ratios=ratios, growth_exponent=_growth_exponent(Ns, ratios),
-        verdict="", seed=seed, battery="signs+lacunary+bumps")
-    verdict = "PASS" if report.variation() <= 0.20 else "FAIL"
-    return BoundednessReport(report.experiment, report.symbol_name,
-                             report.params, Ns, ratios,
-                             report.growth_exponent, verdict,
-                             report.seed, report.battery)
+        verdict="PASS" if _variation(ratios) <= 0.20 else "FAIL",
+        seed=seed, battery="signs+lacunary+bumps")
 
 
 # ---------------------------------------------------------------------------
 # sharpness scan around the boundedness threshold
-
-
-def _block_radii(grid: GridSpec, frs: np.ndarray):
-    r1 = np.sqrt(np.sum(frs[:, :grid.n1] ** 2, axis=1))
-    r2 = np.sqrt(np.sum(frs[:, grid.n1:] ** 2, axis=1))
-    return r1, r2
 
 
 def adversarial_battery(grid: GridSpec, rho: float, seed: int = 2026) -> list:
@@ -572,7 +554,7 @@ def adversarial_battery(grid: GridSpec, rho: float, seed: int = 2026) -> list:
     r = np.sqrt(np.sum(frs ** 2, axis=1))
     R = float(np.max(r))
     env = varphi(2.0 * r / R) - varphi(16.0 * r / R)
-    r1, r2 = _block_radii(grid, frs)
+    r1, r2 = _block_norms(frs, grid.n1, grid.n2)
     a = 1.0 - rho
     phase = (1.0 + r1 ** 2) ** (a / 2.0) + (1.0 + r2 ** 2) ** (a / 2.0)
     for sgn in (-1.0, 1.0):

@@ -170,6 +170,18 @@ def _factors_from_cfg(cfg: RunConfig):
     return int(f[0]), int(f[1]), float(period)
 
 
+def _solver_settings(cfg: RunConfig):
+    """(tol, max_iter) of a run: tol finite and > 0, max_iter an integer >= 1."""
+    tol = cfg.get("tol", 1e-8)
+    max_iter = cfg.get("max_iter", 500)
+    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+            or not math.isfinite(tol) or tol <= 0):
+        raise ConfigError(f"'tol' must be a finite positive number, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
+        raise ConfigError(f"'max_iter' must be an integer >= 1, got {max_iter!r}")
+    return float(tol), max_iter
+
+
 def _threads() -> int | None:
     raw = os.environ.get("BIPDO_THREADS", "")
     if not raw:
@@ -185,10 +197,10 @@ def _run_ortho(cfg: RunConfig):
     cfg.require("symbol", "grid", "j_range")
     grid = _grid_from_cfg(cfg)
     sym = _build_symbol(cfg, grid.n1, grid.n2)
+    tol, max_iter = _solver_settings(cfg)
     report = analysis.ortho_experiment(
         sym, [int(j) for j in cfg.get("j_range")], grid,
-        tol=float(cfg.get("tol", 1e-8)), max_iter=int(cfg.get("max_iter", 500)),
-        max_workers=_threads())
+        tol=tol, max_iter=max_iter, max_workers=_threads())
     rows = [[j, k, report.entries[(j, k)]] for j in report.js for k in report.js]
     passed = report.converged
     line = (f"ortho: epsilon={report.fitted_epsilon:.4g} A={report.fitted_A:.4g} "
@@ -219,9 +231,10 @@ def _run_l2_uniformity(cfg: RunConfig):
     cfg.require("symbol", "factors", "period", "N_list")
     n1, n2, period = _factors_from_cfg(cfg)
     sym = _build_symbol(cfg, n1, n2)
+    tol, max_iter = _solver_settings(cfg)
     report = analysis.l2_uniformity_sweep(
         sym, [int(N) for N in cfg.get("N_list")], period,
-        tol=float(cfg.get("tol", 1e-8)), max_iter=int(cfg.get("max_iter", 500)))
+        tol=tol, max_iter=max_iter)
     rows = list(zip(report.n_values, report.ratios))
     line = (f"l2_uniformity: ratios={[round(r, 6) for r in report.ratios]} "
             f"variation={report.variation():.4g} verdict={report.verdict}")
@@ -266,6 +279,7 @@ def _run_commutator(cfg: RunConfig):
     cfg.require("symbol", "grid", "cube_anchor", "cube_side", "rho")
     grid = _grid_from_cfg(cfg)
     sym = _build_symbol(cfg, grid.n1, grid.n2)
+    tol, _ = _solver_settings(cfg)
     anchor = tuple(int(a) for a in cfg.get("cube_anchor"))
     Q = DyadicCube(anchor, int(cfg.get("cube_side")))
     Q.check(grid)
@@ -274,7 +288,6 @@ def _run_commutator(cfg: RunConfig):
     seed = int(cfg.get("seed", 2026))
     battery = analysis.band_limited_battery(grid, kmax, count, seed)
     err = analysis.commutator_check(sym, Q, float(cfg.get("rho")), battery)
-    tol = float(cfg.get("tol", 1e-8))
     passed = err <= tol
     report = {"max_relative_error": err, "tol": tol,
               "battery_kmax": kmax, "battery_count": count,

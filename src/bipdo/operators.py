@@ -1,11 +1,12 @@
-"""Quantized operators: application, adjoints, kernel slices, scaling.
+"""Quantized operators: application, adjoints, kernel slices, dilation.
 
 The quantization rule is
 
     (T f)(x) = sum_{xi in lattice} fhat(xi) sigma(x, xi) e^{2 pi i x.xi} (1/L)^n
 
 with fhat from ``dft_forward``.  The dense path evaluates this sum literally
-(chunked over output points) and is the reference semantics; the separable
+(chunked over output points) and is the reference semantics: apply, apply_at
+and the dense adjoint share one chunked sweep.  The separable
 path rewrites sigma = sum_k a_k(x) b_k(xi) as multiplier sandwiches
 
     T f = sum_k a_k * ifft(b_k * fft(f))
@@ -28,8 +29,6 @@ from .symbols import SymbolDescriptor, make_symbol
 
 # elements per evaluator chunk in dense sweeps
 _CHUNK = 1 << 22
-# densify the adjoint kernel only up to this many unknowns
-_DENSE_LIMIT = 1 << 14
 
 
 class QuantizedOperator:
@@ -38,8 +37,8 @@ class QuantizedOperator:
     ``path`` is "dense" or "separable"; "auto" at construction picks the
     separable path whenever the symbol carries separable terms.  The
     separable path caches the factor tables a_k on the point grid and b_k on
-    the frequency lattice; the dense path caches the full kernel matrix only
-    if an adjoint is requested on a small grid.
+    the frequency lattice; the dense path caches nothing and evaluates the
+    symbol afresh in every sweep.
     """
 
     def __init__(self, symbol: SymbolDescriptor, grid: GridSpec, path: str = "auto"):
@@ -56,7 +55,6 @@ class QuantizedOperator:
         self.grid = grid
         self.path = path
         self._factors = None
-        self._dense_b = None
 
     def _separable_factors(self):
         if self._factors is None:
@@ -70,23 +68,6 @@ class QuantizedOperator:
                 factors.append((av, bv))
             self._factors = factors
         return self._factors
-
-    def _dense_matrix(self):
-        """Rows sigma(x, xi) e^{2 pi i x.xi} / L^n over (point, frequency)."""
-        if self._dense_b is None:
-            pts = self.grid.points()
-            frs = self.grid.freqs()
-            S = self.grid.size
-            B = np.empty((S, S), dtype=complex)
-            step = max(1, _CHUNK // S)
-            for i in range(0, S, step):
-                xc = pts[i:i + step]
-                sig = np.asarray(self.symbol.evaluator(xc[:, None, :], frs[None, :, :]),
-                                 dtype=complex)
-                B[i:i + step] = sig * np.exp(2j * np.pi * (xc @ frs.T))
-            B /= self.grid.period ** self.grid.n
-            self._dense_b = B
-        return self._dense_b
 
 
 def quantize(symbol: SymbolDescriptor, grid: GridSpec, path: str = "auto") -> QuantizedOperator:
@@ -112,17 +93,23 @@ def apply(T: QuantizedOperator, f: SampledField) -> SampledField:
     return SampledField(T.grid, vals.reshape(T.grid.shape))
 
 
-def _dense_rows(symbol: SymbolDescriptor, grid: GridSpec, xs: np.ndarray,
-                fhat_flat: np.ndarray) -> np.ndarray:
+def _dense_blocks(symbol: SymbolDescriptor, grid: GridSpec, xs: np.ndarray):
+    """Yield (rows, K) for successive chunks ``xs[rows]`` of the points, with
+    K = sigma(x, xi) e^{2 pi i x.xi} over (point, frequency)."""
     frs = grid.freqs()
-    out = np.empty(len(xs), dtype=complex)
     step = max(1, _CHUNK // max(1, frs.shape[0]))
     for i in range(0, len(xs), step):
         xc = xs[i:i + step]
         sig = np.asarray(symbol.evaluator(xc[:, None, :], frs[None, :, :]),
                          dtype=complex)
-        ph = np.exp(2j * np.pi * (xc @ frs.T))
-        out[i:i + step] = (sig * ph) @ fhat_flat
+        yield slice(i, i + step), sig * np.exp(2j * np.pi * (xc @ frs.T))
+
+
+def _dense_rows(symbol: SymbolDescriptor, grid: GridSpec, xs: np.ndarray,
+                fhat_flat: np.ndarray) -> np.ndarray:
+    out = np.empty(len(xs), dtype=complex)
+    for rows, K in _dense_blocks(symbol, grid, xs):
+        out[rows] = K @ fhat_flat
     return out / grid.period ** grid.n
 
 
@@ -149,9 +136,8 @@ def adjoint_apply(T: QuantizedOperator, g: SampledField) -> SampledField:
     """Apply the conjugate transpose with respect to the quadrature product.
 
     Separable operators use the exact factor-wise adjoint
-    T* g = sum_k ifft(conj(b_k) fft(conj(a_k) g)).  Dense operators multiply
-    by the conjugated kernel matrix when the grid is small enough to
-    materialize, and otherwise run the same reversed summation matrix-free.
+    T* g = sum_k ifft(conj(b_k) fft(conj(a_k) g)).  Dense operators run the
+    apply sweep with each kernel block conjugated and transposed.
     """
     _check_grid(T, g)
     if T.path == "separable":
@@ -160,24 +146,11 @@ def adjoint_apply(T: QuantizedOperator, g: SampledField) -> SampledField:
             out += np.fft.ifftn(np.conj(bv) * np.fft.fftn(np.conj(av) * g.values))
         return SampledField(T.grid, out)
     grid = T.grid
-    w = grid.cell_volume
-    scale = grid.period ** grid.n * w
-    if grid.size <= _DENSE_LIMIT:
-        B = T._dense_matrix()
-        acc = scale * (B.conj().T @ g.values.ravel())
-    else:
-        pts = grid.points()
-        frs = grid.freqs()
-        gv = g.values.ravel()
-        acc = np.zeros(grid.size, dtype=complex)
-        step = max(1, _CHUNK // grid.size)
-        for i in range(0, grid.size, step):
-            xc = pts[i:i + step]
-            sig = np.asarray(T.symbol.evaluator(xc[:, None, :], frs[None, :, :]),
-                             dtype=complex)
-            ph = np.exp(-2j * np.pi * (xc @ frs.T))
-            acc += (np.conj(sig) * ph).T @ gv[i:i + step]
-        acc *= w
+    gv = g.values.ravel()
+    acc = np.zeros(grid.size, dtype=complex)
+    for rows, K in _dense_blocks(T.symbol, grid, grid.points()):
+        acc += K.conj().T @ gv[rows]
+    acc *= grid.cell_volume
     return dft_inverse(SampledField(grid, acc.reshape(grid.shape)))
 
 
@@ -222,14 +195,6 @@ def kernel_l1_split(symbol: SymbolDescriptor, grid: GridSpec, x, radius: float):
     return near, float(np.sum(mass) - near)
 
 
-def bessel_apply(alpha: float, f: SampledField) -> SampledField:
-    """Fourier multiplier (1+|xi|^2)^(-alpha) on the lattice."""
-    frs = f.grid.freqs()
-    mult = (1.0 + np.sum(frs ** 2, axis=1)) ** (-alpha)
-    fhat = np.fft.fftn(f.values)
-    return SampledField(f.grid, np.fft.ifftn(mult.reshape(f.grid.shape) * fhat))
-
-
 def dilate_symbol(symbol: SymbolDescriptor, scale) -> SymbolDescriptor:
     """The conjugated symbol sigma(x/s, s xi) for per-axis scales s.
 
@@ -262,87 +227,3 @@ def dilate_symbol(symbol: SymbolDescriptor, scale) -> SymbolDescriptor:
     return make_symbol(evaluator, symbol.n1, symbol.n2, order=symbol.order,
                        rho=symbol.rho, delta=symbol.delta, separable_terms=terms,
                        name=f"{symbol.name}|dilated")
-
-
-# ---------------------------------------------------------------------------
-# scaling operators on spectral data
-
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """A finite trigonometric sum f(x) = sum_k coeffs[k] e^{2 pi i freqs[k].x}.
-
-    ``freqs`` has shape (M, n) with distinct rows, ``periods`` the torus side
-    per axis (so freqs are integer multiples of 1/period per axis when the
-    field lives on a lattice, though that is not required).
-    """
-
-    freqs: np.ndarray
-    coeffs: np.ndarray
-    periods: tuple
-
-    def __post_init__(self):
-        fr = np.atleast_2d(np.asarray(self.freqs, dtype=float))
-        co = np.asarray(self.coeffs, dtype=complex).ravel()
-        if fr.shape[0] != co.shape[0]:
-            raise ValueError(f"{fr.shape[0]} frequencies vs {co.shape[0]} coefficients")
-        object.__setattr__(self, "freqs", fr)
-        object.__setattr__(self, "coeffs", co)
-        object.__setattr__(self, "periods", tuple(float(p) for p in self.periods))
-
-
-@dataclass(frozen=True)
-class ScalingOp:
-    """Dilation f(x) -> f(S x) with one scale per factor.
-
-    ``scales`` are the per-factor dilation factors (e.g. 2^(j_i rho)); the
-    forward direction composes x -> S x, the inverse divides.  The L2 norm of
-    a spectral field transforms by prod_i scales_i^(-n_i / 2) under forward.
-    """
-
-    scales: tuple
-    n1: int
-    n2: int
-    direction: str = "forward"
-
-    def __post_init__(self):
-        if self.direction not in ("forward", "inverse"):
-            raise ValueError(f"direction must be forward or inverse, got {self.direction}")
-        if len(self.scales) != 2 or any(s <= 0 for s in self.scales):
-            raise ValueError(f"scales must be two positive reals, got {self.scales}")
-
-    def axis_scales(self) -> np.ndarray:
-        return np.array([self.scales[0]] * self.n1 + [self.scales[1]] * self.n2)
-
-
-def scaling_apply(op: ScalingOp, f: SpectralField) -> SpectralField:
-    """Dilate a spectral field; frequencies scale up, periods scale down."""
-    s = op.axis_scales()
-    if f.freqs.shape[1] != len(s):
-        raise ValueError(f"field has {f.freqs.shape[1]} axes, operator expects {len(s)}")
-    if op.direction == "inverse":
-        s = 1.0 / s
-    return SpectralField(f.freqs * s, f.coeffs.copy(),
-                         tuple(np.asarray(f.periods) / s))
-
-
-def spectral_from_field(f: SampledField) -> SpectralField:
-    """Exact trigonometric interpolant of lattice samples."""
-    g = f.grid
-    coeffs = np.fft.fftn(f.values).ravel() / g.size
-    return SpectralField(g.freqs().copy(), coeffs, (g.period,) * g.n)
-
-
-def spectral_eval(f: SpectralField, x) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    ph = np.exp(2j * np.pi * (x @ f.freqs.T))
-    return ph @ f.coeffs
-
-
-def spectral_l2(f: SpectralField) -> float:
-    """L2 norm over the field's torus (orthogonality of distinct modes)."""
-    vol = float(np.prod(f.periods))
-    return float(np.sqrt(vol) * np.linalg.norm(f.coeffs))

@@ -360,6 +360,20 @@ def _block_orders(idx, n1: int):
     return sum(idx[:n1]), sum(idx[n1:])
 
 
+def _product_weight(n1: int, m: float, rho: float, delta: float):
+    """Weight (1+|xi|)^(-m) prod_i (1+|xi_i|)^(rho|alpha_i| - delta|beta_i|)."""
+    def weight(xis, alpha, beta):
+        a1, a2 = _block_orders(alpha, n1)
+        b1, b2 = _block_orders(beta, n1)
+        r = np.sqrt(np.sum(xis ** 2, axis=1))
+        r1 = np.sqrt(np.sum(xis[:, :n1] ** 2, axis=1))
+        r2 = np.sqrt(np.sum(xis[:, n1:] ** 2, axis=1))
+        return ((1.0 + r) ** (-m)
+                * (1.0 + r1) ** (rho * a1 - delta * b1)
+                * (1.0 + r2) ** (rho * a2 - delta * b2))
+    return weight
+
+
 def _weighted_sup(sym: SymbolDescriptor, probe: ProbeSpec, weight_fn,
                   k: int, n_x: int, rho: float, delta: float):
     """Max over probes and derivative orders of |derivative| * weight."""
@@ -401,21 +415,10 @@ def seminorm(sym: SymbolDescriptor, probe: ProbeSpec, cap: float = DEFAULT_CLASS
     |beta| <= N_x with k = N_x = floor(n/2)+1, the smallest orders exceeding
     n/2.  ``class_ok`` reports whether the value stays below ``cap``.
     """
-    n1, n2 = sym.n1, sym.n2
     m = sym.order_scalar() if order is None else float(order)
     rho, delta = sym.rho, sym.delta
     k = n_x = sym.n // 2 + 1
-
-    def weight(xis, alpha, beta):
-        a1, a2 = _block_orders(alpha, n1)
-        b1, b2 = _block_orders(beta, n1)
-        r = np.sqrt(np.sum(xis ** 2, axis=1))
-        r1 = np.sqrt(np.sum(xis[:, :n1] ** 2, axis=1))
-        r2 = np.sqrt(np.sum(xis[:, n1:] ** 2, axis=1))
-        return ((1.0 + r) ** (-m)
-                * (1.0 + r1) ** (rho * a1 - delta * b1)
-                * (1.0 + r2) ** (rho * a2 - delta * b2))
-
+    weight = _product_weight(sym.n1, m, rho, delta)
     value, witness = _weighted_sup(sym, probe, weight, k, n_x, rho, delta)
     return SymbolNormReport(value, k, n_x, witness,
                             bool(np.isfinite(value) and value <= cap))
@@ -433,23 +436,14 @@ def class_check(sym: SymbolDescriptor, class_kind: str, probe: ProbeSpec,
     """
     if class_kind not in ("product", "biparameter"):
         raise ValueError(f"unknown class kind '{class_kind}'")
-    n1, n2 = sym.n1, sym.n2
+    n1 = sym.n1
     rho = sym.rho if rho is None else float(rho)
     delta = sym.delta if delta is None else float(delta)
     k = n_x = sym.n // 2 + 1
 
     if class_kind == "product":
         m = sym.order_scalar() if order is None else float(order)
-
-        def weight(xis, alpha, beta):
-            a1, a2 = _block_orders(alpha, n1)
-            b1, b2 = _block_orders(beta, n1)
-            r = np.sqrt(np.sum(xis ** 2, axis=1))
-            r1 = np.sqrt(np.sum(xis[:, :n1] ** 2, axis=1))
-            r2 = np.sqrt(np.sum(xis[:, n1:] ** 2, axis=1))
-            return ((1.0 + r) ** (-m)
-                    * (1.0 + r1) ** (rho * a1 - delta * b1)
-                    * (1.0 + r2) ** (rho * a2 - delta * b2))
+        weight = _product_weight(n1, m, rho, delta)
     else:
         pair = sym.order if order is None else order
         if not isinstance(pair, (tuple, list)) or len(pair) != 2:
@@ -695,11 +689,9 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
             amp = 1.0 + _d * _mu(x)
             return amp * _b(xi)
 
-        terms = [((lambda x: np.ones(np.asarray(x).shape[:-1])), b_part)]
-        if xmod != 0.0:
-            terms.append(((lambda x, _mu=mu, _d=xmod: _d * _mu(x)), b_part))
+        terms = (((lambda x, _mu=mu, _d=xmod: 1.0 + _d * _mu(x)), b_part),)
         return make_symbol(evaluator, n1, n2, order=m, rho=rho, delta=0.0,
-                           separable_terms=tuple(terms),
+                           separable_terms=terms,
                            name=f"exotic[m={m:g},rho={rho:g}]")
 
     if name == "riemann_singularity":
@@ -738,12 +730,8 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
             amp = _s * _axis_cos_derivative(beta, x, _f, _n)
         return np.asarray(amp * _bessel_derivative(alpha, xi, _m), dtype=complex)
 
-    terms = (
-        ((lambda x: np.ones(np.asarray(x).shape[:-1])),
-         (lambda xi, _m=m: _bessel_value(xi, _m))),
-        ((lambda x, _s=strength, _mu=mu: _s * _mu(x)),
-         (lambda xi, _m=m: _bessel_value(xi, _m))),
-    )
+    terms = (((lambda x, _s=strength, _mu=mu: 1.0 + _s * _mu(x)),
+              (lambda xi, _m=m: _bessel_value(xi, _m))),)
     return make_symbol(evaluator, n1, n2, order=m, rho=1.0, delta=0.0,
                        derivative_oracle=oracle, separable_terms=terms,
                        name=f"modbessel[m={m:g},s={strength:g}]")

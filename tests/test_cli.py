@@ -135,6 +135,27 @@ def test_missing_config_file(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,key", [
+    ("tol = 0", "'tol'"),
+    ("tol = -1", "'tol'"),
+    ('max_iter = "abc"', "'max_iter'"),
+    ("max_iter = 0", "'max_iter'"),
+])
+def test_solver_settings_are_config_errors(tmp_path, capsys, line, key):
+    cfg = write_cfg(tmp_path / "bad.cfg", f"""\
+        experiment = "ortho"
+        symbol = "multiplier_bessel"
+        grid = [1, 1, 8, 1.0]
+        j_range = [1, 2]
+        {line}
+        outdir = {json.dumps(str(tmp_path))}
+        """)
+    assert main(["run", cfg]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "ortho.json").exists()
+    assert not (tmp_path / "ortho.csv").exists()
+
+
 def test_threads_env_must_be_integer(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BIPDO_THREADS", "many")
     cfg = ortho_cfg(tmp_path, tmp_path)

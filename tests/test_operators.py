@@ -1,4 +1,4 @@
-"""Quantized operators: application paths, adjoints, kernels, scaling.
+"""Quantized operators: application paths, adjoints, kernels, dilation.
 
 The reference oracle is a literal quadrature double sum written here with
 no FFTs, evaluated on grids small enough to brute-force.
@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 import bipdo as bp
-from bipdo import (DecompositionIndex, SampledField, ScalingOp, adjoint_apply,
-                   apply, apply_at, bessel_apply, builtin, derived_symbol,
-                   dft_forward, dilate_symbol, kernel_l1, kernel_slice,
-                   lp_norm, make_grid, make_symbol, quantize, scaling_apply,
-                   spectral_eval, spectral_from_field, spectral_l2)
+from bipdo import (DecompositionIndex, SampledField, adjoint_apply, apply,
+                   apply_at, builtin, derived_symbol, dft_forward,
+                   dilate_symbol, kernel_l1, kernel_slice, lp_norm, make_grid,
+                   make_symbol, quantize)
 from bipdo.operators import kernel_l1_split
 
 
@@ -292,56 +291,7 @@ def test_kernel_l1_split_partitions():
 
 
 # ---------------------------------------------------------------------------
-# scaling and conjugation
-
-
-def test_scaling_identity_and_single_mode():
-    grid = make_grid(1, 1, 16, 1.0)
-    f = rand_field(grid, 14)
-    spec = spectral_from_field(f)
-    ident = ScalingOp((1.0, 1.0), 1, 1, "forward")
-    out = scaling_apply(ident, spec)
-    assert np.abs(out.coeffs - spec.coeffs).max() == 0.0
-    assert np.array_equal(out.freqs, spec.freqs)
-
-    pts = grid.points().reshape(16, 16, 2)
-    mode = SampledField(grid, np.exp(2j * np.pi * (3 * pts[..., 0] - pts[..., 1])))
-    sp = spectral_from_field(mode)
-    lam = ScalingOp((2.0, 4.0), 1, 1, "forward")
-    moved = scaling_apply(lam, sp)
-    live = np.abs(moved.coeffs) > 1e-10
-    assert live.sum() == 1
-    got = moved.freqs[live][0]
-    assert np.allclose(got, [3.0 * 2.0, -1.0 * 4.0], atol=0)
-
-
-def test_scaling_l2_ratio():
-    grid = make_grid(1, 1, 16, 1.0)
-    f = rand_field(grid, 15)
-    spec = spectral_from_field(f)
-    s1, s2 = 2.0 ** 1.5, 2.0 ** 0.5
-    lam = ScalingOp((s1, s2), 1, 1, "forward")
-    ratio = spectral_l2(scaling_apply(lam, spec)) / spectral_l2(spec)
-    assert ratio == pytest.approx(s1 ** -0.5 * s2 ** -0.5, rel=1e-10)
-
-
-def test_scaling_roundtrip():
-    grid = make_grid(1, 1, 8, 1.0)
-    f = rand_field(grid, 16)
-    spec = spectral_from_field(f)
-    fwd = ScalingOp((2.0, 8.0), 1, 1, "forward")
-    inv = ScalingOp((2.0, 8.0), 1, 1, "inverse")
-    back = scaling_apply(inv, scaling_apply(fwd, spec))
-    assert np.abs(back.coeffs - spec.coeffs).max() <= 1e-14
-    assert np.abs(back.freqs - spec.freqs).max() <= 1e-12
-
-
-def test_spectral_eval_reproduces_samples():
-    grid = make_grid(1, 1, 8, 1.0)
-    f = rand_field(grid, 17)
-    spec = spectral_from_field(f)
-    got = spectral_eval(spec, grid.points()).reshape(grid.shape)
-    assert np.abs(got - f.values).max() <= 1e-12 * np.abs(f.values).max()
+# dilation and conjugation
 
 
 def test_dilate_symbol_pointwise():
@@ -384,16 +334,22 @@ def test_conjugation_identity_off_lattice():
 # bessel multiplier
 
 
+def bessel_multiplier(alpha, f):
+    """The lattice multiplier (1+|xi|^2)^(-alpha) as a quantized builtin."""
+    sym = builtin("multiplier_bessel", {"m": -2.0 * alpha})
+    return apply(quantize(sym, f.grid), f)
+
+
 def test_bessel_apply_identity_and_modes():
     grid = make_grid(1, 1, 16, 1.0)
     f = rand_field(grid, 21)
-    out0 = bessel_apply(0.0, f)
+    out0 = bessel_multiplier(0.0, f)
     assert np.abs(out0.values - f.values).max() <= 1e-12 * np.abs(f.values).max()
 
     pts = grid.points().reshape(16, 16, 2)
     k0 = np.array([3.0, -2.0])
     mode = SampledField(grid, np.exp(2j * np.pi * (pts @ k0)))
-    out = bessel_apply(0.7, mode)
+    out = bessel_multiplier(0.7, mode)
     scale = (1.0 + k0 @ k0) ** -0.7
     assert np.abs(out.values - scale * mode.values).max() <= 1e-12
 
@@ -401,5 +357,5 @@ def test_bessel_apply_identity_and_modes():
 def test_bessel_apply_roundtrip():
     grid = make_grid(1, 1, 16, 1.0)
     f = rand_field(grid, 22)
-    back = bessel_apply(-0.4, bessel_apply(0.4, f))
+    back = bessel_multiplier(-0.4, bessel_multiplier(0.4, f))
     assert np.abs(back.values - f.values).max() <= 1e-12 * np.abs(f.values).max()

@@ -143,13 +143,37 @@ def test_oracles_match_finite_differences():
                     assert abs(got - want) <= 1e-5 * scale, (sig.name, wrt, axis)
 
 
+BUILTIN_CASES = [
+    ("constant", {}),
+    ("multiplier_bessel", {}),
+    ("separable", {"terms": [{"amp": 0.7, "xfreq": [1, -2], "phase": 0.3,
+                              "orders": [-0.5, -0.25]}]}),
+    ("oscillatory_exotic", {"m": 0.0, "rho": 0.5, "xmod": 0.75}),
+    ("oscillatory_exotic", {"m": 0.0, "rho": 0.5, "xmod": 0.0}),
+    ("riemann_singularity", {}),
+    ("modulated_bessel", {}),
+]
+
+
 def test_checked_construction_of_oracle_builtins():
-    # rebuilding through checked mode re-validates oracle agreement
-    for name in ("constant", "multiplier_bessel", "modulated_bessel"):
-        sig = builtin(name, {})
+    # rebuilding through checked mode re-validates the derivative oracle and
+    # the separable terms against the hand-written evaluator
+    assert {name for name, _ in BUILTIN_CASES} == set(BUILTIN_PARAMS)
+    for name, params in BUILTIN_CASES:
+        sig = builtin(name, params)
         make_symbol(sig.evaluator, 1, 1, order=sig.order, rho=sig.rho,
                     delta=sig.delta, derivative_oracle=sig.derivative_oracle,
-                    checked=True)
+                    separable_terms=sig.separable_terms, checked=True)
+    for name in ("oscillatory_exotic", "modulated_bessel"):
+        assert len(builtin(name, {}).separable_terms) == 1
+
+    # the check sees a term that drops the x-modulation
+    sig = builtin("oscillatory_exotic", {"xmod": 0.75})
+    (_, b), = sig.separable_terms
+    ones = lambda x: np.ones(np.asarray(x).shape[:-1])
+    with pytest.raises(ValueError, match="separable terms disagree"):
+        make_symbol(sig.evaluator, 1, 1, order=sig.order, rho=sig.rho,
+                    separable_terms=((ones, b),), checked=True)
 
 
 # ---------------------------------------------------------------------------

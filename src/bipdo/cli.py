@@ -150,36 +150,55 @@ def _build_symbol(cfg: RunConfig, n1: int, n2: int):
         raise ConfigError(f"cannot build symbol '{name}': {exc}")
 
 
+def _number(key: str, value, kind):
+    """A config value read as ``kind``: a JSON integer for int, any JSON
+    number for float.  Anything else (a string, a bool, 2.5 for an int key)
+    is a ConfigError naming the key."""
+    types = (int,) if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, types):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"'{key}' must be {what}, got {value!r}")
+    return kind(value)
+
+
+def _num(cfg: RunConfig, key: str, kind, default=None):
+    return _number(key, cfg.get(key, default), kind)
+
+
+def _nums(cfg: RunConfig, key: str, kind, length: int | None = None) -> list:
+    """A config list of numbers, each read by ``_number``."""
+    values = cfg.get(key)
+    if not isinstance(values, list) or (length is not None and len(values) != length):
+        size = "a JSON list" if length is None else f"a JSON list of {length}"
+        raise ConfigError(f"'{key}' must be {size} numbers, got {values!r}")
+    return [_number(key, v, kind) for v in values]
+
+
 def _grid_from_cfg(cfg: RunConfig):
     g = cfg.get("grid")
     if not (isinstance(g, list) and len(g) == 4):
         raise ConfigError("'grid' must be a JSON list [n1, n2, N, period]")
+    n1, n2, N = (_number("grid", v, int) for v in g[:3])
     try:
-        return make_grid(int(g[0]), int(g[1]), int(g[2]), float(g[3]))
-    except (TypeError, ValueError) as exc:
+        return make_grid(n1, n2, N, _number("grid", g[3], float))
+    except ValueError as exc:
         raise ConfigError(f"invalid grid: {exc}")
 
 
 def _factors_from_cfg(cfg: RunConfig):
-    f = cfg.get("factors")
-    if not (isinstance(f, list) and len(f) == 2):
-        raise ConfigError("'factors' must be a JSON list [n1, n2]")
-    period = cfg.get("period")
-    if period is None:
-        raise ConfigError("missing required key 'period'")
-    return int(f[0]), int(f[1]), float(period)
+    n1, n2 = _nums(cfg, "factors", int, length=2)
+    return n1, n2, _num(cfg, "period", float)
 
 
 def _solver_settings(cfg: RunConfig):
     """(tol, max_iter) of a run: tol finite and > 0, max_iter an integer >= 1."""
-    tol = cfg.get("tol", 1e-8)
-    max_iter = cfg.get("max_iter", 500)
-    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
-            or not math.isfinite(tol) or tol <= 0):
+    tol = _num(cfg, "tol", float, 1e-8)
+    max_iter = _num(cfg, "max_iter", int, 500)
+    if not math.isfinite(tol) or tol <= 0:
         raise ConfigError(f"'tol' must be a finite positive number, got {tol!r}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
+    if max_iter < 1:
         raise ConfigError(f"'max_iter' must be an integer >= 1, got {max_iter!r}")
-    return float(tol), max_iter
+    return tol, max_iter
 
 
 def _threads() -> int | None:
@@ -199,7 +218,7 @@ def _run_ortho(cfg: RunConfig):
     sym = _build_symbol(cfg, grid.n1, grid.n2)
     tol, max_iter = _solver_settings(cfg)
     report = analysis.ortho_experiment(
-        sym, [int(j) for j in cfg.get("j_range")], grid,
+        sym, _nums(cfg, "j_range", int), grid,
         tol=tol, max_iter=max_iter, max_workers=_threads())
     rows = [[j, k, report.entries[(j, k)]] for j in report.js for k in report.js]
     passed = report.converged
@@ -212,14 +231,14 @@ def _run_kernel_decay(cfg: RunConfig):
     cfg.require("symbol", "grid", "j", "ell_range")
     grid = _grid_from_cfg(cfg)
     sym = _build_symbol(cfg, grid.n1, grid.n2)
-    seed = int(cfg.get("seed", 2026))
-    count = int(cfg.get("x_count", 5))
+    seed = _num(cfg, "seed", int, 2026)
+    count = _num(cfg, "x_count", int, 5)
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, grid.period, size=(count, grid.n))
-    ell_max = cfg.get("ell_max")
+    ell_max = None if cfg.get("ell_max") is None else _num(cfg, "ell_max", int)
     report = analysis.kernel_decay_experiment(
-        sym, int(cfg.get("j")), [int(e) for e in cfg.get("ell_range")], xs, grid,
-        ell_max=None if ell_max is None else int(ell_max))
+        sym, _num(cfg, "j", int), _nums(cfg, "ell_range", int), xs, grid,
+        ell_max=ell_max)
     rows = list(zip(report.ells, report.values))
     passed = report.verdict == "ok"
     line = (f"kernel_decay: slope={report.slope:.4g} "
@@ -233,7 +252,7 @@ def _run_l2_uniformity(cfg: RunConfig):
     sym = _build_symbol(cfg, n1, n2)
     tol, max_iter = _solver_settings(cfg)
     report = analysis.l2_uniformity_sweep(
-        sym, [int(N) for N in cfg.get("N_list")], period,
+        sym, _nums(cfg, "N_list", int), period,
         tol=tol, max_iter=max_iter)
     rows = list(zip(report.n_values, report.ratios))
     line = (f"l2_uniformity: ratios={[round(r, 6) for r in report.ratios]} "
@@ -246,8 +265,8 @@ def _run_bmo(cfg: RunConfig):
     n1, n2, period = _factors_from_cfg(cfg)
     sym = _build_symbol(cfg, n1, n2)
     report = analysis.bmo_experiment(
-        sym, None, [int(N) for N in cfg.get("N_list")], period,
-        seed=int(cfg.get("seed", 2026)))
+        sym, None, _nums(cfg, "N_list", int), period,
+        seed=_num(cfg, "seed", int, 2026))
     rows = list(zip(report.n_values, report.ratios))
     line = (f"bmo: ratios={[round(r, 6) for r in report.ratios]} "
             f"variation={report.variation():.4g} verdict={report.verdict}")
@@ -258,9 +277,9 @@ def _run_sharpness(cfg: RunConfig):
     cfg.require("rho", "p_list", "m_grid", "N_list", "factors", "period")
     n1, n2, period = _factors_from_cfg(cfg)
     table = analysis.sharpness_scan(
-        float(cfg.get("rho")), [float(p) for p in cfg.get("p_list")],
-        [float(m) for m in cfg.get("m_grid")], [int(N) for N in cfg.get("N_list")],
-        period, seed=int(cfg.get("seed", 2026)), n1=n1, n2=n2,
+        _num(cfg, "rho", float), _nums(cfg, "p_list", float),
+        _nums(cfg, "m_grid", float), _nums(cfg, "N_list", int),
+        period, seed=_num(cfg, "seed", int, 2026), n1=n1, n2=n2,
         max_workers=_threads())
     rows = []
     for m in table.ms:
@@ -280,14 +299,14 @@ def _run_commutator(cfg: RunConfig):
     grid = _grid_from_cfg(cfg)
     sym = _build_symbol(cfg, grid.n1, grid.n2)
     tol, _ = _solver_settings(cfg)
-    anchor = tuple(int(a) for a in cfg.get("cube_anchor"))
-    Q = DyadicCube(anchor, int(cfg.get("cube_side")))
+    anchor = tuple(_nums(cfg, "cube_anchor", int))
+    Q = DyadicCube(anchor, _num(cfg, "cube_side", int))
     Q.check(grid)
-    kmax = int(cfg.get("battery_kmax", grid.points_per_axis // 4))
-    count = int(cfg.get("battery_count", 8))
-    seed = int(cfg.get("seed", 2026))
+    kmax = _num(cfg, "battery_kmax", int, grid.points_per_axis // 4)
+    count = _num(cfg, "battery_count", int, 8)
+    seed = _num(cfg, "seed", int, 2026)
     battery = analysis.band_limited_battery(grid, kmax, count, seed)
-    err = analysis.commutator_check(sym, Q, float(cfg.get("rho")), battery)
+    err = analysis.commutator_check(sym, Q, _num(cfg, "rho", float), battery)
     passed = err <= tol
     report = {"max_relative_error": err, "tol": tol,
               "battery_kmax": kmax, "battery_count": count,
@@ -309,7 +328,7 @@ _RUNNERS = {
 def cmd_run(args) -> int:
     cfg = parse_config(args.config)
     name = cfg.get("experiment")
-    seed = cfg.get("seed", 2026)
+    seed = _num(cfg, "seed", int, 2026)
     report, rows, header, line, passed = _RUNNERS[name](cfg)
     outdir = cfg.get("outdir", ".")
     _write_report(outdir, name, cfg, seed, report, rows, header)

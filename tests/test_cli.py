@@ -156,6 +156,46 @@ def test_solver_settings_are_config_errors(tmp_path, capsys, line, key):
     assert not (tmp_path / "ortho.csv").exists()
 
 
+@pytest.mark.parametrize("experiment,body,key", [
+    ("bmo", 'symbol = "multiplier_bessel"\nfactors = [1, 1]\nperiod = 1.0\n'
+            'N_list = [8, 16]\nseed = "abc"', "'seed'"),
+    ("ortho", 'symbol = "multiplier_bessel"\ngrid = [1, 1, 8, 1.0]\n'
+              'j_range = ["x"]', "'j_range'"),
+    ("bmo", 'symbol = "multiplier_bessel"\nfactors = [1, "q"]\nperiod = 1.0\n'
+            'N_list = [8, 16]', "'factors'"),
+    ("ortho", 'symbol = "multiplier_bessel"\ngrid = [1, 1, 16.5, 1.0]\n'
+              'j_range = [1, 2]', "'grid'"),
+], ids=["seed", "j_range", "factors", "grid"])
+def test_config_numbers_are_config_errors(tmp_path, capsys, experiment, body, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f'experiment = "{experiment}"\n{body}\n'
+                   f"outdir = {json.dumps(str(tmp_path))}\n", encoding="utf-8")
+    assert main(["run", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / f"{experiment}.json").exists()
+    assert not (tmp_path / f"{experiment}.csv").exists()
+
+
+@pytest.mark.parametrize("symbol,params", [
+    ("oscillatory_exotic", {"m": 0.0, "rho": 0.5}),
+    ("multiplier_bessel", {"m": 0.0}),
+])
+def test_run_converges_on_c5_workload(tmp_path, capsys, symbol, params):
+    # the acceptance gate's check 5 workload: the CLI must reach the same
+    # verdict, with every norm cell converged
+    cfg = write_cfg(tmp_path / "c5.cfg", f"""\
+        experiment = "ortho"
+        symbol = "{symbol}"
+        params = {json.dumps(params)}
+        grid = [1, 1, 64, 1.0]
+        j_range = [1, 2, 3, 4, 5]
+        max_iter = 2000
+        outdir = {json.dumps(str(tmp_path))}
+        """)
+    assert main(["run", cfg]) == 0
+    assert "converged=True" in capsys.readouterr().out
+
+
 def test_threads_env_must_be_integer(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BIPDO_THREADS", "many")
     cfg = ortho_cfg(tmp_path, tmp_path)

@@ -13,12 +13,13 @@ import numpy as np
 import bipdo
 from bipdo import analysis, cli, decompose, grid, operators, symbols
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "perfbench", "tracing.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
@@ -35,7 +36,7 @@ def bindings():
 
 
 def test_tracer_resolves_and_restores_every_binding():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     before = bindings()
     tracer = tracing.Tracer()
     try:
@@ -54,3 +55,24 @@ def test_tracer_resolves_and_restores_every_binding():
     finally:
         tracer.uninstall()
     assert bindings() == before
+
+
+def test_benchmark_reads_opnorm_estimate_fields():
+    # the tracer counts est.iterations and est.converged; run.py's OpnormLog
+    # keeps every estimate, whose .value and .converged the ortho64 check reads
+    tracing = load_perfbench("tracing")
+    run = load_perfbench("run")
+    g = grid.make_grid(1, 1, 8, 1.0)
+    T = operators.quantize(symbols.builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5}), g)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        with run.OpnormLog() as log:
+            est = analysis.l2_opnorm(T, 1e-8, 3)
+    finally:
+        tracer.uninstall()
+    assert log.current == [est]
+    assert isinstance(est.value, float) and isinstance(est.converged, bool)
+    metrics = tracer.layer_metrics()
+    assert metrics["analysis.l2_opnorm.iterations"] == est.iterations > 0
+    assert metrics["analysis.l2_opnorm.unconverged"] == int(not est.converged)

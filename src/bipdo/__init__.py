@@ -14,11 +14,10 @@ from .decompose import (DecompositionIndex, Mollifier, smooth_step, varphi,
                         phi_j, delta_ell, cube_partition, default_ell_max,
                         derived_symbol, mollifier_lambda)
 from .symbols import (SymbolDescriptor, ProbeSpec, make_symbol, default_probe,
-                      seminorm, class_check, builtin, bessel_modulate,
-                      scale_symbol, BUILTIN_PARAMS)
+                      seminorm, class_check, builtin, scale_symbol,
+                      BUILTIN_PARAMS)
 from .operators import (QuantizedOperator, quantize, apply, apply_at,
-                        adjoint_apply, kernel_slice, kernel_l1,
-                        kernel_l1_split, dilate_symbol)
+                        adjoint_apply, kernel_slice, kernel_l1, dilate_symbol)
 from .analysis import (LinearFieldMap, OpNormEstimate, OrthoMatrix,
                        KernelDecayReport, BoundednessReport, SharpnessTable,
                        compose, adjoint_of, l2_opnorm, fit_line,

@@ -29,9 +29,9 @@ import numpy as np
 
 from .grid import (GridSpec, SampledField, bmo_norm, linf_norm, lp_norm,
                    make_grid)
-from .decompose import (DecompositionIndex, _block_norms, default_ell_max,
-                        derived_symbol, mollifier_lambda, varphi)
-from .symbols import SymbolDescriptor, builtin
+from .decompose import (DecompositionIndex, default_ell_max, derived_symbol,
+                        mollifier_lambda, varphi)
+from .symbols import SymbolDescriptor, block_norms, builtin
 from .operators import adjoint_apply, apply, kernel_l1, quantize
 
 # fixed start-vector seed for every Lanczos iteration (documented constant;
@@ -581,7 +581,7 @@ def adversarial_battery(grid: GridSpec, rho: float, seed: int = 2026) -> list:
     r = np.sqrt(np.sum(frs ** 2, axis=1))
     R = float(np.max(r))
     env = varphi(2.0 * r / R) - varphi(16.0 * r / R)
-    r1, r2 = _block_norms(frs, grid.n1, grid.n2)
+    r1, r2 = block_norms(frs, grid.n1)
     a = 1.0 - rho
     phase = (1.0 + r1 ** 2) ** (a / 2.0) + (1.0 + r2 ** 2) ** (a / 2.0)
     for sgn in (-1.0, 1.0):
@@ -644,7 +644,6 @@ def _ratio(Tf: SampledField, f: SampledField, p: float) -> float:
 
 def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
                    seed: int = 2026, n1: int = 1, n2: int = 1,
-                   symbol_params: dict | None = None,
                    max_workers: int | None = None) -> SharpnessTable:
     """Battery L^p ratios for the oscillating symbol across (m, p, N).
 
@@ -660,10 +659,7 @@ def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
     batteries = {N: adversarial_battery(grids[N], rho, seed) for N in Ns}
 
     def cell(m):
-        params = {"m": m, "rho": rho}
-        if symbol_params:
-            params.update(symbol_params)
-        sym = builtin("oscillatory_exotic", params, n1=n1, n2=n2)
+        sym = builtin("oscillatory_exotic", {"m": m, "rho": rho}, n1=n1, n2=n2)
         out = {p: [] for p in ps}
         for N in Ns:
             T = quantize(sym, grids[N])

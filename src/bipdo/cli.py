@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ from . import decompose
 from .grid import (DyadicCube, SampledField, dft_forward, dft_inverse,
                    lp_norm, make_grid, read_field, write_field)
 from .decompose import (DecompositionIndex, cube_partition, delta_ell,
-                        default_ell_max, derived_symbol, phi_j)
+                        default_ell_max, derived_symbol, mollifier_lambda, phi_j)
 from .symbols import BUILTIN_PARAMS, builtin
 from .operators import apply, kernel_l1, kernel_slice, quantize
 from . import analysis
@@ -40,6 +41,15 @@ from . import analysis
 
 class ConfigError(Exception):
     pass
+
+
+@contextmanager
+def _checked(what: str):
+    """Report a ValueError of objects built from the keys or flags ``what``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from None
 
 
 _KNOWN_KEYS = frozenset({
@@ -143,11 +153,8 @@ def _build_symbol(cfg: RunConfig, n1: int, n2: int):
     name = cfg.get("symbol")
     if name is None:
         raise ConfigError("missing required key 'symbol'")
-    params = cfg.get("params", {})
-    try:
-        return builtin(name, params, n1=n1, n2=n2)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"cannot build symbol '{name}': {exc}")
+    with _checked(f"'symbol' {name!r} or its 'params'"):
+        return builtin(name, cfg.get("params", {}), n1=n1, n2=n2)
 
 
 def _number(key: str, value, kind):
@@ -179,15 +186,21 @@ def _grid_from_cfg(cfg: RunConfig):
     if not (isinstance(g, list) and len(g) == 4):
         raise ConfigError("'grid' must be a JSON list [n1, n2, N, period]")
     n1, n2, N = (_number("grid", v, int) for v in g[:3])
-    try:
+    with _checked("'grid'"):
         return make_grid(n1, n2, N, _number("grid", g[3], float))
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid: {exc}")
 
 
-def _factors_from_cfg(cfg: RunConfig):
+def _sweep_from_cfg(cfg: RunConfig):
+    """(n1, n2, period, N_list) of a sweep over increasing, checked grids."""
     n1, n2 = _nums(cfg, "factors", int, length=2)
-    return n1, n2, _num(cfg, "period", float)
+    period = _num(cfg, "period", float)
+    Ns = _nums(cfg, "N_list", int)
+    if not Ns or Ns != sorted(Ns):
+        raise ConfigError(f"'N_list' must be a nonempty increasing list, got {Ns}")
+    for N in Ns:
+        with _checked(f"'factors', 'period' or 'N_list' entry {N}"):
+            make_grid(n1, n2, N, period)
+    return n1, n2, period, Ns
 
 
 def _solver_settings(cfg: RunConfig):
@@ -217,9 +230,12 @@ def _run_ortho(cfg: RunConfig):
     grid = _grid_from_cfg(cfg)
     sym = _build_symbol(cfg, grid.n1, grid.n2)
     tol, max_iter = _solver_settings(cfg)
+    js = _nums(cfg, "j_range", int)
+    with _checked("'j_range'"):
+        for j in js:
+            DecompositionIndex(j=j)
     report = analysis.ortho_experiment(
-        sym, _nums(cfg, "j_range", int), grid,
-        tol=tol, max_iter=max_iter, max_workers=_threads())
+        sym, js, grid, tol=tol, max_iter=max_iter, max_workers=_threads())
     rows = [[j, k, report.entries[(j, k)]] for j in report.js for k in report.js]
     passed = report.converged
     line = (f"ortho: epsilon={report.fitted_epsilon:.4g} A={report.fitted_A:.4g} "
@@ -233,12 +249,18 @@ def _run_kernel_decay(cfg: RunConfig):
     sym = _build_symbol(cfg, grid.n1, grid.n2)
     seed = _num(cfg, "seed", int, 2026)
     count = _num(cfg, "x_count", int, 5)
+    if count < 1:
+        raise ConfigError(f"'x_count' must be an integer >= 1, got {count}")
+    j = _num(cfg, "j", int)
+    ells = _nums(cfg, "ell_range", int)
+    ell_max = default_ell_max(grid.points_per_axis) if cfg.get("ell_max") is None \
+        else _num(cfg, "ell_max", int)
+    with _checked("'j', 'ell_range' or 'ell_max'"):
+        for ell in [0, *ells]:
+            DecompositionIndex(j=j, ell=ell, ell_max=ell_max)
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, grid.period, size=(count, grid.n))
-    ell_max = None if cfg.get("ell_max") is None else _num(cfg, "ell_max", int)
-    report = analysis.kernel_decay_experiment(
-        sym, _num(cfg, "j", int), _nums(cfg, "ell_range", int), xs, grid,
-        ell_max=ell_max)
+    report = analysis.kernel_decay_experiment(sym, j, ells, xs, grid, ell_max=ell_max)
     rows = list(zip(report.ells, report.values))
     passed = report.verdict == "ok"
     line = (f"kernel_decay: slope={report.slope:.4g} "
@@ -248,12 +270,10 @@ def _run_kernel_decay(cfg: RunConfig):
 
 def _run_l2_uniformity(cfg: RunConfig):
     cfg.require("symbol", "factors", "period", "N_list")
-    n1, n2, period = _factors_from_cfg(cfg)
+    n1, n2, period, Ns = _sweep_from_cfg(cfg)
     sym = _build_symbol(cfg, n1, n2)
     tol, max_iter = _solver_settings(cfg)
-    report = analysis.l2_uniformity_sweep(
-        sym, _nums(cfg, "N_list", int), period,
-        tol=tol, max_iter=max_iter)
+    report = analysis.l2_uniformity_sweep(sym, Ns, period, tol=tol, max_iter=max_iter)
     rows = list(zip(report.n_values, report.ratios))
     line = (f"l2_uniformity: ratios={[round(r, 6) for r in report.ratios]} "
             f"variation={report.variation():.4g} verdict={report.verdict}")
@@ -262,11 +282,10 @@ def _run_l2_uniformity(cfg: RunConfig):
 
 def _run_bmo(cfg: RunConfig):
     cfg.require("symbol", "factors", "period", "N_list")
-    n1, n2, period = _factors_from_cfg(cfg)
+    n1, n2, period, Ns = _sweep_from_cfg(cfg)
     sym = _build_symbol(cfg, n1, n2)
-    report = analysis.bmo_experiment(
-        sym, None, _nums(cfg, "N_list", int), period,
-        seed=_num(cfg, "seed", int, 2026))
+    report = analysis.bmo_experiment(sym, None, Ns, period,
+                                     seed=_num(cfg, "seed", int, 2026))
     rows = list(zip(report.n_values, report.ratios))
     line = (f"bmo: ratios={[round(r, 6) for r in report.ratios]} "
             f"variation={report.variation():.4g} verdict={report.verdict}")
@@ -275,10 +294,12 @@ def _run_bmo(cfg: RunConfig):
 
 def _run_sharpness(cfg: RunConfig):
     cfg.require("rho", "p_list", "m_grid", "N_list", "factors", "period")
-    n1, n2, period = _factors_from_cfg(cfg)
+    n1, n2, period, Ns = _sweep_from_cfg(cfg)
+    rho = _num(cfg, "rho", float)
+    with _checked("'rho'"):
+        builtin("oscillatory_exotic", {"rho": rho}, n1=n1, n2=n2)
     table = analysis.sharpness_scan(
-        _num(cfg, "rho", float), _nums(cfg, "p_list", float),
-        _nums(cfg, "m_grid", float), _nums(cfg, "N_list", int),
+        rho, _nums(cfg, "p_list", float), _nums(cfg, "m_grid", float), Ns,
         period, seed=_num(cfg, "seed", int, 2026), n1=n1, n2=n2,
         max_workers=_threads())
     rows = []
@@ -299,14 +320,17 @@ def _run_commutator(cfg: RunConfig):
     grid = _grid_from_cfg(cfg)
     sym = _build_symbol(cfg, grid.n1, grid.n2)
     tol, _ = _solver_settings(cfg)
-    anchor = tuple(_nums(cfg, "cube_anchor", int))
-    Q = DyadicCube(anchor, _num(cfg, "cube_side", int))
-    Q.check(grid)
+    rho = _num(cfg, "rho", float)
     kmax = _num(cfg, "battery_kmax", int, grid.points_per_axis // 4)
     count = _num(cfg, "battery_count", int, 8)
     seed = _num(cfg, "seed", int, 2026)
-    battery = analysis.band_limited_battery(grid, kmax, count, seed)
-    err = analysis.commutator_check(sym, Q, _num(cfg, "rho", float), battery)
+    with _checked("'cube_anchor', 'cube_side', 'rho' or 'battery_kmax'"):
+        Q = DyadicCube(tuple(_nums(cfg, "cube_anchor", int)),
+                       _num(cfg, "cube_side", int))
+        Q.check(grid)
+        mollifier_lambda(grid, Q, rho)
+        battery = analysis.band_limited_battery(grid, kmax, count, seed)
+    err = analysis.commutator_check(sym, Q, rho, battery)
     passed = err <= tol
     report = {"max_relative_error": err, "tol": tol,
               "battery_kmax": kmax, "battery_count": count,
@@ -456,11 +480,9 @@ def _parse_grid_flag(text: str):
     parts = text.split(",")
     if len(parts) != 4:
         raise ConfigError(f"--grid expects n1,n2,N,L, got '{text}'")
-    try:
+    with _checked("--grid"):
         return make_grid(int(parts[0]), int(parts[1]), int(parts[2]),
                          float(parts[3]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid --grid: {exc}")
 
 
 def _symbol_from_flags(args, grid):
@@ -468,22 +490,21 @@ def _symbol_from_flags(args, grid):
         params = json.loads(args.params) if args.params else {}
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--params is not valid JSON: {exc}")
-    try:
+    with _checked(f"--symbol {args.symbol!r} or --params"):
         sym = builtin(args.symbol, params, n1=grid.n1, n2=grid.n2)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"cannot build symbol '{args.symbol}': {exc}")
-    if args.split_scale is not None:
-        sym = derived_symbol(sym, DecompositionIndex(r=args.split_scale), "high_r")
-    if args.ell is not None:
-        if args.j is None:
-            raise ConfigError("--ell requires --j")
-        ell_max = args.ellmax if args.ellmax is not None \
-            else default_ell_max(grid.points_per_axis)
-        sym = derived_symbol(
-            sym, DecompositionIndex(j=args.j, ell=args.ell, ell_max=ell_max),
-            "cone_lj")
-    elif args.j is not None:
-        sym = derived_symbol(sym, DecompositionIndex(j=args.j), "annulus_j")
+    if args.ell is not None and args.j is None:
+        raise ConfigError("--ell requires --j")
+    with _checked("--split-scale, --j, --ell or --ellmax"):
+        if args.split_scale is not None:
+            sym = derived_symbol(sym, DecompositionIndex(r=args.split_scale), "high_r")
+        if args.ell is not None:
+            ell_max = args.ellmax if args.ellmax is not None \
+                else default_ell_max(grid.points_per_axis)
+            sym = derived_symbol(
+                sym, DecompositionIndex(j=args.j, ell=args.ell, ell_max=ell_max),
+                "cone_lj")
+        elif args.j is not None:
+            sym = derived_symbol(sym, DecompositionIndex(j=args.j), "annulus_j")
     return sym
 
 
@@ -508,6 +529,8 @@ def cmd_kernel(args) -> int:
         x = np.array([float(t) for t in args.x.split(",")])
     except ValueError:
         raise ConfigError(f"--x expects comma-separated reals, got '{args.x}'")
+    if not np.all(np.isfinite(x)):
+        raise ConfigError(f"--x expects finite coordinates, got '{args.x}'")
     if x.shape != (grid.n,):
         raise ConfigError(f"--x needs {grid.n} coordinates")
     sl = kernel_slice(sym, grid, x)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import DyadicCube, GridSpec, SampledField
-from .symbols import SymbolDescriptor, make_symbol
+from .symbols import SymbolDescriptor, block_norms, transform_symbol
 
 DERIVED_KINDS = ("annulus_j", "cone_lj", "flat_j", "sharp_j", "low_r", "high_r", "theta")
 
@@ -48,13 +48,6 @@ def varphi(t):
     return smooth_step(np.abs(np.asarray(t, dtype=float)) - 1.0)
 
 
-def _block_norms(xi, n1: int, n2: int):
-    xi = np.asarray(xi, dtype=float)
-    r1 = np.sqrt(np.sum(xi[..., :n1] ** 2, axis=-1))
-    r2 = np.sqrt(np.sum(xi[..., n1:n1 + n2] ** 2, axis=-1))
-    return r1, r2
-
-
 def phi_j_radial(norm, j: int):
     """Dyadic annulus weight as a function of |xi|."""
     if j < 0:
@@ -71,6 +64,25 @@ def phi_j(xi, j: int):
     return phi_j_radial(np.sqrt(np.sum(xi ** 2, axis=-1)), j)
 
 
+def _on_cone_ratio(r1, r2, profile, at_origin: float):
+    """``profile`` of the ratio |xi2|/|xi1| of block norms, ``at_origin`` where
+    both vanish.
+
+    The ratio is +inf on the xi1 = 0 lines; scalar norms give a float.
+    """
+    scalar = np.ndim(r1) == 0 and np.ndim(r2) == 0
+    r1 = np.atleast_1d(np.asarray(r1, dtype=float))
+    r2 = np.atleast_1d(np.asarray(r2, dtype=float))
+    r1, r2 = np.broadcast_arrays(r1, r2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = r2 / r1
+    both_zero = (r1 == 0.0) & (r2 == 0.0)
+    # any finite placeholder; overwritten below
+    safe = np.where(both_zero, 1.0, ratio)
+    out = np.where(both_zero, at_origin, profile(safe))
+    return float(out[0]) if scalar else out
+
+
 def _delta_from_norms(r1, r2, ell: int, ell_max: int):
     """Cone cutoff as a function of the block norms |xi1|, |xi2|.
 
@@ -82,23 +94,16 @@ def _delta_from_norms(r1, r2, ell: int, ell_max: int):
         raise ValueError(f"ell_max must be >= 1, got {ell_max}")
     if abs(ell) > ell_max:
         raise ValueError(f"|ell| = {abs(ell)} exceeds ell_max = {ell_max}")
-    scalar = np.ndim(r1) == 0 and np.ndim(r2) == 0
-    r1 = np.atleast_1d(np.asarray(r1, dtype=float))
-    r2 = np.atleast_1d(np.asarray(r2, dtype=float))
-    r1, r2 = np.broadcast_arrays(r1, r2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = r2 / r1
-    both_zero = (r1 == 0.0) & (r2 == 0.0)
-    # any finite placeholder; overwritten below
-    safe = np.where(both_zero, 1.0, ratio)
     if ell == ell_max:
-        val = 1.0 - varphi(safe * 2.0 ** (-ell_max + 1))
+        def profile(t):
+            return 1.0 - varphi(t * 2.0 ** (-ell_max + 1))
     elif ell == -ell_max:
-        val = varphi(safe * 2.0 ** ell_max)
+        def profile(t):
+            return varphi(t * 2.0 ** ell_max)
     else:
-        val = varphi(safe * 2.0 ** (-ell)) - varphi(safe * 2.0 ** (-ell + 1))
-    out = np.where(both_zero, 1.0 if ell == 0 else 0.0, val)
-    return float(out[0]) if scalar else out
+        def profile(t):
+            return varphi(t * 2.0 ** (-ell)) - varphi(t * 2.0 ** (-ell + 1))
+    return _on_cone_ratio(r1, r2, profile, 1.0 if ell == 0 else 0.0)
 
 
 def delta_ell(xi1, xi2, ell: int, ell_max: int):
@@ -114,17 +119,8 @@ def _cone_sharp_sum(r1, r2, j: int, ell_max: int):
     """Closed form of sum_{ell=-ell_max}^{j} delta_ell via telescoping."""
     if j >= ell_max:
         return np.ones(np.broadcast(np.asarray(r1), np.asarray(r2)).shape)
-    scalar = np.ndim(r1) == 0 and np.ndim(r2) == 0
-    r1 = np.atleast_1d(np.asarray(r1, dtype=float))
-    r2 = np.atleast_1d(np.asarray(r2, dtype=float))
-    r1, r2 = np.broadcast_arrays(r1, r2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = r2 / r1
-    both_zero = (r1 == 0.0) & (r2 == 0.0)
-    safe = np.where(both_zero, 1.0, ratio)
-    val = varphi(safe * 2.0 ** (-j))
-    out = np.where(both_zero, 1.0 if j >= 0 else 0.0, val)
-    return float(out[0]) if scalar else out
+    return _on_cone_ratio(r1, r2, lambda t: varphi(t * 2.0 ** (-j)),
+                          1.0 if j >= 0 else 0.0)
 
 
 def default_ell_max(points_per_axis: int) -> int:
@@ -195,21 +191,12 @@ def _need(index: DecompositionIndex, kind: str, *fields):
 
 def _cut_symbol(sigma: SymbolDescriptor, cut, tag: str) -> SymbolDescriptor:
     """Multiply sigma by a frequency cutoff, propagating separable structure."""
-    parent = sigma.evaluator
-
-    def evaluator(x, xi, _p=parent, _c=cut):
+    def evaluator(x, xi, _p=sigma.evaluator, _c=cut):
         return _p(x, xi) * _c(xi)
 
-    terms = None
-    if sigma.separable_terms is not None:
-        def wrap(b):
-            def bc(xi, _b=b, _c=cut):
-                return np.asarray(_b(xi)) * _c(xi)
-            return bc
-        terms = tuple((a, wrap(b)) for a, b in sigma.separable_terms)
-    return make_symbol(
-        evaluator, sigma.n1, sigma.n2, order=sigma.order, rho=sigma.rho,
-        delta=sigma.delta, separable_terms=terms, name=f"{sigma.name}|{tag}")
+    def term(a, b):
+        return [(a, lambda xi, _b=b, _c=cut: np.asarray(_b(xi)) * _c(xi))]
+    return transform_symbol(sigma, evaluator, term, f"{sigma.name}|{tag}")
 
 
 def derived_symbol(sigma: SymbolDescriptor, index: DecompositionIndex, kind: str,
@@ -236,7 +223,7 @@ def derived_symbol(sigma: SymbolDescriptor, index: DecompositionIndex, kind: str
     """
     if kind not in DERIVED_KINDS:
         raise ValueError(f"unknown derived kind '{kind}'; expected one of {DERIVED_KINDS}")
-    n1, n2 = sigma.n1, sigma.n2
+    n1 = sigma.n1
 
     if kind == "annulus_j":
         _need(index, kind, "j")
@@ -247,7 +234,7 @@ def derived_symbol(sigma: SymbolDescriptor, index: DecompositionIndex, kind: str
             j1, j2 = int(j[0]), int(j[1])
 
             def cut(xi, _j1=j1, _j2=j2):
-                r1, r2 = _block_norms(xi, n1, n2)
+                r1, r2 = block_norms(xi, n1)
                 return phi_j_radial(r1, _j1) * phi_j_radial(r2, _j2)
             tag = f"annulus[{j1},{j2}]"
         else:
@@ -258,31 +245,23 @@ def derived_symbol(sigma: SymbolDescriptor, index: DecompositionIndex, kind: str
             tag = f"annulus[{jj}]"
         return _cut_symbol(sigma, cut, tag)
 
-    if kind == "cone_lj":
-        _need(index, kind, "j", "ell", "ell_max")
+    if kind in ("cone_lj", "flat_j", "sharp_j"):
+        _need(index, kind, "j", "ell_max", *(("ell",) if kind == "cone_lj" else ()))
         jj, ell, em = int(index.j), index.ell, index.ell_max
         scale = 1.0 if index.r is None else float(index.r)
 
-        def cut(xi, _j=jj, _l=ell, _m=em, _s=scale):
+        def cut(xi, _j=jj, _l=ell, _m=em, _s=scale, _k=kind):
             xi = np.asarray(xi, dtype=float)
             full = np.sqrt(np.sum(xi ** 2, axis=-1))
-            r1, r2 = _block_norms(xi, n1, n2)
-            return phi_j_radial(_s * full, _j) * _delta_from_norms(r1, r2, _l, _m)
-        return _cut_symbol(sigma, cut, f"cone[{jj},{ell}]")
-
-    if kind in ("flat_j", "sharp_j"):
-        _need(index, kind, "j", "ell_max")
-        jj, em = int(index.j), index.ell_max
-        scale = 1.0 if index.r is None else float(index.r)
-        sharp = kind == "sharp_j"
-
-        def cut(xi, _j=jj, _m=em, _s=scale, _sharp=sharp):
-            xi = np.asarray(xi, dtype=float)
-            full = np.sqrt(np.sum(xi ** 2, axis=-1))
-            r1, r2 = _block_norms(xi, n1, n2)
-            s = _cone_sharp_sum(r1, r2, _j, _m)
-            return phi_j_radial(_s * full, _j) * (s if _sharp else 1.0 - s)
-        return _cut_symbol(sigma, cut, f"{'sharp' if sharp else 'flat'}[{jj}]")
+            r1, r2 = block_norms(xi, n1)
+            if _k == "cone_lj":
+                cone = _delta_from_norms(r1, r2, _l, _m)
+            else:
+                s = _cone_sharp_sum(r1, r2, _j, _m)
+                cone = s if _k == "sharp_j" else 1.0 - s
+            return phi_j_radial(_s * full, _j) * cone
+        tag = f"cone[{jj},{ell}]" if kind == "cone_lj" else f"{kind[:-2]}[{jj}]"
+        return _cut_symbol(sigma, cut, tag)
 
     if kind in ("low_r", "high_r"):
         _need(index, kind, "r")
@@ -303,45 +282,36 @@ def derived_symbol(sigma: SymbolDescriptor, index: DecompositionIndex, kind: str
 
 def _theta_symbol(sigma: SymbolDescriptor, moll: "Mollifier") -> SymbolDescriptor:
     etas = moll.mode_steps / moll.period  # (K, n) physical frequencies
-    betas = moll.mode_coeffs
-    parent = sigma.evaluator
-    n = sigma.n1 + sigma.n2
-    if etas.shape[1] != n:
-        raise ValueError(f"mollifier has {etas.shape[1]} axes, symbol has {n}")
+    if etas.shape[1] != sigma.n:
+        raise ValueError(f"mollifier has {etas.shape[1]} axes, symbol has {sigma.n}")
+    # the eta = 0 term vanishes identically
+    modes = [(eta, beta) for eta, beta in zip(etas, moll.mode_coeffs) if np.any(eta)]
 
-    def evaluator(x, xi, _p=parent, _e=etas, _b=betas):
+    def evaluator(x, xi, _p=sigma.evaluator):
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
         base = _p(x, xi)
         acc = np.zeros(np.broadcast(x[..., 0], xi[..., 0]).shape, dtype=complex)
-        for eta, beta in zip(_e, _b):
-            if not np.any(eta):
-                continue  # eta = 0 term vanishes identically
+        for eta, beta in modes:
             shifted = _p(x, xi + eta)
             phase = np.exp(2j * np.pi * np.sum(x * eta, axis=-1))
             acc = acc + beta * (base - shifted) * phase
         return acc
 
-    terms = None
-    if sigma.separable_terms is not None:
-        terms = []
-        for a, b in sigma.separable_terms:
-            for eta, beta in zip(etas, betas):
-                if not np.any(eta):
-                    continue
-                def ax(x, _a=a, _eta=eta, _beta=beta):
-                    x = np.asarray(x, dtype=float)
-                    return _beta * np.asarray(_a(x)) * np.exp(
-                        2j * np.pi * np.sum(x * _eta, axis=-1))
+    def term(a, b):
+        out = []
+        for eta, beta in modes:
+            def ax(x, _a=a, _eta=eta, _beta=beta):
+                x = np.asarray(x, dtype=float)
+                return _beta * np.asarray(_a(x)) * np.exp(
+                    2j * np.pi * np.sum(x * _eta, axis=-1))
 
-                def bx(xi, _b=b, _eta=eta):
-                    xi = np.asarray(xi, dtype=float)
-                    return np.asarray(_b(xi)) - np.asarray(_b(xi + _eta))
-                terms.append((ax, bx))
-        terms = tuple(terms)
-    return make_symbol(
-        evaluator, sigma.n1, sigma.n2, order=sigma.order, rho=sigma.rho,
-        delta=sigma.delta, separable_terms=terms, name=f"{sigma.name}|theta")
+            def bx(xi, _b=b, _eta=eta):
+                xi = np.asarray(xi, dtype=float)
+                return np.asarray(_b(xi)) - np.asarray(_b(xi + _eta))
+            out.append((ax, bx))
+        return out
+    return transform_symbol(sigma, evaluator, term, f"{sigma.name}|theta")
 
 
 @dataclass(frozen=True)
@@ -364,10 +334,6 @@ class Mollifier:
     mode_coeffs: np.ndarray
     period: float
     freq_radius: float
-
-    @property
-    def is_constant(self) -> bool:
-        return self.degree == 0
 
 
 def _one_sided_fejer_autocorr(M: int) -> np.ndarray:

@@ -16,7 +16,6 @@ volume (L/N)^n as integration weight.
 """
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -75,11 +74,11 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         """All grid points, shape (N^n, n), row-major with block-1 axes first."""
-        return _points(self)
+        return _points_freqs(self)[0]
 
     def freqs(self) -> np.ndarray:
         """All lattice frequencies, shape (N^n, n), flattened in FFT layout."""
-        return _freqs(self)
+        return _points_freqs(self)[1]
 
 
 def make_grid(n1: int, n2: int, points_per_axis: int, period: float = 1.0) -> GridSpec:
@@ -101,8 +100,8 @@ def make_grid(n1: int, n2: int, points_per_axis: int, period: float = 1.0) -> Gr
 
 
 @lru_cache(maxsize=64)
-def _points_freqs_cached(n1, n2, N, L):
-    n = n1 + n2
+def _points_freqs(grid: GridSpec):
+    n, N, L = grid.n, grid.points_per_axis, grid.period
     x1 = np.arange(N) * (L / N)
     k1 = np.fft.fftfreq(N, d=L / N)
     pts = np.stack(np.meshgrid(*([x1] * n), indexing="ij"), axis=-1).reshape(-1, n)
@@ -110,14 +109,6 @@ def _points_freqs_cached(n1, n2, N, L):
     pts.setflags(write=False)
     frs.setflags(write=False)
     return pts, frs
-
-
-def _points(grid: GridSpec) -> np.ndarray:
-    return _points_freqs_cached(grid.n1, grid.n2, grid.points_per_axis, grid.period)[0]
-
-
-def _freqs(grid: GridSpec) -> np.ndarray:
-    return _points_freqs_cached(grid.n1, grid.n2, grid.points_per_axis, grid.period)[1]
 
 
 @dataclass(frozen=True)
@@ -259,25 +250,3 @@ def read_field(path) -> SampledField:
     if vals.size != grid.size:
         raise ValueError(f"{path}: expected {grid.size} samples, found {vals.size}")
     return SampledField(grid, vals.astype(np.complex128))
-
-
-def field_to_json(f: SampledField) -> str:
-    """JSON form for tiny grids and debugging; lossless float64 round trip."""
-    g = f.grid
-    flat = f.values.ravel()
-    doc = {
-        "n1": g.n1,
-        "n2": g.n2,
-        "points_per_axis": g.points_per_axis,
-        "period": g.period,
-        "re": flat.real.tolist(),
-        "im": flat.imag.tolist(),
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def field_from_json(text: str) -> SampledField:
-    doc = json.loads(text)
-    grid = make_grid(doc["n1"], doc["n2"], doc["points_per_axis"], doc["period"])
-    vals = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-    return SampledField(grid, vals)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GridSpec, SampledField, dft_forward, dft_inverse
-from .symbols import SymbolDescriptor, make_symbol
+from .symbols import SymbolDescriptor, transform_symbol
 
 # elements per evaluator chunk in dense sweeps
 _CHUNK = 1 << 22
@@ -172,29 +172,6 @@ def kernel_l1(symbol: SymbolDescriptor, grid: GridSpec, x) -> float:
     return float(np.sum(np.abs(sl.values)) * grid.cell_volume)
 
 
-def kernel_l1_split(symbol: SymbolDescriptor, grid: GridSpec, x, radius: float):
-    """Kernel L1 mass split at periodic distance ``radius`` from the diagonal.
-
-    Returns (near, far): the quadrature L1 mass of the slice over |y| <= radius
-    and its complement, with |y| the periodic Euclidean distance.  The split
-    radius is a free diagnostic parameter; sweeping it locates where kernel
-    mass concentrates.
-    """
-    sl = kernel_slice(symbol, grid, x)
-    L = grid.period
-    c = grid.axis_coords()
-    d1 = np.minimum(c, L - c)
-    dist2 = np.zeros(grid.shape)
-    for a in range(grid.n):
-        shape = [1] * grid.n
-        shape[a] = grid.points_per_axis
-        dist2 = dist2 + (d1 ** 2).reshape(shape)
-    mask = np.sqrt(dist2) <= radius
-    mass = np.abs(sl.values) * grid.cell_volume
-    near = float(np.sum(mass[mask]))
-    return near, float(np.sum(mass) - near)
-
-
 def dilate_symbol(symbol: SymbolDescriptor, scale) -> SymbolDescriptor:
     """The conjugated symbol sigma(x/s, s xi) for per-axis scales s.
 
@@ -207,23 +184,11 @@ def dilate_symbol(symbol: SymbolDescriptor, scale) -> SymbolDescriptor:
         s = np.full(symbol.n, float(s))
     if s.shape != (symbol.n,) or np.any(s <= 0):
         raise ValueError(f"scale must be positive scalar or ({symbol.n},) array")
-    ev = symbol.evaluator
 
-    def evaluator(x, xi, _e=ev, _s=s):
+    def evaluator(x, xi, _e=symbol.evaluator, _s=s):
         return _e(np.asarray(x, dtype=float) / _s, np.asarray(xi, dtype=float) * _s)
 
-    terms = None
-    if symbol.separable_terms is not None:
-        def wrap_a(a, _s=s):
-            def ad(x, _a=a):
-                return np.asarray(_a(np.asarray(x, dtype=float) / _s))
-            return ad
-
-        def wrap_b(b, _s=s):
-            def bd(xi, _b=b):
-                return np.asarray(_b(np.asarray(xi, dtype=float) * _s))
-            return bd
-        terms = tuple((wrap_a(a), wrap_b(b)) for a, b in symbol.separable_terms)
-    return make_symbol(evaluator, symbol.n1, symbol.n2, order=symbol.order,
-                       rho=symbol.rho, delta=symbol.delta, separable_terms=terms,
-                       name=f"{symbol.name}|dilated")
+    def term(a, b):
+        return [(lambda x, _a=a: np.asarray(_a(np.asarray(x, dtype=float) / s)),
+                 lambda xi, _b=b: np.asarray(_b(np.asarray(xi, dtype=float) * s)))]
+    return transform_symbol(symbol, evaluator, term, f"{symbol.name}|dilated")

@@ -100,9 +100,8 @@ def make_symbol(evaluator, n1: int, n2: int, order=0.0, rho: float = 0.0,
                 name: str = "symbol", checked: bool = False) -> SymbolDescriptor:
     """Validate parameters and build a :class:`SymbolDescriptor`.
 
-    With ``evaluator=None`` and separable terms given, the evaluator is the
-    term sum.  ``checked=True`` additionally verifies the derivative oracle
-    against finite differences and the separable decomposition against the
+    ``checked=True`` additionally verifies the derivative oracle against
+    finite differences and the separable decomposition against the
     evaluator at a few random points.
     """
     if n1 < 1 or n2 < 1:
@@ -121,10 +120,6 @@ def make_symbol(evaluator, n1: int, n2: int, order=0.0, rho: float = 0.0,
         separable_terms = tuple(tuple(t) for t in separable_terms)
         if any(len(t) != 2 for t in separable_terms):
             raise ValueError("separable terms must be (a(x), b(xi)) pairs")
-    if evaluator is None:
-        if separable_terms is None:
-            raise ValueError("need an evaluator or separable terms")
-        evaluator = _terms_evaluator(separable_terms)
     sym = SymbolDescriptor(evaluator, n1, n2, order, float(rho), float(delta),
                            derivative_oracle, separable_terms, name)
     if checked:
@@ -163,30 +158,44 @@ def _validate_symbol(sym: SymbolDescriptor, count: int = 12, seed: int = 2024):
                         f"at order (alpha={al}, beta={be})")
 
 
+def transform_symbol(sym: SymbolDescriptor, evaluator, term, name: str,
+                     derivative_oracle=None) -> SymbolDescriptor:
+    """A symbol derived from ``sym``, its evaluator and terms changed together.
+
+    ``evaluator`` is the derived symbol, and ``term(a, b)`` maps each separable
+    term of ``sym`` to the list of terms it becomes, so the derived terms sum
+    to ``evaluator`` whenever those of ``sym`` sum to its evaluator.  The
+    factor dimensions and class parameters carry over.
+    """
+    terms = None
+    if sym.separable_terms is not None:
+        terms = [t for a, b in sym.separable_terms for t in term(a, b)]
+    return make_symbol(evaluator, sym.n1, sym.n2, order=sym.order, rho=sym.rho,
+                       delta=sym.delta, derivative_oracle=derivative_oracle,
+                       separable_terms=terms, name=name)
+
+
 def scale_symbol(sym: SymbolDescriptor, c: complex) -> SymbolDescriptor:
     """Scalar multiple c * sigma with oracle and separable structure kept."""
-    ev = sym.evaluator
-
-    def evaluator(x, xi, _e=ev, _c=c):
+    def evaluator(x, xi, _e=sym.evaluator, _c=c):
         return _c * np.asarray(_e(x, xi))
 
     oracle = None
     if sym.derivative_oracle is not None:
-        parent = sym.derivative_oracle
-
-        def oracle(alpha, beta, x, xi, _p=parent, _c=c):
+        def oracle(alpha, beta, x, xi, _p=sym.derivative_oracle, _c=c):
             return _c * np.asarray(_p(alpha, beta, x, xi))
 
-    terms = None
-    if sym.separable_terms is not None:
-        def wrap(a, _c=c):
-            def ac(x, _a=a):
-                return _c * np.asarray(_a(x))
-            return ac
-        terms = tuple((wrap(a), b) for a, b in sym.separable_terms)
-    return make_symbol(evaluator, sym.n1, sym.n2, order=sym.order, rho=sym.rho,
-                       delta=sym.delta, derivative_oracle=oracle,
-                       separable_terms=terms, name=f"{abs(c):g}*{sym.name}")
+    def term(a, b):
+        return [(lambda x, _a=a, _c=c: _c * np.asarray(_a(x)), b)]
+    return transform_symbol(sym, evaluator, term, f"{abs(c):g}*{sym.name}",
+                            derivative_oracle=oracle)
+
+
+def block_norms(xi, n1: int):
+    """The block norms |xi_1|, |xi_2| of frequencies (last axis = components)."""
+    xi = np.asarray(xi, dtype=float)
+    return (np.sqrt(np.sum(xi[..., :n1] ** 2, axis=-1)),
+            np.sqrt(np.sum(xi[..., n1:] ** 2, axis=-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +299,7 @@ def _fd_steps(xis: np.ndarray, total_order: int, rho: float, delta: float,
     x steps shrink like (1+|xi_i|)^-delta.
     """
     base = 10.0 ** (-15.0 / (total_order + 4))
-    r1 = np.sqrt(np.sum(xis[:, :n1] ** 2, axis=1))
-    r2 = np.sqrt(np.sum(xis[:, n1:] ** 2, axis=1))
+    r1, r2 = block_norms(xis, n1)
     block = np.concatenate([np.repeat(r1[:, None], n1, axis=1),
                             np.repeat(r2[:, None], n2, axis=1)], axis=1)
     h_xi = base * (1.0 + block) ** rho
@@ -360,17 +368,21 @@ def _block_orders(idx, n1: int):
     return sum(idx[:n1]), sum(idx[n1:])
 
 
-def _product_weight(n1: int, m: float, rho: float, delta: float):
-    """Weight (1+|xi|)^(-m) prod_i (1+|xi_i|)^(rho|alpha_i| - delta|beta_i|)."""
+def _class_weight(n1: int, rho: float, delta: float, m: float = 0.0,
+                  m1: float = 0.0, m2: float = 0.0):
+    """Weight (1+|xi|)^(-m) prod_i (1+|xi_i|)^(-m_i + rho|alpha_i| - delta|beta_i|).
+
+    The product class of order m has m1 = m2 = 0; the bi-parameter class of
+    orders (m1, m2) has m = 0.
+    """
     def weight(xis, alpha, beta):
         a1, a2 = _block_orders(alpha, n1)
         b1, b2 = _block_orders(beta, n1)
         r = np.sqrt(np.sum(xis ** 2, axis=1))
-        r1 = np.sqrt(np.sum(xis[:, :n1] ** 2, axis=1))
-        r2 = np.sqrt(np.sum(xis[:, n1:] ** 2, axis=1))
+        r1, r2 = block_norms(xis, n1)
         return ((1.0 + r) ** (-m)
-                * (1.0 + r1) ** (rho * a1 - delta * b1)
-                * (1.0 + r2) ** (rho * a2 - delta * b2))
+                * (1.0 + r1) ** (-m1 + rho * a1 - delta * b1)
+                * (1.0 + r2) ** (-m2 + rho * a2 - delta * b2))
     return weight
 
 
@@ -415,13 +427,9 @@ def seminorm(sym: SymbolDescriptor, probe: ProbeSpec, cap: float = DEFAULT_CLASS
     |beta| <= N_x with k = N_x = floor(n/2)+1, the smallest orders exceeding
     n/2.  ``class_ok`` reports whether the value stays below ``cap``.
     """
-    m = sym.order_scalar() if order is None else float(order)
-    rho, delta = sym.rho, sym.delta
-    k = n_x = sym.n // 2 + 1
-    weight = _product_weight(sym.n1, m, rho, delta)
-    value, witness = _weighted_sup(sym, probe, weight, k, n_x, rho, delta)
-    return SymbolNormReport(value, k, n_x, witness,
-                            bool(np.isfinite(value) and value <= cap))
+    check = class_check(sym, "product", probe, order=order, cap=cap)
+    k = sym.n // 2 + 1
+    return SymbolNormReport(check.margin, k, k, check.worst_witness, check.ok)
 
 
 def class_check(sym: SymbolDescriptor, class_kind: str, probe: ProbeSpec,
@@ -443,21 +451,13 @@ def class_check(sym: SymbolDescriptor, class_kind: str, probe: ProbeSpec,
 
     if class_kind == "product":
         m = sym.order_scalar() if order is None else float(order)
-        weight = _product_weight(n1, m, rho, delta)
+        weight = _class_weight(n1, rho, delta, m=m)
     else:
         pair = sym.order if order is None else order
         if not isinstance(pair, (tuple, list)) or len(pair) != 2:
             raise ValueError(
                 f"bi-parameter check needs an order pair, got {pair!r}")
-        m1, m2 = float(pair[0]), float(pair[1])
-
-        def weight(xis, alpha, beta):
-            a1, a2 = _block_orders(alpha, n1)
-            b1, b2 = _block_orders(beta, n1)
-            r1 = np.sqrt(np.sum(xis[:, :n1] ** 2, axis=1))
-            r2 = np.sqrt(np.sum(xis[:, n1:] ** 2, axis=1))
-            return ((1.0 + r1) ** (-m1 + rho * a1 - delta * b1)
-                    * (1.0 + r2) ** (-m2 + rho * a2 - delta * b2))
+        weight = _class_weight(n1, rho, delta, m1=float(pair[0]), m2=float(pair[1]))
 
     value, witness = _weighted_sup(sym, probe, weight, k, n_x, rho, delta)
     return ClassCheckReport(bool(np.isfinite(value) and value <= cap),
@@ -662,10 +662,9 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
             return np.asarray(out, dtype=complex)
 
         m_pair = (max(t[3] for t in spec_terms), max(t[4] for t in spec_terms))
-        return make_symbol(None, n1, n2, order=m_pair, rho=p["rho"],
-                           delta=p["delta"], derivative_oracle=oracle,
-                           separable_terms=terms,
-                           name=f"separable[{len(terms)}]")
+        return make_symbol(_terms_evaluator(terms), n1, n2, order=m_pair,
+                           rho=p["rho"], delta=p["delta"], derivative_oracle=oracle,
+                           separable_terms=terms, name=f"separable[{len(terms)}]")
 
     if name == "oscillatory_exotic":
         from .decompose import varphi
@@ -700,8 +699,7 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
         def b_part(xi, _m=m, _n1=n1):
             xi = np.asarray(xi, dtype=float)
             g1, g2 = _block_gauss_norms(xi, _n1)
-            r2 = np.sum(xi ** 2, axis=-1)
-            return np.exp(1j * (g1 ** 0.25 + g2 ** 0.25)) * (1.0 + r2) ** (_m / 2.0)
+            return np.exp(1j * (g1 ** 0.25 + g2 ** 0.25)) * _bessel_value(xi, _m)
 
         def evaluator(x, xi, _b=b_part):
             val = _b(xi)
@@ -735,53 +733,3 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
     return make_symbol(evaluator, n1, n2, order=m, rho=1.0, delta=0.0,
                        derivative_oracle=oracle, separable_terms=terms,
                        name=f"modbessel[m={m:g},s={strength:g}]")
-
-
-def bessel_modulate(sym: SymbolDescriptor, alpha: float) -> SymbolDescriptor:
-    """Multiply by the weight (1+|xi|^2)^alpha; declared order shifts by 2*alpha.
-
-    Keeps separable structure (the weight is a pure frequency factor) and
-    composes derivative oracles by the Leibniz rule while the weight's
-    derivatives stay within closed form.
-    """
-    ev = sym.evaluator
-    power = 2.0 * alpha
-
-    def evaluator(x, xi, _e=ev, _p=power):
-        return np.asarray(_e(x, xi)) * _bessel_value(xi, _p)
-
-    oracle = None
-    if sym.derivative_oracle is not None:
-        parent = sym.derivative_oracle
-        n = sym.n
-
-        def oracle(al, be, x, xi, _p=parent, _pow=power, _n=n):
-            # Leibniz over the xi multi-index: d^al (sigma * w) =
-            # sum_{g <= al} binom(al, g) d^g sigma * d^(al-g) w
-            from math import comb
-            out = 0.0
-            for g in itertools.product(*(range(o + 1) for o in al)):
-                rest = tuple(a - b for a, b in zip(al, g))
-                if sum(rest) > 2:
-                    raise NotImplementedError("weight derivatives beyond order 2")
-                coeff = np.prod([comb(a, b) for a, b in zip(al, g)])
-                out = out + coeff * np.asarray(_p(tuple(g), be, x, xi)) \
-                    * _bessel_derivative(rest, xi, _pow)
-            return np.asarray(out, dtype=complex)
-
-    terms = None
-    if sym.separable_terms is not None:
-        def wrap(b, _pow=power):
-            def bw(xi, _b=b):
-                return np.asarray(_b(xi)) * _bessel_value(xi, _pow)
-            return bw
-        terms = tuple((a, wrap(b)) for a, b in sym.separable_terms)
-
-    if isinstance(sym.order, tuple):
-        order = (sym.order[0] + alpha, sym.order[1] + alpha)
-    else:
-        order = sym.order + 2.0 * alpha
-    return make_symbol(evaluator, sym.n1, sym.n2, order=order, rho=sym.rho,
-                       delta=sym.delta, derivative_oracle=oracle,
-                       separable_terms=terms,
-                       name=f"{sym.name}*bessel[{alpha:g}]")

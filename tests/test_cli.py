@@ -176,6 +176,59 @@ def test_config_numbers_are_config_errors(tmp_path, capsys, experiment, body, ke
     assert not (tmp_path / f"{experiment}.csv").exists()
 
 
+_SWEEP = 'symbol = "multiplier_bessel"\nfactors = [1, 1]\n'
+_KERNEL = ('experiment = "kernel_decay"\nsymbol = "multiplier_bessel"\n'
+           'grid = [1, 1, 16, 1.0]\nj = 2\n')
+_COMM = ('experiment = "commutator"\nsymbol = "multiplier_bessel"\n'
+         'grid = [1, 1, 16, 1.0]\n')
+
+
+@pytest.mark.parametrize("command,body,needle", [
+    ("run", f'experiment = "bmo"\n{_SWEEP}period = -1.0\nN_list = [8, 16]',
+     "period must be positive"),
+    ("run", f'experiment = "l2_uniformity"\n{_SWEEP}period = 1.0\nN_list = [15, 16]',
+     "'N_list' entry 15"),
+    ("run", f'experiment = "l2_uniformity"\n{_SWEEP}period = 1.0\nN_list = [16, 8]',
+     "'N_list'"),
+    ("run", 'experiment = "ortho"\nsymbol = "multiplier_bessel"\n'
+            'grid = [1, 1, 8, 1.0]\nj_range = [-1, 2]', "'j_range'"),
+    ("run", f'{_KERNEL}ell_range = [0, 7]\nell_max = 6', "'ell_range'"),
+    ("run", f'{_KERNEL}ell_range = [0, 1]\nell_max = 0', "'ell_max'"),
+    ("run", f'{_KERNEL}ell_range = [0, 1]\nx_count = 0', "'x_count'"),
+    ("run", 'experiment = "sharpness"\nrho = 2.0\np_list = [2.0]\nm_grid = [0.0]\n'
+            'N_list = [8, 16]\nfactors = [1, 1]\nperiod = 1.0', "'rho'"),
+    ("run", f'{_COMM}cube_anchor = [4, 4]\ncube_side = 3\nrho = 0.5', "'cube_side'"),
+    ("run", f'{_COMM}cube_anchor = [14, 0]\ncube_side = 4\nrho = 0.5', "'cube_anchor'"),
+    ("run", f'{_COMM}cube_anchor = [4, 4]\ncube_side = 4\nrho = 0.5\nbattery_kmax = 99',
+     "'battery_kmax'"),
+    ("run", f'{_COMM}cube_anchor = [0, 0]\ncube_side = 8\nrho = 0.5', "'rho'"),
+    ("apply", ["--j", "-1"], "--j"),
+    ("apply", ["--j", "2", "--ell", "9"], "--ell"),
+    ("apply", ["--split-scale", "-1"], "--split-scale"),
+    ("kernel", ["--x", "nan,0"], "--x"),
+], ids=["period", "N_list-odd", "N_list-decreasing", "j_range", "ell_range",
+        "ell_max", "x_count", "sharpness-rho", "cube_side", "cube_anchor",
+        "battery_kmax", "mollifier-radius", "apply-j", "apply-ell",
+        "apply-split-scale", "kernel-x"])
+def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, body,
+                                               needle):
+    out = tmp_path / "out"
+    if command == "run":
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{body}\noutdir = {json.dumps(str(out))}\n", encoding="utf-8")
+        argv = ["run", str(cfg)]
+    else:
+        grid = make_grid(1, 1, 8, 1.0)
+        src = tmp_path / "in.fld"
+        write_field(SampledField(grid, np.ones(grid.shape, dtype=complex)), str(src))
+        where = ["--in", str(src)] if command == "apply" else ["--x", "0.25,0.5"]
+        argv = [command, "--symbol", "constant", "--grid", "1,1,8,1.0", *where,
+                *body, "--out", str(out)]
+    assert main(argv) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("symbol,params", [
     ("oscillatory_exotic", {"m": 0.0, "rho": 0.5}),
     ("multiplier_bessel", {"m": 0.0}),

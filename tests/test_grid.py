@@ -13,7 +13,6 @@ import pytest
 from bipdo import (GridSpec, SampledField, DyadicCube, make_grid,
                    dft_forward, dft_inverse, lp_norm, linf_norm, bmo_norm,
                    read_field, write_field)
-from bipdo.grid import field_to_json, field_from_json
 
 
 def bmo_exhaustive(vals, N, n):
@@ -258,11 +257,3 @@ def test_field_binary_rejects_corruption(tmp_path):
     (tmp_path / "short.fld").write_bytes(raw[:40])
     with pytest.raises(ValueError):
         read_field(tmp_path / "short.fld")
-
-
-def test_field_json_roundtrip():
-    g = make_grid(1, 1, 8, 1.0)
-    f = rand_field(g, 13)
-    back = field_from_json(field_to_json(f))
-    assert back.grid == g
-    assert np.array_equal(back.values, f.values)

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 import bipdo as bp
-from bipdo import (DecompositionIndex, SampledField, adjoint_apply, apply,
-                   apply_at, builtin, derived_symbol, dft_forward,
+from bipdo import (DecompositionIndex, DyadicCube, SampledField, adjoint_apply,
+                   apply, apply_at, builtin, derived_symbol, dft_forward,
                    dilate_symbol, kernel_l1, kernel_slice, lp_norm, make_grid,
-                   make_symbol, quantize)
-from bipdo.operators import kernel_l1_split
+                   make_symbol, mollifier_lambda, quantize, scale_symbol)
 
 
 def literal_apply(symbol, grid, f):
@@ -119,6 +118,45 @@ def test_dense_and_separable_paths_agree():
         d = apply(quantize(sym, grid, path="dense"), f).values
         s = apply(quantize(sym, grid, path="separable"), f).values
         assert np.abs(d - s).max() <= 1e-10 * max(1.0, np.abs(d).max())
+
+
+# every way of deriving a symbol, applied to a parent with non-constant a-factors
+_DERIVATIONS = {
+    "annulus": lambda s, g: derived_symbol(s, DecompositionIndex(j=2), "annulus_j"),
+    "annulus-pair": lambda s, g: derived_symbol(s, DecompositionIndex(j=(1, 2)),
+                                                "annulus_j"),
+    "cone": lambda s, g: derived_symbol(
+        s, DecompositionIndex(j=3, ell=-1, ell_max=3, r=0.5), "cone_lj"),
+    "flat": lambda s, g: derived_symbol(s, DecompositionIndex(j=2, ell_max=3),
+                                        "flat_j"),
+    "sharp": lambda s, g: derived_symbol(s, DecompositionIndex(j=2, ell_max=3),
+                                         "sharp_j"),
+    "low": lambda s, g: derived_symbol(s, DecompositionIndex(r=0.2), "low_r"),
+    "high": lambda s, g: derived_symbol(s, DecompositionIndex(r=0.2), "high_r"),
+    "theta": lambda s, g: derived_symbol(
+        s, DecompositionIndex(), "theta",
+        mollifier=mollifier_lambda(g, DyadicCube((4, 4), 4), 0.5)),
+    "dilate": lambda s, g: dilate_symbol(s, [2.0, 0.5]),
+    "scale": lambda s, g: scale_symbol(s, -2.5j),
+}
+
+
+@pytest.mark.parametrize("how", sorted(_DERIVATIONS))
+@pytest.mark.parametrize("name,params", [
+    ("oscillatory_exotic", {"m": 0.0, "rho": 0.5, "xmod": 0.75}),
+    ("separable", {"terms": [{"amp": 1.0, "xfreq": [1, -1], "phase": 0.4,
+                              "orders": [-0.5, 0.25]},
+                             {"amp": 0.5, "xfreq": [0, 2]}]}),
+], ids=["exotic", "separable"])
+def test_derived_terms_match_derived_evaluator(name, params, how):
+    # the dense path sums the derived evaluator, the separable path its terms
+    grid = make_grid(1, 1, 16, 1.0)
+    sym = _DERIVATIONS[how](builtin(name, params), grid)
+    assert sym.separable_terms
+    f = rand_field(grid, 9)
+    d = apply(quantize(sym, grid, path="dense"), f).values
+    s = apply(quantize(sym, grid, path="separable"), f).values
+    assert np.abs(d - s).max() <= 1e-10 * max(1.0, np.abs(d).max())
 
 
 def test_linearity():
@@ -278,16 +316,6 @@ def test_kernel_l1_homogeneous():
     base = kernel_l1(sym, grid, np.zeros(2))
     scaled = kernel_l1(scale_symbol(sym, -3.0j), grid, np.zeros(2))
     assert scaled == pytest.approx(3.0 * base, rel=1e-12)
-
-
-def test_kernel_l1_split_partitions():
-    grid = make_grid(1, 1, 16, 1.0)
-    sym = builtin("multiplier_bessel", {"m": -0.5})
-    x0 = np.array([0.4, 0.1])
-    near, far = kernel_l1_split(sym, grid, x0, radius=0.2)
-    total = kernel_l1(sym, grid, x0)
-    assert near >= 0 and far >= 0
-    assert near + far == pytest.approx(total, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -76,3 +76,33 @@ def test_benchmark_reads_opnorm_estimate_fields():
     metrics = tracer.layer_metrics()
     assert metrics["analysis.l2_opnorm.iterations"] == est.iterations > 0
     assert metrics["analysis.l2_opnorm.unconverged"] == int(not est.converged)
+
+
+def test_tracer_rebuilds_symbols_without_changing_them():
+    # the tracer wraps the evaluator and separable terms of every symbol that
+    # builtin and derived_symbol return (dataclasses.replace on the fields)
+    tracing = load_perfbench("tracing")
+    g = grid.make_grid(1, 1, 8, 1.0)
+    rng = np.random.default_rng(3)
+    f = grid.SampledField(g, rng.standard_normal(g.shape)
+                          + 1j * rng.standard_normal(g.shape))
+
+    def outputs():
+        sym = symbols.builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5})
+        piece = decompose.derived_symbol(
+            sym, decompose.DecompositionIndex(j=2, ell=1, ell_max=3), "cone_lj")
+        return [operators.apply(operators.quantize(s, g, path=path), f).values
+                for s in (sym, piece) for path in ("dense", "separable")]
+
+    plain = outputs()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        traced = outputs()
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["symbols.eval.calls"] > 0
+    assert metrics["decompose.cutoff.calls"] > 0
+    for a, b in zip(plain, traced):
+        assert np.array_equal(a, b)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import bipdo as bp
-from bipdo import (ProbeSpec, bessel_modulate, builtin, class_check,
-                   default_probe, make_symbol, seminorm)
+from bipdo import (ProbeSpec, builtin, class_check, default_probe,
+                   make_symbol, seminorm)
 from bipdo.symbols import scale_symbol, BUILTIN_PARAMS
 
 
@@ -263,32 +263,3 @@ def test_zero_symbol_class_margin_zero():
     zero = builtin("constant", {"c": 0.0})
     cc = class_check(zero, "product", default_probe(1, 1))
     assert cc.ok and cc.margin == 0.0
-
-
-# ---------------------------------------------------------------------------
-# bessel modulation
-
-
-def test_bessel_modulate_identity_at_zero():
-    sig = builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5})
-    mod = bessel_modulate(sig, 0.0)
-    rng = np.random.default_rng(5)
-    x, xi = rng.uniform(0, 1, (12, 2)), rng.uniform(-20, 20, (12, 2))
-    assert np.abs(mod.evaluator(x, xi) - sig.evaluator(x, xi)).max() == 0.0
-
-
-def test_bessel_modulate_of_one_is_bessel_weight():
-    one = builtin("constant", {"c": 1.0})
-    mod = bessel_modulate(one, -0.5)
-    ref = builtin("multiplier_bessel", {"m": -1.0})
-    rng = np.random.default_rng(6)
-    x, xi = rng.uniform(0, 1, (12, 2)), rng.uniform(-20, 20, (12, 2))
-    assert np.abs(mod.evaluator(x, xi) - ref.evaluator(x, xi)).max() <= 1e-14
-
-
-def test_bessel_modulate_order_bookkeeping():
-    # at rho = 1/2, n = 2 the critical order is -1/2; the quarter-power
-    # modulation lifts it back to zero
-    sig = builtin("multiplier_bessel", {"m": -0.5})
-    lifted = bessel_modulate(sig, 0.25)
-    assert lifted.order == pytest.approx(0.0, abs=1e-15)

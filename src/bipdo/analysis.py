@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (GridSpec, SampledField, bmo_norm, linf_norm, lp_norm,
-                   make_grid)
+from .grid import (GridSpec, SampledField, bmo_norm, linf_norm, lp_exponent,
+                   lp_norm, make_grid)
 from .decompose import (DecompositionIndex, default_ell_max, derived_symbol,
                         mollifier_lambda, varphi)
 from .symbols import SymbolDescriptor, block_norms, builtin
@@ -652,7 +652,7 @@ def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
     exponent is the fitted slope of log2(ratio) against log2(N).  p = inf is
     measured through the BMO/L-inf proxy ratio.
     """
-    ps = tuple(float(p) for p in p_list)
+    ps = tuple(lp_exponent(p) for p in p_list)
     ms = tuple(float(m) for m in m_grid)
     Ns = tuple(int(N) for N in N_list)
     grids = {N: make_grid(n1, n2, N, period) for N in Ns}
@@ -684,27 +684,15 @@ def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
 # commutator identity
 
 
-def commutator_check(sigma: SymbolDescriptor, Q, rho: float, f_battery) -> float:
-    """Max relative L2 error of lam*T1(f) - T1(lam*f) = T_theta(f).
+def check_battery_spectrum(lam, f_battery) -> None:
+    """Raise ValueError if a battery mode shifted by a mollifier mode aliases.
 
-    T1 carries the high-frequency part of sigma split at the side length of
-    Q, lam is the mollifier adapted to (Q, rho), and theta its commutator
-    symbol.  The identity is exact on the lattice only when no spectrum
-    escapes: every battery mode index k plus every mollifier mode offset must
-    stay within [-N/2, N/2-1] per axis, which is checked up front.
+    The commutator identity is exact on the lattice only when every battery
+    mode index k plus every mode offset of the mollifier ``lam`` stays within
+    [-N/2, N/2-1] per axis.
     """
-    if not f_battery:
-        raise ValueError("f_battery must be nonempty")
-    grid = f_battery[0].grid
-    for f in f_battery:
-        if f.grid != grid:
-            raise ValueError("battery fields must share one grid")
-    lam = mollifier_lambda(grid, Q, rho)
+    grid = lam.field.grid
     N = grid.points_per_axis
-    r_side = Q.side * grid.period / N
-    sigma1 = derived_symbol(sigma, DecompositionIndex(r=r_side), "high_r")
-    theta = derived_symbol(sigma1, DecompositionIndex(), "theta", mollifier=lam)
-
     steps = np.asarray(lam.mode_steps, dtype=int)
     m_pos = int(steps.max()) if steps.size else 0
     m_neg = int(steps.min()) if steps.size else 0
@@ -723,6 +711,30 @@ def commutator_check(sigma: SymbolDescriptor, Q, rho: float, f_battery) -> float
                     "battery field spectrum too wide: mode shifts would alias "
                     f"(axis {a}, modes [{ax.min()}, {ax.max()}], "
                     f"mollifier offsets [{m_neg}, {m_pos}])")
+
+
+def commutator_check(sigma: SymbolDescriptor, Q, rho: float, f_battery) -> float:
+    """Max relative L2 error of lam*T1(f) - T1(lam*f) = T_theta(f).
+
+    T1 carries the high-frequency part of sigma split at the side length of
+    Q, lam is the mollifier adapted to (Q, rho), and theta its commutator
+    symbol.  The identity is exact on the lattice only when no spectrum
+    escapes: every battery mode index k plus every mollifier mode offset must
+    stay within [-N/2, N/2-1] per axis, which ``check_battery_spectrum``
+    checks before any operator is applied.
+    """
+    if not f_battery:
+        raise ValueError("f_battery must be nonempty")
+    grid = f_battery[0].grid
+    for f in f_battery:
+        if f.grid != grid:
+            raise ValueError("battery fields must share one grid")
+    lam = mollifier_lambda(grid, Q, rho)
+    N = grid.points_per_axis
+    r_side = Q.side * grid.period / N
+    sigma1 = derived_symbol(sigma, DecompositionIndex(r=r_side), "high_r")
+    theta = derived_symbol(sigma1, DecompositionIndex(), "theta", mollifier=lam)
+    check_battery_spectrum(lam, f_battery)
 
     T1 = quantize(sigma1, grid)
     Tth = quantize(theta, grid)

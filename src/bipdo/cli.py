@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from . import decompose
 from .grid import (DyadicCube, SampledField, dft_forward, dft_inverse,
-                   lp_norm, make_grid, read_field, write_field)
+                   lp_exponent, lp_norm, make_grid, read_field, write_field)
 from .decompose import (DecompositionIndex, cube_partition, delta_ell,
                         default_ell_max, derived_symbol, mollifier_lambda, phi_j)
 from .symbols import BUILTIN_PARAMS, builtin
@@ -298,8 +298,10 @@ def _run_sharpness(cfg: RunConfig):
     rho = _num(cfg, "rho", float)
     with _checked("'rho'"):
         builtin("oscillatory_exotic", {"rho": rho}, n1=n1, n2=n2)
+    with _checked("'p_list'"):
+        ps = [lp_exponent(p) for p in _nums(cfg, "p_list", float)]
     table = analysis.sharpness_scan(
-        rho, _nums(cfg, "p_list", float), _nums(cfg, "m_grid", float), Ns,
+        rho, ps, _nums(cfg, "m_grid", float), Ns,
         period, seed=_num(cfg, "seed", int, 2026), n1=n1, n2=n2,
         max_workers=_threads())
     rows = []
@@ -328,8 +330,9 @@ def _run_commutator(cfg: RunConfig):
         Q = DyadicCube(tuple(_nums(cfg, "cube_anchor", int)),
                        _num(cfg, "cube_side", int))
         Q.check(grid)
-        mollifier_lambda(grid, Q, rho)
+        lam = mollifier_lambda(grid, Q, rho)
         battery = analysis.band_limited_battery(grid, kmax, count, seed)
+        analysis.check_battery_spectrum(lam, battery)
     err = analysis.commutator_check(sym, Q, rho, battery)
     passed = err <= tol
     report = {"max_relative_error": err, "tol": tol,

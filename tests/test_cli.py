@@ -202,14 +202,17 @@ _COMM = ('experiment = "commutator"\nsymbol = "multiplier_bessel"\n'
     ("run", f'{_COMM}cube_anchor = [4, 4]\ncube_side = 4\nrho = 0.5\nbattery_kmax = 99',
      "'battery_kmax'"),
     ("run", f'{_COMM}cube_anchor = [0, 0]\ncube_side = 8\nrho = 0.5', "'rho'"),
+    ("run", 'experiment = "sharpness"\nrho = 0.5\np_list = [0.5]\nm_grid = [0.0]\n'
+            'N_list = [8, 16]\nfactors = [1, 1]\nperiod = 1.0', "'p_list'"),
+    ("run", f'{_COMM}cube_anchor = [0, 0]\ncube_side = 2\nrho = 1.0', "'battery_kmax'"),
     ("apply", ["--j", "-1"], "--j"),
     ("apply", ["--j", "2", "--ell", "9"], "--ell"),
     ("apply", ["--split-scale", "-1"], "--split-scale"),
     ("kernel", ["--x", "nan,0"], "--x"),
 ], ids=["period", "N_list-odd", "N_list-decreasing", "j_range", "ell_range",
         "ell_max", "x_count", "sharpness-rho", "cube_side", "cube_anchor",
-        "battery_kmax", "mollifier-radius", "apply-j", "apply-ell",
-        "apply-split-scale", "kernel-x"])
+        "battery_kmax", "mollifier-radius", "p_list", "battery-spectrum", "apply-j",
+        "apply-ell", "apply-split-scale", "kernel-x"])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, body,
                                                needle):
     out = tmp_path / "out"

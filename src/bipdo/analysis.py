@@ -22,7 +22,6 @@ Conventions shared by the experiments:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +39,9 @@ OPNORM_SEED = 1806
 
 # fitted growth exponents above this are called "growing"
 GROWTH_EXPONENT_THRESHOLD = 0.05
+
+# the almost-orthogonality fit uses only pairs (j, k) with |j - k| >= this
+ORTHO_MIN_GAP = 2
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +182,6 @@ def fit_line(xs, ys):
     return float(coef[0]), float(coef[1]), r2
 
 
-def _run_cells(keys, worker, max_workers):
-    """Evaluate worker over keys, optionally threaded; merge by key."""
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            vals = list(pool.map(worker, keys))
-    else:
-        vals = [worker(k) for k in keys]
-    return dict(zip(keys, vals))
-
-
 # ---------------------------------------------------------------------------
 # almost-orthogonality of annulus pieces
 
@@ -201,9 +193,9 @@ class OrthoMatrix:
     ``entries`` maps ordered pairs (j, k) to the ``l2_opnorm`` estimate of
     |T_j* T_k| (symmetric by construction): a Lanczos Ritz value, or the exact
     max |b_j b_k| over the lattice when both pieces are Fourier multipliers.
-    The fit models entries with |j - k| >= min_gap as A 2^(-eps (j+k));
-    entries at or below ``zero_floor`` are treated as exact zeros and left
-    out of the fit.
+    The fit models entries with |j - k| >= ``min_gap`` (``ORTHO_MIN_GAP``)
+    as A 2^(-eps (j+k)); entries at or below ``zero_floor`` are treated as
+    exact zeros and left out of the fit.
     """
 
     js: tuple
@@ -230,8 +222,7 @@ class OrthoMatrix:
 
 
 def ortho_experiment(sigma: SymbolDescriptor, j_range, grid: GridSpec,
-                     tol: float = 1e-8, max_iter: int = 500,
-                     min_gap: int = 2, max_workers: int | None = None) -> OrthoMatrix:
+                     tol: float = 1e-8, max_iter: int = 500) -> OrthoMatrix:
     """Measure |T_j* T_k| for annulus pieces of sigma and fit the decay."""
     js = tuple(int(j) for j in j_range)
     ops = {}
@@ -239,33 +230,28 @@ def ortho_experiment(sigma: SymbolDescriptor, j_range, grid: GridSpec,
         piece = derived_symbol(sigma, DecompositionIndex(j=j), "annulus_j")
         ops[j] = quantize(piece, grid)
 
-    pairs = [(j, k) for a, j in enumerate(js) for k in js[a:]]
-
-    def cell(pair):
-        j, k = pair
-        comp = compose(adjoint_of(ops[j]), _as_map(ops[k]))
-        return l2_opnorm(comp, tol, max_iter)
-
-    results = _run_cells(pairs, cell, max_workers)
     entries = {}
     converged = True
-    for (j, k), est in results.items():
-        entries[(j, k)] = est.value
-        entries[(k, j)] = est.value
-        converged = converged and est.converged
+    for a, j in enumerate(js):
+        for k in js[a:]:
+            est = l2_opnorm(compose(adjoint_of(ops[j]), _as_map(ops[k])), tol, max_iter)
+            entries[(j, k)] = est.value
+            entries[(k, j)] = est.value
+            converged = converged and est.converged
 
     top = max(entries.values(), default=0.0)
     zero_floor = 1e-10 * max(1.0, top)
     xs, ys = [], []
     for a, j in enumerate(js):
         for k in js[a + 1:]:
-            if abs(j - k) >= min_gap and entries[(j, k)] > zero_floor:
+            if abs(j - k) >= ORTHO_MIN_GAP and entries[(j, k)] > zero_floor:
                 xs.append(j + k)
                 ys.append(math.log2(entries[(j, k)]))
     slope, intercept, r2 = fit_line(xs, ys)
     eps = -slope if not math.isnan(slope) else math.nan
     A = 2.0 ** intercept if not math.isnan(intercept) else math.nan
-    return OrthoMatrix(js, entries, eps, A, r2, zero_floor, min_gap, converged)
+    return OrthoMatrix(js, entries, eps, A, r2, zero_floor, ORTHO_MIN_GAP,
+                       converged)
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +471,9 @@ def band_limited_battery(grid: GridSpec, kmax: int, count: int = 8,
     N = grid.points_per_axis
     if not 0 <= kmax <= N // 2 - 1:
         raise ValueError(f"kmax must lie in [0, {N // 2 - 1}], got {kmax}")
+    if count < 2:
+        raise ValueError(f"count must be >= 2 (the constant and the extreme "
+                         f"mode), got {count}")
     rng = np.random.default_rng(seed)
     idx = np.rint(np.fft.fftfreq(N) * N).astype(int)
     mask1 = np.abs(idx) <= kmax
@@ -643,8 +632,7 @@ def _ratio(Tf: SampledField, f: SampledField, p: float) -> float:
 
 
 def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
-                   seed: int = 2026, n1: int = 1, n2: int = 1,
-                   max_workers: int | None = None) -> SharpnessTable:
+                   seed: int = 2026, n1: int = 1, n2: int = 1) -> SharpnessTable:
     """Battery L^p ratios for the oscillating symbol across (m, p, N).
 
     For each order m the symbol is the built-in oscillatory family at the
@@ -658,21 +646,17 @@ def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
     grids = {N: make_grid(n1, n2, N, period) for N in Ns}
     batteries = {N: adversarial_battery(grids[N], rho, seed) for N in Ns}
 
-    def cell(m):
+    ratios, exponents, growing = {}, {}, {}
+    for m in ms:
         sym = builtin("oscillatory_exotic", {"m": m, "rho": rho}, n1=n1, n2=n2)
-        out = {p: [] for p in ps}
+        per_p = {p: [] for p in ps}
         for N in Ns:
             T = quantize(sym, grids[N])
             images = [(apply(T, f), f) for f in batteries[N]]
             for p in ps:
-                out[p].append(max(_ratio(Tf, f, p) for Tf, f in images))
-        return out
-
-    per_m = _run_cells(ms, cell, max_workers)
-    ratios, exponents, growing = {}, {}, {}
-    for m in ms:
+                per_p[p].append(max(_ratio(Tf, f, p) for Tf, f in images))
         for p in ps:
-            vals = tuple(per_m[m][p])
+            vals = tuple(per_p[p])
             ratios[(m, p)] = vals
             exp = _growth_exponent(Ns, vals)
             exponents[(m, p)] = exp

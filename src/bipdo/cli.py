@@ -1,13 +1,13 @@
 """Command-line front end: config parsing, experiment dispatch, reports.
 
 Config files are flat ``key = JSON`` lines (``#`` comments, blank lines ok).
-Keys are strictly validated: unknown or duplicate keys abort with exit code 2
-and a line-numbered message.  Physical parameters (grid, ranges) have no
-defaults; only tolerances, seeds, and the output directory do.
+Keys are strictly validated: unknown or duplicate keys, and keys the chosen
+experiment does not read, abort with exit code 2 and a line-numbered message.
+Physical parameters (grid, ranges) have no defaults; only tolerances, seeds,
+and the output directory do.
 
 Exit codes: 0 success, 1 experiment failure (FAIL verdict, degenerate fit,
-non-convergence), 2 configuration or usage error.  BIPDO_THREADS caps
-intra-run parallelism (default 1, serial).
+non-convergence), 2 configuration or usage error.
 
 Reports: ``<outdir>/<experiment>.json`` embeds the parsed config, the build
 identifier, and the seed alongside the experiment report, serialized with
@@ -52,18 +52,6 @@ def _checked(what: str):
         raise ConfigError(f"invalid {what}: {exc}") from None
 
 
-_KNOWN_KEYS = frozenset({
-    "experiment", "symbol", "params", "grid", "factors", "period",
-    "j", "j_range", "ell_range", "ell_max", "x_count",
-    "N_list", "m_grid", "p_list", "rho",
-    "cube_anchor", "cube_side", "battery_kmax", "battery_count",
-    "seed", "tol", "max_iter", "outdir",
-})
-
-_EXPERIMENTS = ("ortho", "kernel_decay", "l2_uniformity", "bmo",
-                "sharpness", "commutator")
-
-
 @dataclass
 class RunConfig:
     """Parsed, validated key-value configuration of one run."""
@@ -90,7 +78,7 @@ def parse_config(path: str) -> RunConfig:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config '{path}': {exc}")
-    values = {}
+    values, linenos = {}, {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -109,12 +97,19 @@ def parse_config(path: str) -> RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(
                 f"{path}:{lineno}: value for '{key}' is not valid JSON: {exc}")
+        linenos[key] = lineno
     if "experiment" not in values:
         raise ConfigError(f"{path}: missing required key 'experiment'")
-    if values["experiment"] not in _EXPERIMENTS:
+    name = values["experiment"]
+    if not isinstance(name, str) or name not in _EXPERIMENTS:
         raise ConfigError(
-            f"{path}: unknown experiment '{values['experiment']}' "
+            f"{path}: unknown experiment '{name}' "
             f"(known: {', '.join(_EXPERIMENTS)})")
+    readable = _COMMON_KEYS | _EXPERIMENTS[name][1]
+    for key in values:
+        if key not in readable:
+            raise ConfigError(f"{path}:{linenos[key]}: experiment '{name}' "
+                              f"does not read key '{key}'")
     return RunConfig(values)
 
 
@@ -175,8 +170,10 @@ def _num(cfg: RunConfig, key: str, kind, default=None):
 def _nums(cfg: RunConfig, key: str, kind, length: int | None = None) -> list:
     """A config list of numbers, each read by ``_number``."""
     values = cfg.get(key)
-    if not isinstance(values, list) or (length is not None and len(values) != length):
-        size = "a JSON list" if length is None else f"a JSON list of {length}"
+    if not isinstance(values, list) or not values or (
+            length is not None and len(values) != length):
+        size = "a non-empty JSON list of" if length is None \
+            else f"a JSON list of {length}"
         raise ConfigError(f"'{key}' must be {size} numbers, got {values!r}")
     return [_number(key, v, kind) for v in values]
 
@@ -195,8 +192,8 @@ def _sweep_from_cfg(cfg: RunConfig):
     n1, n2 = _nums(cfg, "factors", int, length=2)
     period = _num(cfg, "period", float)
     Ns = _nums(cfg, "N_list", int)
-    if not Ns or Ns != sorted(Ns):
-        raise ConfigError(f"'N_list' must be a nonempty increasing list, got {Ns}")
+    if Ns != sorted(Ns):
+        raise ConfigError(f"'N_list' must be increasing, got {Ns}")
     for N in Ns:
         with _checked(f"'factors', 'period' or 'N_list' entry {N}"):
             make_grid(n1, n2, N, period)
@@ -214,17 +211,6 @@ def _solver_settings(cfg: RunConfig):
     return tol, max_iter
 
 
-def _threads() -> int | None:
-    raw = os.environ.get("BIPDO_THREADS", "")
-    if not raw:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"BIPDO_THREADS must be an integer, got '{raw}'")
-    return n if n > 1 else None
-
-
 def _run_ortho(cfg: RunConfig):
     cfg.require("symbol", "grid", "j_range")
     grid = _grid_from_cfg(cfg)
@@ -234,8 +220,7 @@ def _run_ortho(cfg: RunConfig):
     with _checked("'j_range'"):
         for j in js:
             DecompositionIndex(j=j)
-    report = analysis.ortho_experiment(
-        sym, js, grid, tol=tol, max_iter=max_iter, max_workers=_threads())
+    report = analysis.ortho_experiment(sym, js, grid, tol=tol, max_iter=max_iter)
     rows = [[j, k, report.entries[(j, k)]] for j in report.js for k in report.js]
     passed = report.converged
     line = (f"ortho: epsilon={report.fitted_epsilon:.4g} A={report.fitted_A:.4g} "
@@ -302,8 +287,7 @@ def _run_sharpness(cfg: RunConfig):
         ps = [lp_exponent(p) for p in _nums(cfg, "p_list", float)]
     table = analysis.sharpness_scan(
         rho, ps, _nums(cfg, "m_grid", float), Ns,
-        period, seed=_num(cfg, "seed", int, 2026), n1=n1, n2=n2,
-        max_workers=_threads())
+        period, seed=_num(cfg, "seed", int, 2026), n1=n1, n2=n2)
     rows = []
     for m in table.ms:
         for p in table.ps:
@@ -326,7 +310,8 @@ def _run_commutator(cfg: RunConfig):
     kmax = _num(cfg, "battery_kmax", int, grid.points_per_axis // 4)
     count = _num(cfg, "battery_count", int, 8)
     seed = _num(cfg, "seed", int, 2026)
-    with _checked("'cube_anchor', 'cube_side', 'rho' or 'battery_kmax'"):
+    with _checked("'cube_anchor', 'cube_side', 'rho', 'battery_kmax' or "
+                  "'battery_count'"):
         Q = DyadicCube(tuple(_nums(cfg, "cube_anchor", int)),
                        _num(cfg, "cube_side", int))
         Q.check(grid)
@@ -342,21 +327,31 @@ def _run_commutator(cfg: RunConfig):
     return report, [["max_relative_error", err]], ["quantity", "value"], line, passed
 
 
-_RUNNERS = {
-    "ortho": _run_ortho,
-    "kernel_decay": _run_kernel_decay,
-    "l2_uniformity": _run_l2_uniformity,
-    "bmo": _run_bmo,
-    "sharpness": _run_sharpness,
-    "commutator": _run_commutator,
+# experiment -> (runner, the keys it reads besides _COMMON_KEYS)
+_EXPERIMENTS = {
+    "ortho": (_run_ortho, frozenset({
+        "symbol", "params", "grid", "j_range", "tol", "max_iter"})),
+    "kernel_decay": (_run_kernel_decay, frozenset({
+        "symbol", "params", "grid", "j", "ell_range", "ell_max", "x_count"})),
+    "l2_uniformity": (_run_l2_uniformity, frozenset({
+        "symbol", "params", "factors", "period", "N_list", "tol", "max_iter"})),
+    "bmo": (_run_bmo, frozenset({
+        "symbol", "params", "factors", "period", "N_list"})),
+    "sharpness": (_run_sharpness, frozenset({
+        "rho", "p_list", "m_grid", "N_list", "factors", "period"})),
+    "commutator": (_run_commutator, frozenset({
+        "symbol", "params", "grid", "cube_anchor", "cube_side", "rho",
+        "battery_kmax", "battery_count", "tol"})),
 }
+_COMMON_KEYS = frozenset({"experiment", "seed", "outdir"})
+_KNOWN_KEYS = _COMMON_KEYS.union(*(keys for _, keys in _EXPERIMENTS.values()))
 
 
 def cmd_run(args) -> int:
     cfg = parse_config(args.config)
     name = cfg.get("experiment")
     seed = _num(cfg, "seed", int, 2026)
-    report, rows, header, line, passed = _RUNNERS[name](cfg)
+    report, rows, header, line, passed = _EXPERIMENTS[name][0](cfg)
     outdir = cfg.get("outdir", ".")
     _write_report(outdir, name, cfg, seed, report, rows, header)
     print(line)

@@ -281,7 +281,7 @@ def derived_symbol(sigma: SymbolDescriptor, index: DecompositionIndex, kind: str
 
 
 def _theta_symbol(sigma: SymbolDescriptor, moll: "Mollifier") -> SymbolDescriptor:
-    etas = moll.mode_steps / moll.period  # (K, n) physical frequencies
+    etas = moll.mode_steps / moll.field.grid.period  # (K, n) physical frequencies
     if etas.shape[1] != sigma.n:
         raise ValueError(f"mollifier has {etas.shape[1]} axes, symbol has {sigma.n}")
     # the eta = 0 term vanishes identically
@@ -326,13 +326,9 @@ class Mollifier:
     """
 
     field: SampledField
-    cube: DyadicCube
-    center: tuple
-    rho: float
     degree: int
     mode_steps: np.ndarray
     mode_coeffs: np.ndarray
-    period: float
     freq_radius: float
 
 
@@ -366,14 +362,13 @@ def mollifier_lambda(grid: GridSpec, Q: DyadicCube, rho: float) -> Mollifier:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     N, L, n = grid.points_per_axis, grid.period, grid.n
     step = L / N
-    center = tuple((a + Q.side / 2.0) * step for a in Q.anchor)
 
     if Q.side == N:
         ones = SampledField(grid, np.ones(grid.shape, dtype=complex))
-        return Mollifier(ones, Q, center, rho, 0,
-                         np.zeros((1, n), dtype=int), np.ones(1, dtype=complex),
-                         L, 0.0)
+        return Mollifier(ones, 0, np.zeros((1, n), dtype=int),
+                         np.ones(1, dtype=complex), 0.0)
 
+    center = tuple((a + Q.side / 2.0) * step for a in Q.anchor)
     r_phys = Q.side * step
     radius = r_phys ** (-rho)
     if radius < 2.0 / L - 1e-12:
@@ -421,5 +416,4 @@ def mollifier_lambda(grid: GridSpec, Q: DyadicCube, rho: float) -> Mollifier:
     for i, d in enumerate(steps):
         amp = scale * np.prod(c_d[np.abs(d)])
         coeffs[i] = amp * np.exp(-2j * np.pi * np.dot(d, center) / L)
-    return Mollifier(field, Q, center, rho, M, steps, coeffs, L,
-                     np.sqrt(n) * M / L)
+    return Mollifier(field, M, steps, coeffs, np.sqrt(n) * M / L)

@@ -40,8 +40,8 @@ class SymbolDescriptor:
     evaluator : callable
         ``evaluator(x, xi) -> complex array`` where ``x`` and ``xi`` are
         broadcast-compatible arrays whose last axis has length n1 + n2.
-        Must be total (finite for every finite input, including xi = 0),
-        deterministic, and safe for concurrent calls.
+        Must be total (finite for every finite input, including xi = 0)
+        and deterministic.
     n1, n2 : int
         Dimensions of the two frequency factors.
     order : float or tuple

@@ -192,15 +192,6 @@ def test_ortho_entries_symmetric_and_deterministic():
         assert a.entries[(k, j)] == v
 
 
-def test_ortho_parallel_matches_serial():
-    grid = make_grid(1, 1, 16, 1.0)
-    sym = builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5})
-    serial = ortho_experiment(sym, [1, 2, 3], grid, max_workers=1)
-    threaded = ortho_experiment(sym, [1, 2, 3], grid, max_workers=4)
-    assert json.dumps(serial.to_dict(), sort_keys=True) == \
-        json.dumps(threaded.to_dict(), sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # kernel decay
 

@@ -205,13 +205,27 @@ _COMM = ('experiment = "commutator"\nsymbol = "multiplier_bessel"\n'
     ("run", 'experiment = "sharpness"\nrho = 0.5\np_list = [0.5]\nm_grid = [0.0]\n'
             'N_list = [8, 16]\nfactors = [1, 1]\nperiod = 1.0', "'p_list'"),
     ("run", f'{_COMM}cube_anchor = [0, 0]\ncube_side = 2\nrho = 1.0', "'battery_kmax'"),
+    ("run", f'{_COMM}cube_anchor = [4, 4]\ncube_side = 4\nrho = 0.5\nbattery_count = 0',
+     "'battery_count'"),
+    ("run", 'experiment = "ortho"\nsymbol = "multiplier_bessel"\n'
+            'grid = [1, 1, 8, 1.0]\nj_range = []', "'j_range'"),
+    ("run", 'experiment = "sharpness"\nrho = 0.5\np_list = []\nm_grid = [0.0]\n'
+            'N_list = [8, 16]\nfactors = [1, 1]\nperiod = 1.0', "'p_list'"),
+    ("run", f'{_KERNEL}ell_range = []', "'ell_range'"),
+    ("run", f'experiment = "bmo"\n{_SWEEP}period = 1.0\nN_list = [8, 16]\n'
+            'j_range = [1, 2]\nrho = 0.3',
+     ":6: experiment 'bmo' does not read key 'j_range'"),
+    ("run", f'{_COMM}cube_anchor = [4, 4]\ncube_side = 4\nrho = 0.5\nmax_iter = 50',
+     ":7: experiment 'commutator' does not read key 'max_iter'"),
     ("apply", ["--j", "-1"], "--j"),
     ("apply", ["--j", "2", "--ell", "9"], "--ell"),
     ("apply", ["--split-scale", "-1"], "--split-scale"),
     ("kernel", ["--x", "nan,0"], "--x"),
 ], ids=["period", "N_list-odd", "N_list-decreasing", "j_range", "ell_range",
         "ell_max", "x_count", "sharpness-rho", "cube_side", "cube_anchor",
-        "battery_kmax", "mollifier-radius", "p_list", "battery-spectrum", "apply-j",
+        "battery_kmax", "mollifier-radius", "p_list", "battery-spectrum",
+        "battery_count", "j_range-empty", "p_list-empty", "ell_range-empty",
+        "bmo-j_range", "commutator-max_iter", "apply-j",
         "apply-ell", "apply-split-scale", "kernel-x"])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, body,
                                                needle):
@@ -250,13 +264,6 @@ def test_run_converges_on_c5_workload(tmp_path, capsys, symbol, params):
         """)
     assert main(["run", cfg]) == 0
     assert "converged=True" in capsys.readouterr().out
-
-
-def test_threads_env_must_be_integer(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("BIPDO_THREADS", "many")
-    cfg = ortho_cfg(tmp_path, tmp_path)
-    assert main(["run", cfg]) == 2
-    assert "BIPDO_THREADS" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

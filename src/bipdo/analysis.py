@@ -300,8 +300,8 @@ def kernel_decay_experiment(sigma: SymbolDescriptor, j: int, ell_range,
     values = []
     for ell in ells:
         idx = DecompositionIndex(j=j, ell=ell, ell_max=ell_max)
-        piece = derived_symbol(sigma, idx, "cone_lj")
-        values.append(max(kernel_l1(piece, grid, x) for x in xs))
+        T = quantize(derived_symbol(sigma, idx, "cone_lj"), grid)
+        values.append(max(kernel_l1(T, x) for x in xs))
     values = tuple(values)
     target = -grid.n1 / 2.0
     fit_ells = [e for e, v in zip(ells[1:], values[1:]) if v > 0.0]
@@ -382,8 +382,8 @@ def l2_uniformity_sweep(sigma: SymbolDescriptor, N_list, period: float = 1.0,
                         tol: float = 1e-8, max_iter: int = 500) -> BoundednessReport:
     """l2_opnorm across grids; PASS when the last three values vary <= 20%."""
     Ns = tuple(int(N) for N in N_list)
-    if any(b > a for a, b in zip(Ns[1:], Ns)):
-        raise ValueError("N_list must be increasing")
+    if len(Ns) < 2 or any(b <= a for a, b in zip(Ns, Ns[1:])):
+        raise ValueError("N_list must hold at least 2 strictly increasing sizes")
     values = []
     for N in Ns:
         grid = make_grid(sigma.n1, sigma.n2, N, period)
@@ -623,12 +623,14 @@ class SharpnessTable:
                 "threshold": GROWTH_EXPONENT_THRESHOLD}
 
 
-def _ratio(Tf: SampledField, f: SampledField, p: float) -> float:
-    if math.isinf(p):
-        denom = linf_norm(f)
-        return bmo_norm(Tf) / denom if denom > 0 else 0.0
-    denom = lp_norm(f, p)
-    return lp_norm(Tf, p) / denom if denom > 0 else 0.0
+def _denominator(f: SampledField, p: float) -> float:
+    return linf_norm(f) if math.isinf(p) else lp_norm(f, p)
+
+
+def _ratio(Tf: SampledField, denom: float, p: float) -> float:
+    if not denom > 0:
+        return 0.0
+    return (bmo_norm(Tf) if math.isinf(p) else lp_norm(Tf, p)) / denom
 
 
 def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
@@ -645,6 +647,9 @@ def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
     Ns = tuple(int(N) for N in N_list)
     grids = {N: make_grid(n1, n2, N, period) for N in Ns}
     batteries = {N: adversarial_battery(grids[N], rho, seed) for N in Ns}
+    # the battery does not depend on m, so each of its norms is taken once
+    denoms = {(N, p): [_denominator(f, p) for f in batteries[N]]
+              for N in Ns for p in ps}
 
     ratios, exponents, growing = {}, {}, {}
     for m in ms:
@@ -652,9 +657,10 @@ def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
         per_p = {p: [] for p in ps}
         for N in Ns:
             T = quantize(sym, grids[N])
-            images = [(apply(T, f), f) for f in batteries[N]]
+            images = [apply(T, f) for f in batteries[N]]
             for p in ps:
-                per_p[p].append(max(_ratio(Tf, f, p) for Tf, f in images))
+                per_p[p].append(max(_ratio(Tf, d, p)
+                                    for Tf, d in zip(images, denoms[(N, p)])))
         for p in ps:
             vals = tuple(per_p[p])
             ratios[(m, p)] = vals

@@ -178,6 +178,13 @@ def _nums(cfg: RunConfig, key: str, kind, length: int | None = None) -> list:
     return [_number(key, v, kind) for v in values]
 
 
+def _increasing(key: str, values: list) -> list:
+    """``values`` if they are strictly increasing."""
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError(f"'{key}' must be strictly increasing, got {values}")
+    return values
+
+
 def _grid_from_cfg(cfg: RunConfig):
     g = cfg.get("grid")
     if not (isinstance(g, list) and len(g) == 4):
@@ -188,12 +195,13 @@ def _grid_from_cfg(cfg: RunConfig):
 
 
 def _sweep_from_cfg(cfg: RunConfig):
-    """(n1, n2, period, N_list) of a sweep over increasing, checked grids."""
+    """(n1, n2, period, N_list) of a sweep over at least two strictly
+    increasing, checked grids."""
     n1, n2 = _nums(cfg, "factors", int, length=2)
     period = _num(cfg, "period", float)
-    Ns = _nums(cfg, "N_list", int)
-    if Ns != sorted(Ns):
-        raise ConfigError(f"'N_list' must be increasing, got {Ns}")
+    Ns = _increasing("N_list", _nums(cfg, "N_list", int))
+    if len(Ns) < 2:
+        raise ConfigError(f"'N_list' needs at least two sizes, got {Ns}")
     for N in Ns:
         with _checked(f"'factors', 'period' or 'N_list' entry {N}"):
             make_grid(n1, n2, N, period)
@@ -216,7 +224,7 @@ def _run_ortho(cfg: RunConfig):
     grid = _grid_from_cfg(cfg)
     sym = _build_symbol(cfg, grid.n1, grid.n2)
     tol, max_iter = _solver_settings(cfg)
-    js = _nums(cfg, "j_range", int)
+    js = _increasing("j_range", _nums(cfg, "j_range", int))
     with _checked("'j_range'"):
         for j in js:
             DecompositionIndex(j=j)
@@ -237,7 +245,7 @@ def _run_kernel_decay(cfg: RunConfig):
     if count < 1:
         raise ConfigError(f"'x_count' must be an integer >= 1, got {count}")
     j = _num(cfg, "j", int)
-    ells = _nums(cfg, "ell_range", int)
+    ells = _increasing("ell_range", _nums(cfg, "ell_range", int))
     ell_max = default_ell_max(grid.points_per_axis) if cfg.get("ell_max") is None \
         else _num(cfg, "ell_max", int)
     with _checked("'j', 'ell_range' or 'ell_max'"):
@@ -531,7 +539,8 @@ def cmd_kernel(args) -> int:
         raise ConfigError(f"--x expects finite coordinates, got '{args.x}'")
     if x.shape != (grid.n,):
         raise ConfigError(f"--x needs {grid.n} coordinates")
-    sl = kernel_slice(sym, grid, x)
+    T = quantize(sym, grid)
+    sl = kernel_slice(T, x)
     pts = grid.points()
     vals = sl.values.ravel()
     with open(args.outfile, "w", encoding="utf-8", newline="") as fh:
@@ -540,7 +549,7 @@ def cmd_kernel(args) -> int:
         for row, v in zip(pts, vals):
             writer.writerow([repr(float(c)) for c in row]
                             + [repr(float(v.real)), repr(float(v.imag))])
-    print(f"kernel: wrote {args.outfile} (l1={kernel_l1(sym, grid, x):.6g})")
+    print(f"kernel: wrote {args.outfile} (l1={kernel_l1(T, x):.6g})")
     return 0
 
 

@@ -37,8 +37,10 @@ class QuantizedOperator:
     ``path`` is "dense" or "separable"; "auto" at construction picks the
     separable path whenever the symbol carries separable terms.  The
     separable path caches the factor tables a_k on the point grid and b_k on
-    the frequency lattice; the dense path caches nothing and evaluates the
-    symbol afresh in every sweep.
+    the frequency lattice for apply and adjoint, and, apart from them, the
+    transformed tables fftn(b_k) / L^n for kernel slices; each set is built
+    on first use.  The dense path caches nothing and evaluates the symbol
+    afresh in every sweep.
     """
 
     def __init__(self, symbol: SymbolDescriptor, grid: GridSpec, path: str = "auto"):
@@ -55,6 +57,7 @@ class QuantizedOperator:
         self.grid = grid
         self.path = path
         self._factors = None
+        self._kernels = None
 
     def _separable_factors(self):
         if self._factors is None:
@@ -68,6 +71,17 @@ class QuantizedOperator:
                 factors.append((av, bv))
             self._factors = factors
         return self._factors
+
+    def _kernel_tables(self):
+        if self._kernels is None:
+            frs = self.grid.freqs()
+            scale = self.grid.period ** self.grid.n
+            kernels = []
+            for _, b in self.symbol.separable_terms:
+                bv = np.asarray(b(frs), dtype=complex).reshape(self.grid.shape)
+                kernels.append(np.fft.fftn(bv) / scale)
+            self._kernels = kernels
+        return self._kernels
 
 
 def quantize(symbol: SymbolDescriptor, grid: GridSpec, path: str = "auto") -> QuantizedOperator:
@@ -154,22 +168,38 @@ def adjoint_apply(T: QuantizedOperator, g: SampledField) -> SampledField:
     return dft_inverse(SampledField(grid, acc.reshape(grid.shape)))
 
 
-def kernel_slice(symbol: SymbolDescriptor, grid: GridSpec, x) -> SampledField:
-    """The x-slice of the kernel: y -> sum_xi sigma(x, xi) e^{-2 pi i y.xi} / L^n."""
+def kernel_slice(T: QuantizedOperator, x) -> SampledField:
+    """The x-slice of the kernel: y -> sum_xi sigma(x, xi) e^{-2 pi i y.xi} / L^n.
+
+    The separable path sums a_k(x) fftn(b_k) / L^n over the cached transformed
+    tables, with each a_k evaluated at x alone; the dense path transforms
+    sigma(x, .) evaluated over the whole lattice, and is the reference.
+    """
+    grid = T.grid
     x = np.asarray(x, dtype=float)
     if x.shape != (grid.n,):
         raise ValueError(f"x must be one point of shape ({grid.n},), got {x.shape}")
-    frs = grid.freqs()
-    table = np.asarray(symbol.evaluator(x[None, :], frs), dtype=complex)
-    table = table.reshape(grid.shape)
-    vals = np.fft.fftn(table) / grid.period ** grid.n
+    if T.path == "separable":
+        # start from the first term: adding to zeros would turn -0.0 into 0.0
+        vals = None
+        for (a, _), B in zip(T.symbol.separable_terms, T._kernel_tables()):
+            term = np.asarray(a(x[None, :]), dtype=complex)[0] * B
+            if vals is None:
+                vals = term
+            else:
+                vals += term
+        if vals is None:
+            vals = np.zeros(grid.shape, dtype=complex)
+        return SampledField(grid, vals)
+    table = np.asarray(T.symbol.evaluator(x[None, :], grid.freqs()), dtype=complex)
+    vals = np.fft.fftn(table.reshape(grid.shape)) / grid.period ** grid.n
     return SampledField(grid, vals)
 
 
-def kernel_l1(symbol: SymbolDescriptor, grid: GridSpec, x) -> float:
+def kernel_l1(T: QuantizedOperator, x) -> float:
     """Quadrature L1 norm of the kernel slice at x."""
-    sl = kernel_slice(symbol, grid, x)
-    return float(np.sum(np.abs(sl.values)) * grid.cell_volume)
+    sl = kernel_slice(T, x)
+    return float(np.sum(np.abs(sl.values)) * T.grid.cell_volume)
 
 
 def dilate_symbol(symbol: SymbolDescriptor, scale) -> SymbolDescriptor:

@@ -209,9 +209,10 @@ def test_c5_almost_orthogonality_decay(capsys):
 def test_c6_kernel_cone_decay(capsys):
     # pinned bar: fitted slope <= -0.35 (half the ideal -1.0 would be -0.5;
     # the bar already concedes cutoff overlap).  At ell_max 6 the measured
-    # slope is -0.198 at N=64, -0.099 at 128, -0.112 at 256 and -0.115 at 512:
-    # refining the grid moves it away from the bar, so this check documents
-    # a real gap rather than passing a loosened version of it.
+    # slope is -0.198 at N=64, -0.099 at 128, -0.112 at 256, -0.115 at 512 and
+    # -0.1156 (R2 0.785) at 1024: refining the grid moves it away from the
+    # bar, so this check documents a real gap rather than passing a loosened
+    # version of it.
     t0 = time.time()
     grid = make_grid(1, 1, 64, 1.0)
     sym = builtin("multiplier_bessel", {"m": -0.5})

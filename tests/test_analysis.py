@@ -227,8 +227,9 @@ def test_uniformity_contraction_multiplier():
 
 def test_uniformity_requires_increasing_n():
     sym = builtin("multiplier_bessel", {"m": -1.0})
-    with pytest.raises(ValueError):
-        l2_uniformity_sweep(sym, [16, 8, 32])
+    for Ns in ([16, 8, 32], [8, 8, 16], [8]):
+        with pytest.raises(ValueError):
+            l2_uniformity_sweep(sym, Ns)
 
 
 def test_bmo_zero_symbol_and_constant_field():

@@ -217,6 +217,12 @@ _COMM = ('experiment = "commutator"\nsymbol = "multiplier_bessel"\n'
      ":6: experiment 'bmo' does not read key 'j_range'"),
     ("run", f'{_COMM}cube_anchor = [4, 4]\ncube_side = 4\nrho = 0.5\nmax_iter = 50',
      ":7: experiment 'commutator' does not read key 'max_iter'"),
+    ("run", f'experiment = "l2_uniformity"\n{_SWEEP}period = 1.0\nN_list = [8]',
+     "'N_list'"),
+    ("run", f'experiment = "bmo"\n{_SWEEP}period = 1.0\nN_list = [8, 8]', "'N_list'"),
+    ("run", 'experiment = "ortho"\nsymbol = "multiplier_bessel"\n'
+            'grid = [1, 1, 8, 1.0]\nj_range = [1, 1, 3]', "'j_range'"),
+    ("run", f'{_KERNEL}ell_range = [1, 1, 2, 3]', "'ell_range'"),
     ("apply", ["--j", "-1"], "--j"),
     ("apply", ["--j", "2", "--ell", "9"], "--ell"),
     ("apply", ["--split-scale", "-1"], "--split-scale"),
@@ -225,7 +231,8 @@ _COMM = ('experiment = "commutator"\nsymbol = "multiplier_bessel"\n'
         "ell_max", "x_count", "sharpness-rho", "cube_side", "cube_anchor",
         "battery_kmax", "mollifier-radius", "p_list", "battery-spectrum",
         "battery_count", "j_range-empty", "p_list-empty", "ell_range-empty",
-        "bmo-j_range", "commutator-max_iter", "apply-j",
+        "bmo-j_range", "commutator-max_iter", "N_list-single", "N_list-repeated",
+        "j_range-repeated", "ell_range-repeated", "apply-j",
         "apply-ell", "apply-split-scale", "kernel-x"])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, body,
                                                needle):
@@ -368,7 +375,7 @@ def test_kernel_csv_matches_kernel_slice(tmp_path, capsys):
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "y1,y2,re,im"
     got = np.array([[float(c) for c in r.split(",")] for r in rows[1:]])
-    sl = kernel_slice(builtin("multiplier_bessel", {"m": -0.5}), grid, x)
+    sl = kernel_slice(quantize(builtin("multiplier_bessel", {"m": -0.5}), grid), x)
     want = sl.values.ravel()
     pts = grid.points()
     # repr round trip is exact for float64

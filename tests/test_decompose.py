@@ -312,6 +312,9 @@ def test_theta_constant_mollifier_vanishes():
     x = rng.uniform(0.0, 1.0, (30, 2))
     xi = rng.uniform(-15.0, 15.0, (30, 2))
     assert np.abs(th.evaluator(x, xi)).max() == 0.0
+    # no separable terms are left: the kernel slice is the zero field
+    assert th.separable_terms == ()
+    assert not np.any(bp.kernel_slice(bp.quantize(th, grid), x[0]).values)
 
 
 def test_theta_is_trig_polynomial_in_x():

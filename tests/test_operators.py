@@ -271,7 +271,7 @@ def test_multiplication_adjoint_conjugates():
 
 def test_kernel_of_identity_is_lattice_spike():
     grid = make_grid(1, 1, 8, 2.0)
-    ks = kernel_slice(builtin("constant", {"c": 1.0}), grid, np.zeros(2))
+    ks = kernel_slice(quantize(builtin("constant", {"c": 1.0}), grid), np.zeros(2))
     v = ks.values
     assert abs(v[0, 0] - 8 ** 2 / 2.0 ** 2) <= 1e-9
     rest = v.copy()
@@ -287,11 +287,50 @@ def test_kernel_gaussian_self_duality():
         return np.exp(-np.pi * np.sum(xi * xi, axis=-1)).astype(complex)
 
     sym = make_symbol(gauss, 1, 1, rho=1.0)
-    ks = kernel_slice(sym, grid, np.zeros(2))
+    ks = kernel_slice(quantize(sym, grid), np.zeros(2))
     pts = grid.points()
     d = np.minimum(pts % 12.0, 12.0 - pts % 12.0)
     want = np.exp(-np.pi * np.sum(d * d, axis=-1))
     assert np.abs(ks.values.ravel() - want).max() <= 1e-6
+
+
+_KERNEL_SYMBOLS = {
+    "constant": {"c": 1.5},
+    "multiplier_bessel": {"m": -0.5},
+    "separable": {"terms": [{"amp": 1.0, "xfreq": [1, -1], "phase": 0.4,
+                             "orders": [-0.5, 0.25]},
+                            {"amp": 0.5, "xfreq": [0, 2]}]},
+    "oscillatory_exotic": {"m": 0.0, "rho": 0.5, "xmod": 0.75},
+    "riemann_singularity": {"m": -0.5},
+    "modulated_bessel": {"m": -0.5},
+}
+_KERNEL_PIECES = {
+    "whole": lambda s, g: s,
+    "cone_lj": lambda s, g: derived_symbol(
+        s, DecompositionIndex(j=2, ell=1, ell_max=3), "cone_lj"),
+    "annulus_j": lambda s, g: derived_symbol(s, DecompositionIndex(j=2), "annulus_j"),
+    "theta": _DERIVATIONS["theta"],
+}
+
+
+@pytest.mark.parametrize("piece", sorted(_KERNEL_PIECES))
+@pytest.mark.parametrize("name", sorted(_KERNEL_SYMBOLS))
+def test_kernel_slice_tables_match_dense_oracle(name, piece):
+    # the separable path sums a_k(x) fftn(b_k) / L^n; the dense path
+    # transforms sigma(x, .), so they agree up to FFT rounding, and exactly
+    # when every a_k is 1
+    grid = make_grid(1, 1, 16, 1.0)
+    sym = _KERNEL_PIECES[piece](builtin(name, _KERNEL_SYMBOLS[name]), grid)
+    T, oracle = quantize(sym, grid), quantize(sym, grid, "dense")
+    assert T.path == "separable"
+    exact = name in ("multiplier_bessel", "riemann_singularity") and piece != "theta"
+    for x in ([0.0, 0.0], [0.25, 0.5625], [0.3, 0.71], [1.37, -0.13]):
+        got = kernel_slice(T, x).values
+        want = kernel_slice(oracle, x).values
+        if exact:
+            assert np.array_equal(got, want), x
+        else:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), x
 
 
 def test_kernel_l1_matches_direct_sum():
@@ -300,7 +339,7 @@ def test_kernel_l1_matches_direct_sum():
     piece = derived_symbol(
         sym, DecompositionIndex(j=2, ell=1, ell_max=4, r=1.0), "cone_lj")
     x0 = np.array([0.3, 0.45])
-    val = kernel_l1(piece, grid, x0)
+    val = kernel_l1(quantize(piece, grid), x0)
     fr = grid.freqs()
     sv = piece.evaluator(np.broadcast_to(x0, fr.shape), fr)
     acc = np.array([np.sum(sv * np.exp(2j * np.pi * (fr @ y)))
@@ -313,8 +352,8 @@ def test_kernel_l1_homogeneous():
     grid = make_grid(1, 1, 16, 1.0)
     sym = builtin("multiplier_bessel", {"m": -0.5})
     from bipdo.symbols import scale_symbol
-    base = kernel_l1(sym, grid, np.zeros(2))
-    scaled = kernel_l1(scale_symbol(sym, -3.0j), grid, np.zeros(2))
+    base = kernel_l1(quantize(sym, grid), np.zeros(2))
+    scaled = kernel_l1(quantize(scale_symbol(sym, -3.0j), grid), np.zeros(2))
     assert scaled == pytest.approx(3.0 * base, rel=1e-12)
 
 

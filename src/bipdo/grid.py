@@ -68,6 +68,11 @@ class GridSpec:
         N = self.points_per_axis
         return np.arange(N) * (self.period / N)
 
+    def axis_freqs(self) -> np.ndarray:
+        """Lattice frequencies along one axis, k / L in FFT order."""
+        N = self.points_per_axis
+        return np.fft.fftfreq(N, d=self.period / N)
+
     def points(self) -> np.ndarray:
         """All grid points, shape (N^n, n), row-major with block-1 axes first."""
         return _points_freqs(self)[0]
@@ -97,9 +102,7 @@ def make_grid(n1: int, n2: int, points_per_axis: int, period: float = 1.0) -> Gr
 
 @lru_cache(maxsize=64)
 def _points_freqs(grid: GridSpec):
-    n, N, L = grid.n, grid.points_per_axis, grid.period
-    x1 = np.arange(N) * (L / N)
-    k1 = np.fft.fftfreq(N, d=L / N)
+    n, x1, k1 = grid.n, grid.axis_coords(), grid.axis_freqs()
     pts = np.stack(np.meshgrid(*([x1] * n), indexing="ij"), axis=-1).reshape(-1, n)
     frs = np.stack(np.meshgrid(*([k1] * n), indexing="ij"), axis=-1).reshape(-1, n)
     pts.setflags(write=False)

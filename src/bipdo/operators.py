@@ -6,8 +6,9 @@ The quantization rule is
 
 with fhat from ``dft_forward``.  The dense path evaluates this sum literally
 (chunked over output points) and is the reference semantics: apply, apply_at
-and the dense adjoint share one chunked sweep.  The separable
-path rewrites sigma = sum_k a_k(x) b_k(xi) as multiplier sandwiches
+and the dense adjoint share one chunked sweep, which builds the phase
+e^{2 pi i x.xi} as a product of per-axis tables e^{2 pi i x_a k_a}.  The
+separable path rewrites sigma = sum_k a_k(x) b_k(xi) as multiplier sandwiches
 
     T f = sum_k a_k * ifft(b_k * fft(f))
 
@@ -109,14 +110,24 @@ def apply(T: QuantizedOperator, f: SampledField) -> SampledField:
 
 def _dense_blocks(symbol: SymbolDescriptor, grid: GridSpec, xs: np.ndarray):
     """Yield (rows, K) for successive chunks ``xs[rows]`` of the points, with
-    K = sigma(x, xi) e^{2 pi i x.xi} over (point, frequency)."""
+    K = sigma(x, xi) e^{2 pi i x.xi} over (point, frequency).
+
+    The phase factors over the axes, e^{2 pi i x.xi} = prod_a e^{2 pi i x_a k_a},
+    so each chunk builds n tables of shape (chunk, N) and multiplies them out
+    in the lattice's row-major order.  Each K is a fresh array the caller may
+    overwrite.
+    """
     frs = grid.freqs()
+    k = grid.axis_freqs()
     step = max(1, _CHUNK // max(1, frs.shape[0]))
     for i in range(0, len(xs), step):
         xc = xs[i:i + step]
-        sig = np.asarray(symbol.evaluator(xc[:, None, :], frs[None, :, :]),
-                         dtype=complex)
-        yield slice(i, i + step), sig * np.exp(2j * np.pi * (xc @ frs.T))
+        ph = np.exp(2j * np.pi * np.multiply.outer(xc[:, 0], k))
+        for a in range(1, grid.n):
+            E = np.exp(2j * np.pi * np.multiply.outer(xc[:, a], k))
+            ph = (ph[:, :, None] * E[:, None, :]).reshape(len(xc), -1)
+        ph *= symbol.evaluator(xc[:, None, :], frs[None, :, :])
+        yield slice(i, i + step), ph
 
 
 def _dense_rows(symbol: SymbolDescriptor, grid: GridSpec, xs: np.ndarray,
@@ -163,7 +174,8 @@ def adjoint_apply(T: QuantizedOperator, g: SampledField) -> SampledField:
     gv = g.values.ravel()
     acc = np.zeros(grid.size, dtype=complex)
     for rows, K in _dense_blocks(T.symbol, grid, grid.points()):
-        acc += K.conj().T @ gv[rows]
+        np.conjugate(K, out=K)
+        acc += K.T @ gv[rows]
     acc *= grid.cell_volume
     return dft_inverse(SampledField(grid, acc.reshape(grid.shape)))
 

@@ -80,6 +80,12 @@ def test_make_grid_basic():
     assert g.n == 2 and g.size == 64 and g.shape == (8, 8)
     g3 = make_grid(2, 1, 16, 2 * np.pi)
     assert g3.n == 3 and g3.size == 4096
+    # the lattice is the row-major product of the per-axis frequencies
+    for grid in (g, g3, make_grid(1, 1, 6, 3.0)):
+        k = grid.axis_freqs()
+        mesh = np.meshgrid(*([k] * grid.n), indexing="ij")
+        assert np.array_equal(grid.freqs(),
+                              np.stack(mesh, axis=-1).reshape(-1, grid.n))
 
 
 def test_make_grid_rejects_bad_inputs():
@@ -99,6 +105,7 @@ def test_lattice_layout():
     g = make_grid(1, 1, 8, 2.0)
     # points x = i L / N, frequencies k / L with k in [-N/2, N/2)
     assert np.allclose(g.axis_coords(), np.arange(8) * 0.25, atol=0)
+    assert np.array_equal(g.axis_freqs(), [0, 0.5, 1, 1.5, -2, -1.5, -1, -0.5])
     assert g.cell_volume == pytest.approx((2.0 / 8) ** 2, abs=0)
 
 

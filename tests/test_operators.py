@@ -14,16 +14,21 @@ from bipdo import (DecompositionIndex, DyadicCube, SampledField, adjoint_apply,
                    make_symbol, mollifier_lambda, quantize, scale_symbol)
 
 
-def literal_apply(symbol, grid, f):
-    """Tf(x) = sum_xi fhat(xi) sigma(x,xi) e^{2 pi i x.xi} / L^n, no FFT."""
+def literal_sum(symbol, grid, f, xs):
+    """sum_xi fhat(xi) sigma(x,xi) e^{2 pi i x.xi} / L^n at each row x of xs,
+    with the full exponential and no FFT."""
     fhat = dft_forward(f).values.ravel()
-    xs = grid.points()
     frs = grid.freqs()
     out = np.empty(len(xs), dtype=complex)
     for i, x in enumerate(xs):
         sig = symbol.evaluator(np.broadcast_to(x, frs.shape), frs)
         out[i] = np.sum(fhat * sig * np.exp(2j * np.pi * (frs @ x)))
-    return SampledField(grid, (out / grid.period ** grid.n).reshape(grid.shape))
+    return out / grid.period ** grid.n
+
+
+def literal_apply(symbol, grid, f):
+    """Tf on the grid points by the literal sum."""
+    return SampledField(grid, literal_sum(symbol, grid, f, grid.points()))
 
 
 def rand_field(grid, seed):
@@ -32,32 +37,49 @@ def rand_field(grid, seed):
     return SampledField(grid, v)
 
 
-def rand_separable(seed, nterms=3):
+def rand_separable(seed, nterms=3, n1=1, n2=1):
     rng = np.random.default_rng(seed)
     terms = []
     for _ in range(nterms):
         terms.append({
             "amp": float(rng.uniform(0.2, 1.0)),
-            "xfreq": [int(rng.integers(-2, 3)), int(rng.integers(-2, 3))],
+            "xfreq": [int(rng.integers(-2, 3)) for _ in range(n1 + n2)],
             "phase": float(rng.uniform(0, 2 * np.pi)),
             "orders": [float(rng.uniform(-1.0, 0.0)), float(rng.uniform(-1.0, 0.0))],
         })
-    return builtin("separable", {"terms": terms})
+    return builtin("separable", {"terms": terms}, n1=n1, n2=n2)
 
 
 # ---------------------------------------------------------------------------
 # application vs the literal sum
 
 
-def test_apply_matches_literal_sum():
-    grid = make_grid(1, 1, 6, 1.0)
-    f = rand_field(grid, 0)
-    for sym in (rand_separable(1), builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5})):
-        want = literal_apply(sym, grid, f).values
-        for path in ("dense", "separable"):
-            got = apply(quantize(sym, grid, path=path), f).values
-            err = np.abs(got - want).max() / np.abs(want).max()
-            assert err <= 1e-12, (sym.name, path, err)
+def test_apply_matches_literal_sum(monkeypatch):
+    # a three-axis grid checks the axis order of the factored dense phase; a
+    # small chunk runs the dense sweep over several chunks, the last one ragged
+    exotic = {"m": 0.0, "rho": 0.5}
+    cases = [(make_grid(1, 1, 6, 1.0),
+              (rand_separable(1), builtin("oscillatory_exotic", exotic))),
+             (make_grid(2, 1, 4, 1.5),
+              (rand_separable(1, n1=2),
+               builtin("oscillatory_exotic", exotic, n1=2, n2=1)))]
+    for grid, syms in cases:
+        f = rand_field(grid, 0)
+        xs = np.random.default_rng(1).uniform(0.0, grid.period, (7, grid.n))
+        for sym in syms:
+            want = literal_apply(sym, grid, f).values
+            want_at = literal_sum(sym, grid, f, xs)
+            for chunk in (bp.operators._CHUNK, 5 * grid.size):
+                monkeypatch.setattr(bp.operators, "_CHUNK", chunk)
+                for path in ("dense", "separable"):
+                    T = quantize(sym, grid, path=path)
+                    got = apply(T, f).values
+                    err = np.abs(got - want).max() / np.abs(want).max()
+                    assert err <= 1e-12, (grid.n, sym.name, chunk, path, err)
+                    # off-grid points go through the same dense sweep
+                    got = apply_at(T, f, xs)
+                    err = np.abs(got - want_at).max() / np.abs(want_at).max()
+                    assert err <= 1e-12, (grid.n, sym.name, chunk, "at", err)
 
 
 def test_identity_symbol():
@@ -228,18 +250,18 @@ def test_apply_at_single_mode_closed_form():
 
 
 def test_adjoint_inner_product_identity():
-    grid = make_grid(1, 1, 8, 1.0)
-    w = grid.cell_volume
-    for seed in range(10):
-        rng = np.random.default_rng(200 + seed)
-        sym = rand_separable(300 + seed) if seed % 2 else builtin(
-            "oscillatory_exotic", {"m": 0.0, "rho": 0.5, "xmod": 0.5})
-        T = quantize(sym, grid, path="dense" if seed % 3 else "auto")
-        f, g = rand_field(grid, seed), rand_field(grid, 50 + seed)
-        # <Tf, g> = <f, T*g> with <u, v> = sum u conj(v) * cell volume
-        lhs = np.vdot(g.values, apply(T, f).values) * w
-        rhs = np.vdot(adjoint_apply(T, g).values, f.values) * w
-        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+    for grid in (make_grid(1, 1, 8, 1.0), make_grid(2, 1, 4, 1.0)):
+        w = grid.cell_volume
+        for seed in range(10):
+            sym = rand_separable(300 + seed, n1=grid.n1) if seed % 2 else builtin(
+                "oscillatory_exotic", {"m": 0.0, "rho": 0.5, "xmod": 0.5},
+                n1=grid.n1, n2=grid.n2)
+            T = quantize(sym, grid, path="dense" if seed % 3 else "auto")
+            f, g = rand_field(grid, seed), rand_field(grid, 50 + seed)
+            # <Tf, g> = <f, T*g> with <u, v> = sum u conj(v) * cell volume
+            lhs = np.vdot(g.values, apply(T, f).values) * w
+            rhs = np.vdot(adjoint_apply(T, g).values, f.values) * w
+            assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0), (grid.n, seed)
 
 
 def test_real_multiplier_self_adjoint():

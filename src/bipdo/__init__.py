@@ -1,8 +1,9 @@
 """Bi-parameter pseudo-differential operators on a discretized torus.
 
-Quantization, symbol classes with measurable seminorms, dyadic/cone
-decompositions, and the experiment layer that checks boundedness,
-almost-orthogonality, kernel decay, and sharpness at desk scale.
+Quantization, symbols whose builtins declare their class parameters
+analytically, dyadic/cone decompositions, and the experiment layer that
+checks boundedness, almost-orthogonality, kernel decay, and sharpness at
+desk scale; every report records the class parameters of its symbol.
 """
 
 __version__ = "0.1.0"
@@ -13,8 +14,7 @@ from .grid import (GridSpec, SampledField, DyadicCube, make_grid,
 from .decompose import (DecompositionIndex, Mollifier, smooth_step, varphi,
                         phi_j, delta_ell, cube_partition, default_ell_max,
                         derived_symbol, mollifier_lambda)
-from .symbols import (SymbolDescriptor, ProbeSpec, make_symbol, default_probe,
-                      seminorm, class_check, builtin, scale_symbol,
+from .symbols import (SymbolDescriptor, make_symbol, builtin, scale_symbol,
                       BUILTIN_PARAMS)
 from .operators import (QuantizedOperator, quantize, apply, apply_at,
                         adjoint_apply, kernel_slice, kernel_l1, dilate_symbol)

@@ -623,10 +623,6 @@ class SharpnessTable:
                 "threshold": GROWTH_EXPONENT_THRESHOLD}
 
 
-def _denominator(f: SampledField, p: float) -> float:
-    return linf_norm(f) if math.isinf(p) else lp_norm(f, p)
-
-
 def _ratio(Tf: SampledField, denom: float, p: float) -> float:
     if not denom > 0:
         return 0.0
@@ -648,7 +644,7 @@ def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
     grids = {N: make_grid(n1, n2, N, period) for N in Ns}
     batteries = {N: adversarial_battery(grids[N], rho, seed) for N in Ns}
     # the battery does not depend on m, so each of its norms is taken once
-    denoms = {(N, p): [_denominator(f, p) for f in batteries[N]]
+    denoms = {(N, p): [lp_norm(f, p) for f in batteries[N]]
               for N in Ns for p in ps}
 
     ratios, exponents, growing = {}, {}, {}

@@ -253,6 +253,47 @@ def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, body,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("params,key", [
+    ('{"m": NaN}', "'m'"),
+    ('{"m": -Infinity}', "'m'"),
+    ('{"mod_freq": 2.5}', "'mod_freq'"),
+    ('{"m": true}', "'m'"),
+])
+def test_apply_bad_builtin_params_are_config_errors(tmp_path, capsys, params, key):
+    grid = make_grid(1, 1, 8, 1.0)
+    src = tmp_path / "in.fld"
+    write_field(SampledField(grid, np.ones(grid.shape, dtype=complex)), str(src))
+    out = tmp_path / "out.fld"
+    rc = main(["apply", "--symbol", "modulated_bessel", "--params", params,
+               "--grid", "1,1,8,1.0", "--in", str(src), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--params" in err and f"parameter {key}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("symbol,params,key", [
+    ("modulated_bessel", '{"m": NaN}', "'m'"),
+    ("oscillatory_exotic", '{"mod_freq": 2.5}', "'mod_freq'"),
+    ("multiplier_bessel", '{"m": true}', "'m'"),
+    ("separable", '{"terms": [{"xfreq": [1, 0.5]}]}', "'terms[0].xfreq'"),
+])
+def test_run_bad_builtin_params_are_config_errors(tmp_path, capsys, symbol, params,
+                                                  key):
+    cfg = write_cfg(tmp_path / "bad.cfg", f"""\
+        experiment = "ortho"
+        symbol = "{symbol}"
+        params = {params}
+        grid = [1, 1, 8, 1.0]
+        j_range = [1, 2]
+        outdir = {json.dumps(str(tmp_path))}
+        """)
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "'params'" in err and f"parameter {key}" in err
+    assert not (tmp_path / "ortho.json").exists()
+
+
 @pytest.mark.parametrize("symbol,params", [
     ("oscillatory_exotic", {"m": 0.0, "rho": 0.5}),
     ("multiplier_bessel", {"m": 0.0}),

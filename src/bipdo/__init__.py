@@ -14,8 +14,7 @@ from .grid import (GridSpec, SampledField, DyadicCube, make_grid,
 from .decompose import (DecompositionIndex, Mollifier, smooth_step, varphi,
                         phi_j, delta_ell, cube_partition, default_ell_max,
                         derived_symbol, mollifier_lambda)
-from .symbols import (SymbolDescriptor, make_symbol, builtin, scale_symbol,
-                      BUILTIN_PARAMS)
+from .symbols import SymbolDescriptor, make_symbol, builtin, BUILTIN_PARAMS
 from .operators import (QuantizedOperator, quantize, apply, apply_at,
                         adjoint_apply, kernel_slice, kernel_l1, dilate_symbol)
 from .analysis import (LinearFieldMap, OpNormEstimate, OrthoMatrix,

@@ -502,27 +502,16 @@ def band_limited_battery(grid: GridSpec, kmax: int, count: int = 8,
 # BMO boundedness at the critical order
 
 
-def bmo_experiment(sigma: SymbolDescriptor, battery, N_list,
-                   period: float = 1.0, seed: int = 2026) -> BoundednessReport:
-    """Max of bmo(Tf)/linf(f) over a battery, per grid size.
-
-    ``battery`` is a callable grid -> list of fields (fields are grid-bound,
-    so the battery must be rebuilt per N); None uses the frozen default
-    battery with ``seed``.
-    """
-    if battery is None:
-        factory = lambda g: test_battery(g, seed)
-    elif callable(battery):
-        factory = battery
-    else:
-        raise ValueError("battery must be callable or None")
+def bmo_experiment(sigma: SymbolDescriptor, N_list, period: float = 1.0,
+                   seed: int = 2026) -> BoundednessReport:
+    """Max of bmo(Tf)/linf(f) over ``test_battery(grid, seed)``, per grid size."""
     Ns = tuple(int(N) for N in N_list)
     ratios = []
     for N in Ns:
         grid = make_grid(sigma.n1, sigma.n2, N, period)
         T = quantize(sigma, grid)
         best = 0.0
-        for f in factory(grid):
+        for f in test_battery(grid, seed):
             denom = linf_norm(f)
             if denom == 0.0:
                 continue

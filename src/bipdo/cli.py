@@ -33,7 +33,7 @@ from . import decompose
 from .grid import (DyadicCube, SampledField, dft_forward, dft_inverse,
                    lp_exponent, lp_norm, make_grid, read_field, write_field)
 from .decompose import (DecompositionIndex, cube_partition, delta_ell,
-                        default_ell_max, derived_symbol, mollifier_lambda, phi_j)
+                        default_ell_max, derived_symbol, phi_j)
 from .symbols import BUILTIN_PARAMS, builtin
 from .operators import apply, kernel_l1, kernel_slice, quantize
 from . import analysis
@@ -277,7 +277,7 @@ def _run_bmo(cfg: RunConfig):
     cfg.require("symbol", "factors", "period", "N_list")
     n1, n2, period, Ns = _sweep_from_cfg(cfg)
     sym = _build_symbol(cfg, n1, n2)
-    report = analysis.bmo_experiment(sym, None, Ns, period,
+    report = analysis.bmo_experiment(sym, Ns, period,
                                      seed=_num(cfg, "seed", int, 2026))
     rows = list(zip(report.n_values, report.ratios))
     line = (f"bmo: ratios={[round(r, 6) for r in report.ratios]} "
@@ -322,11 +322,8 @@ def _run_commutator(cfg: RunConfig):
                   "'battery_count'"):
         Q = DyadicCube(tuple(_nums(cfg, "cube_anchor", int)),
                        _num(cfg, "cube_side", int))
-        Q.check(grid)
-        lam = mollifier_lambda(grid, Q, rho)
         battery = analysis.band_limited_battery(grid, kmax, count, seed)
-        analysis.check_battery_spectrum(lam, battery)
-    err = analysis.commutator_check(sym, Q, rho, battery)
+        err = analysis.commutator_check(sym, Q, rho, battery)
     passed = err <= tol
     report = {"max_relative_error": err, "tol": tol,
               "battery_kmax": kmax, "battery_count": count,

@@ -13,19 +13,21 @@ The module provides dyadic annuli phi_j, cone cutoffs delta_ell on the ratio
 |xi2|/|xi1| (with tail-absorbing end indices so the family sums to 1 for every
 frequency, including the axes), a cube partition of unity, band-limited
 mollifiers that majorize 1 on a cube, and ``derived_symbol`` which composes a
-parent symbol with these cutoffs (annulus, cone, flat/sharp cone sums,
-low/high frequency split, and the multiplication-commutator symbol).
+parent symbol with these cutoffs (annulus, cone, high-frequency part, and the
+multiplication-commutator symbol).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .grid import DyadicCube, GridSpec, SampledField
 from .symbols import SymbolDescriptor, block_norms, transform_symbol
 
-DERIVED_KINDS = ("annulus_j", "cone_lj", "flat_j", "sharp_j", "low_r", "high_r", "theta")
+# the DecompositionIndex fields each derived kind reads; it reads no other
+_KIND_FIELDS = {"annulus_j": ("j",), "cone_lj": ("j", "ell", "ell_max"),
+                "high_r": ("r",), "theta": ()}
 
 
 def smooth_step(u):
@@ -64,31 +66,13 @@ def phi_j(xi, j: int):
     return phi_j_radial(np.sqrt(np.sum(xi ** 2, axis=-1)), j)
 
 
-def _on_cone_ratio(r1, r2, profile, at_origin: float):
-    """``profile`` of the ratio |xi2|/|xi1| of block norms, ``at_origin`` where
-    both vanish.
-
-    The ratio is +inf on the xi1 = 0 lines; scalar norms give a float.
-    """
-    scalar = np.ndim(r1) == 0 and np.ndim(r2) == 0
-    r1 = np.atleast_1d(np.asarray(r1, dtype=float))
-    r2 = np.atleast_1d(np.asarray(r2, dtype=float))
-    r1, r2 = np.broadcast_arrays(r1, r2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = r2 / r1
-    both_zero = (r1 == 0.0) & (r2 == 0.0)
-    # any finite placeholder; overwritten below
-    safe = np.where(both_zero, 1.0, ratio)
-    out = np.where(both_zero, at_origin, profile(safe))
-    return float(out[0]) if scalar else out
-
-
 def _delta_from_norms(r1, r2, ell: int, ell_max: int):
     """Cone cutoff as a function of the block norms |xi1|, |xi2|.
 
     The ratio |xi2|/|xi1| is +inf on the xi1 = 0 lines (absorbed by the top
     index) and the origin is assigned to ell = 0 by convention.  The family
-    over ell in [-ell_max, ell_max] sums to 1 exactly by telescoping.
+    over ell in [-ell_max, ell_max] sums to 1 exactly by telescoping.  Scalar
+    norms give a float.
     """
     if ell_max < 1:
         raise ValueError(f"ell_max must be >= 1, got {ell_max}")
@@ -103,7 +87,17 @@ def _delta_from_norms(r1, r2, ell: int, ell_max: int):
     else:
         def profile(t):
             return varphi(t * 2.0 ** (-ell)) - varphi(t * 2.0 ** (-ell + 1))
-    return _on_cone_ratio(r1, r2, profile, 1.0 if ell == 0 else 0.0)
+    scalar = np.ndim(r1) == 0 and np.ndim(r2) == 0
+    r1 = np.atleast_1d(np.asarray(r1, dtype=float))
+    r2 = np.atleast_1d(np.asarray(r2, dtype=float))
+    r1, r2 = np.broadcast_arrays(r1, r2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = r2 / r1
+    both_zero = (r1 == 0.0) & (r2 == 0.0)
+    # any finite placeholder; overwritten below
+    safe = np.where(both_zero, 1.0, ratio)
+    out = np.where(both_zero, 1.0 if ell == 0 else 0.0, profile(safe))
+    return float(out[0]) if scalar else out
 
 
 def delta_ell(xi1, xi2, ell: int, ell_max: int):
@@ -113,14 +107,6 @@ def delta_ell(xi1, xi2, ell: int, ell_max: int):
     r1 = np.sqrt(np.sum(xi1 ** 2, axis=-1))
     r2 = np.sqrt(np.sum(xi2 ** 2, axis=-1))
     return _delta_from_norms(r1, r2, ell, ell_max)
-
-
-def _cone_sharp_sum(r1, r2, j: int, ell_max: int):
-    """Closed form of sum_{ell=-ell_max}^{j} delta_ell via telescoping."""
-    if j >= ell_max:
-        return np.ones(np.broadcast(np.asarray(r1), np.asarray(r2)).shape)
-    return _on_cone_ratio(r1, r2, lambda t: varphi(t * 2.0 ** (-j)),
-                          1.0 if j >= 0 else 0.0)
 
 
 def default_ell_max(points_per_axis: int) -> int:
@@ -158,8 +144,9 @@ class DecompositionIndex:
 
     ``j`` is the dyadic scale (a scalar, or a per-factor pair for product
     annuli), ``ell`` the cone index, ``ell_max`` the cone truncation, and
-    ``r`` the low/high split scale (also the annulus dilation in cone pieces).
-    Only the fields a given kind needs have to be present.
+    ``r`` the split scale of the high-frequency part.  Each derived kind
+    takes exactly the fields it reads; ``j``, ``ell`` and ``ell_max`` are
+    integers.
     """
 
     j: object = None
@@ -172,9 +159,12 @@ class DecompositionIndex:
             js = self.j if isinstance(self.j, tuple) else (self.j,)
             if any(int(v) != v or v < 0 for v in js):
                 raise ValueError(f"j must be nonnegative integer(s), got {self.j}")
-        if self.ell_max is not None and self.ell_max < 1:
-            raise ValueError(f"ell_max must be >= 1, got {self.ell_max}")
+        if self.ell_max is not None and (int(self.ell_max) != self.ell_max
+                                         or self.ell_max < 1):
+            raise ValueError(f"ell_max must be an integer >= 1, got {self.ell_max}")
         if self.ell is not None:
+            if int(self.ell) != self.ell:
+                raise ValueError(f"ell must be an integer, got {self.ell}")
             if self.ell_max is None:
                 raise ValueError("ell requires ell_max")
             if abs(self.ell) > self.ell_max:
@@ -183,10 +173,14 @@ class DecompositionIndex:
             raise ValueError(f"split scale must be positive, got {self.r}")
 
 
-def _need(index: DecompositionIndex, kind: str, *fields):
-    for f in fields:
-        if getattr(index, f) is None:
+def _check_fields(index: DecompositionIndex, kind: str):
+    """Raise ValueError unless ``index`` sets exactly the fields ``kind`` reads."""
+    reads = _KIND_FIELDS[kind]
+    for f in (fld.name for fld in fields(index)):
+        if f in reads and getattr(index, f) is None:
             raise ValueError(f"derived kind '{kind}' requires index field '{f}'")
+        if f not in reads and getattr(index, f) is not None:
+            raise ValueError(f"derived kind '{kind}' does not read index field '{f}'")
 
 
 def _cut_symbol(sigma: SymbolDescriptor, cut, tag: str) -> SymbolDescriptor:
@@ -206,12 +200,8 @@ def derived_symbol(sigma: SymbolDescriptor, index: DecompositionIndex, kind: str
     Kinds
     -----
     annulus_j : sigma * phi_j(xi); a pair j = (j1, j2) uses per-factor annuli.
-    cone_lj   : sigma * phi_j(r xi) * delta_ell(xi), r defaulting to 1.
-    flat_j    : the cone pieces with ell > j summed (closed form).
-    sharp_j   : the cone pieces with ell <= j summed; sharp + flat equals the
-                dilated annulus piece exactly (disjoint split convention).
-    low_r     : sigma * varphi(r |xi|).
-    high_r    : sigma minus its low part.
+    cone_lj   : sigma * phi_j(xi) * delta_ell(xi).
+    high_r    : sigma * (1 - varphi(r |xi|)).
     theta     : the symbol of the commutator [lambda, T_sigma] for a
                 band-limited mollifier lambda:
                 theta(x, xi) = sum_eta beta_eta (sigma(x, xi) - sigma(x, xi + eta))
@@ -221,12 +211,13 @@ def derived_symbol(sigma: SymbolDescriptor, index: DecompositionIndex, kind: str
                 frequency seen by the symbol up by eta, which the difference
                 must mirror for the operator identity to be exact.
     """
-    if kind not in DERIVED_KINDS:
-        raise ValueError(f"unknown derived kind '{kind}'; expected one of {DERIVED_KINDS}")
+    if kind not in _KIND_FIELDS:
+        raise ValueError(f"unknown derived kind '{kind}'; "
+                         f"expected one of {tuple(_KIND_FIELDS)}")
+    _check_fields(index, kind)
     n1 = sigma.n1
 
     if kind == "annulus_j":
-        _need(index, kind, "j")
         j = index.j
         if isinstance(j, tuple):
             if len(j) != 2:
@@ -245,34 +236,22 @@ def derived_symbol(sigma: SymbolDescriptor, index: DecompositionIndex, kind: str
             tag = f"annulus[{jj}]"
         return _cut_symbol(sigma, cut, tag)
 
-    if kind in ("cone_lj", "flat_j", "sharp_j"):
-        _need(index, kind, "j", "ell_max", *(("ell",) if kind == "cone_lj" else ()))
+    if kind == "cone_lj":
         jj, ell, em = int(index.j), index.ell, index.ell_max
-        scale = 1.0 if index.r is None else float(index.r)
 
-        def cut(xi, _j=jj, _l=ell, _m=em, _s=scale, _k=kind):
+        def cut(xi, _j=jj, _l=ell, _m=em):
             xi = np.asarray(xi, dtype=float)
-            full = np.sqrt(np.sum(xi ** 2, axis=-1))
             r1, r2 = block_norms(xi, n1)
-            if _k == "cone_lj":
-                cone = _delta_from_norms(r1, r2, _l, _m)
-            else:
-                s = _cone_sharp_sum(r1, r2, _j, _m)
-                cone = s if _k == "sharp_j" else 1.0 - s
-            return phi_j_radial(_s * full, _j) * cone
-        tag = f"cone[{jj},{ell}]" if kind == "cone_lj" else f"{kind[:-2]}[{jj}]"
-        return _cut_symbol(sigma, cut, tag)
+            return phi_j(xi, _j) * _delta_from_norms(r1, r2, _l, _m)
+        return _cut_symbol(sigma, cut, f"cone[{jj},{ell}]")
 
-    if kind in ("low_r", "high_r"):
-        _need(index, kind, "r")
+    if kind == "high_r":
         scale = float(index.r)
-        low = kind == "low_r"
 
-        def cut(xi, _s=scale, _low=low):
+        def cut(xi, _s=scale):
             xi = np.asarray(xi, dtype=float)
-            w = varphi(_s * np.sqrt(np.sum(xi ** 2, axis=-1)))
-            return w if _low else 1.0 - w
-        return _cut_symbol(sigma, cut, f"{'low' if low else 'high'}[{scale:g}]")
+            return 1.0 - varphi(_s * np.sqrt(np.sum(xi ** 2, axis=-1)))
+        return _cut_symbol(sigma, cut, f"high[{scale:g}]")
 
     # theta
     if mollifier is None:

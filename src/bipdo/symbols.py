@@ -127,16 +127,6 @@ def transform_symbol(sym: SymbolDescriptor, evaluator, term,
                        delta=sym.delta, separable_terms=terms, name=name)
 
 
-def scale_symbol(sym: SymbolDescriptor, c: complex) -> SymbolDescriptor:
-    """Scalar multiple c * sigma with separable structure kept."""
-    def evaluator(x, xi, _e=sym.evaluator, _c=c):
-        return _c * np.asarray(_e(x, xi))
-
-    def term(a, b):
-        return [(lambda x, _a=a, _c=c: _c * np.asarray(_a(x)), b)]
-    return transform_symbol(sym, evaluator, term, f"{abs(c):g}*{sym.name}")
-
-
 def block_norms(xi, n1: int):
     """The block norms |xi_1|, |xi_2| of frequencies (last axis = components)."""
     xi = np.asarray(xi, dtype=float)
@@ -195,12 +185,11 @@ def _param_list(key: str, value, kind, length: int) -> tuple:
 
 
 BUILTIN_PARAMS = {
-    "constant": {"c": 1.0, "rho": 1.0, "delta": 0.0},
+    "constant": {"c": 1.0},
     "multiplier_bessel": {"m": -1.0},
-    "separable": {"terms": None, "rho": 1.0, "delta": 0.0},
-    "oscillatory_exotic": {"m": 0.0, "rho": 0.5, "a": None,
-                           "xmod": DEFAULT_MOD_DEPTH, "mod_freq": DEFAULT_MOD_FREQ},
-    "riemann_singularity": {"m": 0.0},
+    "separable": {"terms": None},
+    "oscillatory_exotic": {"m": 0.0, "rho": 0.5, "xmod": DEFAULT_MOD_DEPTH,
+                           "mod_freq": DEFAULT_MOD_FREQ},
     "modulated_bessel": {"m": -1.0, "strength": 0.3, "mod_freq": 1},
 }
 
@@ -210,20 +199,19 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
 
     Families
     --------
-    constant            sigma = c.
+    constant            sigma = c; order 0, rho 1, delta 0.
     multiplier_bessel   sigma(xi) = (1+|xi|^2)^(m/2); order m, rho 1, delta 0.
     separable           sum of amp*cos(2 pi f.x + phase) * <xi_1>^t1 <xi_2>^t2
-                        terms; declared bi-parameter order (max t1, max t2).
+                        terms; declared bi-parameter order (max t1, max t2),
+                        rho 1, delta 0.
     oscillatory_exotic  (1 + xmod*mu(x)) * chi(|xi|) e^{i(<xi_1>^a + <xi_2>^a)}
-                        (1+|xi|^2)^(m/2) with a = 1-rho by default and chi a
-                        smooth cutoff vanishing for |xi| <= 1; the canonical
+                        (1+|xi|^2)^(m/2) with a = 1-rho and chi a smooth
+                        cutoff vanishing for |xi| <= 1; the canonical
                         order-m member of the product class at given rho with
                         delta = 0.  mu is a unit-period cosine in each axis
                         (frequency mod_freq), so the symbol is genuinely
                         x-dependent but stays band-limited in x; xmod = 0
                         recovers a pure multiplier.
-    riemann_singularity square-root phase e^{i(<xi_1>^(1/2)+<xi_2>^(1/2))}
-                        (1+|xi|^2)^(m/2): the rho = 1/2 sharpness family.
     modulated_bessel    (1 + strength*mu(x)) (1+|xi|^2)^(m/2): mildly
                         x-modulated multiplier of order m, rho 1, delta 0.
 
@@ -259,9 +247,8 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
 
         terms = (((lambda x, _c=c: np.full(np.asarray(x).shape[:-1], _c)),
                   (lambda xi: np.ones(np.asarray(xi).shape[:-1]))),)
-        return make_symbol(evaluator, n1, n2, order=0.0, rho=num("rho"),
-                           delta=num("delta"), separable_terms=terms,
-                           name=f"constant[{c:g}]")
+        return make_symbol(evaluator, n1, n2, order=0.0, rho=1.0, delta=0.0,
+                           separable_terms=terms, name=f"constant[{c:g}]")
 
     if name == "multiplier_bessel":
         m = num("m")
@@ -311,14 +298,14 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
                       for amp, xf, ph, t1, t2 in spec_terms)
         m_pair = (max(t[3] for t in spec_terms), max(t[4] for t in spec_terms))
         return make_symbol(_terms_evaluator(terms), n1, n2, order=m_pair,
-                           rho=num("rho"), delta=num("delta"),
-                           separable_terms=terms, name=f"separable[{len(terms)}]")
+                           rho=1.0, delta=0.0, separable_terms=terms,
+                           name=f"separable[{len(terms)}]")
 
     if name == "oscillatory_exotic":
         from .decompose import varphi
         m = num("m")
         rho = num("rho")
-        a = 1.0 - rho if p["a"] is None else num("a")
+        a = 1.0 - rho
         xmod = num("xmod")
         freq = num("mod_freq", int)
         mu = _axis_cos_modulation(n, freq)
@@ -340,23 +327,6 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
         return make_symbol(evaluator, n1, n2, order=m, rho=rho, delta=0.0,
                            separable_terms=terms,
                            name=f"exotic[m={m:g},rho={rho:g}]")
-
-    if name == "riemann_singularity":
-        m = num("m")
-
-        def b_part(xi, _m=m, _n1=n1):
-            xi = np.asarray(xi, dtype=float)
-            g1, g2 = _block_gauss_norms(xi, _n1)
-            return np.exp(1j * (g1 ** 0.25 + g2 ** 0.25)) * _bessel_value(xi, _m)
-
-        def evaluator(x, xi, _b=b_part):
-            val = _b(xi)
-            shape = np.broadcast(np.asarray(x)[..., 0], val).shape
-            return np.broadcast_to(val, shape)
-
-        terms = (((lambda x: np.ones(np.asarray(x).shape[:-1])), b_part),)
-        return make_symbol(evaluator, n1, n2, order=m, rho=0.5, delta=0.0,
-                           separable_terms=terms, name=f"riemann[m={m:g}]")
 
     # modulated_bessel
     m = num("m")

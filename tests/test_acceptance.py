@@ -248,9 +248,9 @@ def test_c7_uniform_l2_bound(capsys):
 def test_c8_bmo_ratio_stability(capsys):
     t0 = time.time()
     plain = bmo_experiment(builtin("multiplier_bessel", {"m": -0.5}),
-                           None, [16, 32, 64])
+                           [16, 32, 64])
     modulated = bmo_experiment(builtin("modulated_bessel", {"m": -0.5}),
-                               None, [16, 32, 64])
+                               [16, 32, 64])
     elapsed = time.time() - t0
     ok = (plain.variation() <= 0.20 and modulated.variation() <= 0.20
           and elapsed <= 600.0)

@@ -1,5 +1,7 @@
 """Cutoff profiles, partitions, derived symbols, and the mollifier."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -204,60 +206,50 @@ def test_annulus_reassembly():
 
 
 def test_low_high_split_is_exact():
+    # the high part is sigma minus its low part sigma * varphi(r |xi|)
     sig = bp.builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5})
     rng = np.random.default_rng(5)
     x = rng.uniform(0.0, 1.0, (50, 2))
     xi = rng.uniform(-40.0, 40.0, (50, 2))
-    lo = derived_symbol(sig, DecompositionIndex(r=0.25), "low_r")
     hi = derived_symbol(sig, DecompositionIndex(r=0.25), "high_r")
-    s = lo.evaluator(x, xi) + hi.evaluator(x, xi)
-    ref = sig.evaluator(x, xi)
-    assert np.abs(s - ref).max() <= 1e-15 + 1e-14 * np.abs(ref).max()
+    ref = sig.evaluator(x, xi) * (1.0 - varphi(0.25 * np.linalg.norm(xi, axis=-1)))
+    assert np.abs(hi.evaluator(x, xi) - ref).max() <= 1e-15 + 1e-14 * np.abs(ref).max()
 
 
 def test_cone_piece_is_product_of_cutoffs():
     sig = bp.builtin("multiplier_bessel", {"m": -0.5})
-    j, ell, lm, r = 3, 1, 5, 0.5
-    piece = derived_symbol(
-        sig, DecompositionIndex(j=j, ell=ell, ell_max=lm, r=r), "cone_lj")
+    j, ell, lm = 3, 1, 5
     rng = np.random.default_rng(6)
     x = rng.uniform(0.0, 1.0, (40, 2))
     xi = rng.uniform(-30.0, 30.0, (40, 2))
-    manual = (sig.evaluator(x, xi) * phi_j(r * xi, j)
-              * delta_ell(xi[:, :1], xi[:, 1:], ell, lm).ravel())
-    got = piece.evaluator(x, xi)
-    assert np.abs(got - manual).max() <= 1e-15
-
-
-def test_sharp_flat_partition_annulus():
-    sig = bp.builtin("multiplier_bessel", {"m": -0.5})
-    j, lm = 3, 5
-    rng = np.random.default_rng(7)
-    x = rng.uniform(0.0, 1.0, (40, 2))
-    xi = rng.uniform(-25.0, 25.0, (40, 2))
-    ann = derived_symbol(sig, DecompositionIndex(j=j, ell_max=lm), "annulus_j")
-    sharp = derived_symbol(sig, DecompositionIndex(j=j, ell_max=lm), "sharp_j")
-    flat = derived_symbol(sig, DecompositionIndex(j=j, ell_max=lm), "flat_j")
-    a = ann.evaluator(x, xi)
-    s = sharp.evaluator(x, xi)
-    f = flat.evaluator(x, xi)
-    assert np.abs(s + f - a).max() <= 1e-14
-    # sharp carries the cone pieces with ell <= j, flat those with ell > j
     cone = lambda l: derived_symbol(
-        sig, DecompositionIndex(j=j, ell=l, ell_max=lm, r=1.0),
-        "cone_lj").evaluator(x, xi)
-    low = sum(cone(l) for l in range(-lm, j + 1))
-    high = sum(cone(l) for l in range(j + 1, lm + 1))
-    assert np.abs(s - low).max() <= 1e-13
-    assert np.abs(f - high).max() <= 1e-13
+        sig, DecompositionIndex(j=j, ell=l, ell_max=lm), "cone_lj").evaluator(x, xi)
+    manual = (sig.evaluator(x, xi) * phi_j(xi, j)
+              * delta_ell(xi[:, :1], xi[:, 1:], ell, lm).ravel())
+    assert np.abs(cone(ell) - manual).max() <= 1e-15
+    # the cone pieces of an annulus piece sum back to it
+    ann = derived_symbol(sig, DecompositionIndex(j=j), "annulus_j").evaluator(x, xi)
+    total = sum(cone(l) for l in range(-lm, lm + 1))
+    assert np.abs(total - ann).max() <= 1e-14
 
 
 def test_derived_symbol_rejects_mismatch():
     sig = bp.builtin("constant", {"c": 1.0})
-    with pytest.raises(ValueError):
-        derived_symbol(sig, DecompositionIndex(), "annulus_j")   # missing j
-    with pytest.raises(ValueError):
-        derived_symbol(sig, DecompositionIndex(j=1), "no_such_kind")
+    for fields, kind, needle in [
+            ({}, "annulus_j", "requires index field 'j'"),
+            ({"j": 1}, "no_such_kind", "unknown derived kind 'no_such_kind'"),
+            ({"j": 1, "ell_max": 3}, "flat_j", "unknown derived kind 'flat_j'"),
+            ({"j": 3, "ell": 1, "ell_max": 5, "r": 0.5}, "cone_lj",
+             "does not read index field 'r'"),
+            ({"j": 3, "ell_max": 5}, "annulus_j", "does not read index field 'ell_max'"),
+            ({"j": 3, "r": 0.5}, "high_r", "does not read index field 'j'"),
+            ({"r": 0.5}, "theta", "does not read index field 'r'"),
+            ({"j": 2.5}, "annulus_j", "j must be nonnegative integer"),
+            ({"j": 2, "ell": 1.5, "ell_max": 3}, "cone_lj", "ell must be an integer"),
+            ({"j": 2, "ell": 1, "ell_max": 2.5}, "cone_lj",
+             "ell_max must be an integer")]:
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            derived_symbol(sig, DecompositionIndex(**fields), kind)
 
 
 # ---------------------------------------------------------------------------

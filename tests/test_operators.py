@@ -11,7 +11,7 @@ import bipdo as bp
 from bipdo import (DecompositionIndex, DyadicCube, SampledField, adjoint_apply,
                    apply, apply_at, builtin, derived_symbol, dft_forward,
                    dilate_symbol, kernel_l1, kernel_slice, lp_norm, make_grid,
-                   make_symbol, mollifier_lambda, quantize, scale_symbol)
+                   make_symbol, mollifier_lambda, quantize)
 
 
 def literal_sum(symbol, grid, f, xs):
@@ -148,18 +148,12 @@ _DERIVATIONS = {
     "annulus-pair": lambda s, g: derived_symbol(s, DecompositionIndex(j=(1, 2)),
                                                 "annulus_j"),
     "cone": lambda s, g: derived_symbol(
-        s, DecompositionIndex(j=3, ell=-1, ell_max=3, r=0.5), "cone_lj"),
-    "flat": lambda s, g: derived_symbol(s, DecompositionIndex(j=2, ell_max=3),
-                                        "flat_j"),
-    "sharp": lambda s, g: derived_symbol(s, DecompositionIndex(j=2, ell_max=3),
-                                         "sharp_j"),
-    "low": lambda s, g: derived_symbol(s, DecompositionIndex(r=0.2), "low_r"),
+        s, DecompositionIndex(j=3, ell=-1, ell_max=3), "cone_lj"),
     "high": lambda s, g: derived_symbol(s, DecompositionIndex(r=0.2), "high_r"),
     "theta": lambda s, g: derived_symbol(
         s, DecompositionIndex(), "theta",
         mollifier=mollifier_lambda(g, DyadicCube((4, 4), 4), 0.5)),
     "dilate": lambda s, g: dilate_symbol(s, [2.0, 0.5]),
-    "scale": lambda s, g: scale_symbol(s, -2.5j),
 }
 
 
@@ -323,7 +317,6 @@ _KERNEL_SYMBOLS = {
                              "orders": [-0.5, 0.25]},
                             {"amp": 0.5, "xfreq": [0, 2]}]},
     "oscillatory_exotic": {"m": 0.0, "rho": 0.5, "xmod": 0.75},
-    "riemann_singularity": {"m": -0.5},
     "modulated_bessel": {"m": -0.5},
 }
 _KERNEL_PIECES = {
@@ -345,7 +338,7 @@ def test_kernel_slice_tables_match_dense_oracle(name, piece):
     sym = _KERNEL_PIECES[piece](builtin(name, _KERNEL_SYMBOLS[name]), grid)
     T, oracle = quantize(sym, grid), quantize(sym, grid, "dense")
     assert T.path == "separable"
-    exact = name in ("multiplier_bessel", "riemann_singularity") and piece != "theta"
+    exact = name == "multiplier_bessel" and piece != "theta"
     for x in ([0.0, 0.0], [0.25, 0.5625], [0.3, 0.71], [1.37, -0.13]):
         got = kernel_slice(T, x).values
         want = kernel_slice(oracle, x).values
@@ -359,7 +352,7 @@ def test_kernel_l1_matches_direct_sum():
     grid = make_grid(1, 1, 16, 1.0)
     sym = builtin("multiplier_bessel", {"m": -0.5})
     piece = derived_symbol(
-        sym, DecompositionIndex(j=2, ell=1, ell_max=4, r=1.0), "cone_lj")
+        sym, DecompositionIndex(j=2, ell=1, ell_max=4), "cone_lj")
     x0 = np.array([0.3, 0.45])
     val = kernel_l1(quantize(piece, grid), x0)
     fr = grid.freqs()
@@ -373,10 +366,12 @@ def test_kernel_l1_matches_direct_sum():
 def test_kernel_l1_homogeneous():
     grid = make_grid(1, 1, 16, 1.0)
     sym = builtin("multiplier_bessel", {"m": -0.5})
-    from bipdo.symbols import scale_symbol
+    (a, b), = sym.separable_terms
+    scaled = make_symbol(lambda x, xi: -3.0j * sym.evaluator(x, xi), 1, 1,
+                         separable_terms=[(lambda x: -3.0j * a(x), b)])
     base = kernel_l1(quantize(sym, grid), np.zeros(2))
-    scaled = kernel_l1(quantize(scale_symbol(sym, -3.0j), grid), np.zeros(2))
-    assert scaled == pytest.approx(3.0 * base, rel=1e-12)
+    assert kernel_l1(quantize(scaled, grid), np.zeros(2)) == pytest.approx(
+        3.0 * base, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from bipdo import builtin, make_symbol
+from bipdo import builtin, make_symbol, varphi
 from bipdo.symbols import BUILTIN_PARAMS
 
 
@@ -40,10 +40,16 @@ def test_make_symbol_rejects_bad_parameters():
 
 
 def test_builtin_unknown_names_and_params():
-    with pytest.raises(ValueError):
-        builtin("no_such_family", {})
-    with pytest.raises(ValueError):
-        builtin("multiplier_bessel", {"bogus": 1})
+    # unknown families and parameters are named in the error
+    for name, params, key in [
+            ("no_such_family", {}, "no_such_family"),
+            ("riemann_singularity", {}, "riemann_singularity"),
+            ("multiplier_bessel", {"bogus": 1}, "bogus"),
+            ("oscillatory_exotic", {"a": 0.5}, "a"),
+            ("constant", {"rho": 0.5}, "rho"),
+            ("separable", {"terms": [{}], "delta": 0.0}, "delta")]:
+        with pytest.raises(ValueError, match=re.escape(f"'{key}'")):
+            builtin(name, params)
     with pytest.raises(ValueError):
         builtin("separable", {"terms": []})
     with pytest.raises(ValueError, match="nonempty 'terms' list"):
@@ -58,7 +64,6 @@ def test_builtin_unknown_names_and_params():
             ("modulated_bessel", {"mod_freq": 2.5}, "mod_freq"),
             ("multiplier_bessel", {"m": True}, "m"),
             ("oscillatory_exotic", {"xmod": float("-inf")}, "xmod"),
-            ("oscillatory_exotic", {"a": "0.5"}, "a"),
             ("constant", {"c": complex(1.0, float("inf"))}, "c"),
             ("separable", {"terms": [{"xfreq": [1, 0.5]}]}, "terms[0].xfreq"),
             ("separable", {"terms": [{"orders": [0.0, float("nan")]}]},
@@ -89,11 +94,18 @@ def test_builtin_bessel_closed_form():
 
 
 def test_builtin_exotic_phase_exponent_param():
-    default = builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5})
-    explicit = builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5, "a": 0.5})
+    # the phase exponent is a = 1 - rho, so the declared rho is the true one
     rng = np.random.default_rng(2)
     x, xi = rng.uniform(0, 1, (15, 2)), rng.uniform(-50, 50, (15, 2))
-    assert np.abs(default.evaluator(x, xi) - explicit.evaluator(x, xi)).max() == 0.0
+    g1, g2 = 1.0 + xi[:, 0] ** 2, 1.0 + xi[:, 1] ** 2
+    r = np.linalg.norm(xi, axis=-1)
+    for rho in (0.25, 0.5, 1.0):
+        sig = builtin("oscillatory_exotic", {"m": -0.5, "rho": rho, "xmod": 0.0})
+        a = 1.0 - rho
+        ref = ((1.0 - varphi(r)) * (1.0 + r * r) ** -0.25
+               * np.exp(1j * (g1 ** (a / 2) + g2 ** (a / 2))))
+        assert np.abs(sig.evaluator(x, xi) - ref).max() <= 1e-14
+        assert sig.rho == rho and sig.delta == 0.0 and sig.order == -0.5
 
 
 def test_modulated_bessel_is_x_dependent():
@@ -111,7 +123,6 @@ BUILTIN_CASES = [
                               "orders": [-0.5, -0.25]}]}),
     ("oscillatory_exotic", {"m": 0.0, "rho": 0.5, "xmod": 0.75}),
     ("oscillatory_exotic", {"m": 0.0, "rho": 0.5, "xmod": 0.0}),
-    ("riemann_singularity", {}),
     ("modulated_bessel", {}),
 ]
 

@@ -157,13 +157,13 @@ class DecompositionIndex:
     def __post_init__(self):
         if self.j is not None:
             js = self.j if isinstance(self.j, tuple) else (self.j,)
-            if any(int(v) != v or v < 0 for v in js):
+            if any(not float(v).is_integer() or v < 0 for v in js):
                 raise ValueError(f"j must be nonnegative integer(s), got {self.j}")
-        if self.ell_max is not None and (int(self.ell_max) != self.ell_max
+        if self.ell_max is not None and (not float(self.ell_max).is_integer()
                                          or self.ell_max < 1):
             raise ValueError(f"ell_max must be an integer >= 1, got {self.ell_max}")
         if self.ell is not None:
-            if int(self.ell) != self.ell:
+            if not float(self.ell).is_integer():
                 raise ValueError(f"ell must be an integer, got {self.ell}")
             if self.ell_max is None:
                 raise ValueError("ell requires ell_max")

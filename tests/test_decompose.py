@@ -247,7 +247,14 @@ def test_derived_symbol_rejects_mismatch():
             ({"j": 2.5}, "annulus_j", "j must be nonnegative integer"),
             ({"j": 2, "ell": 1.5, "ell_max": 3}, "cone_lj", "ell must be an integer"),
             ({"j": 2, "ell": 1, "ell_max": 2.5}, "cone_lj",
-             "ell_max must be an integer")]:
+             "ell_max must be an integer"),
+            ({"j": float("inf")}, "annulus_j", "j must be nonnegative integer"),
+            ({"j": 2, "ell": float("inf"), "ell_max": 3}, "cone_lj",
+             "ell must be an integer"),
+            ({"j": 2, "ell": 1, "ell_max": float("inf")}, "cone_lj",
+             "ell_max must be an integer"),
+            ({"j": 2, "ell": float("nan"), "ell_max": 3}, "cone_lj",
+             "ell must be an integer")]:
         with pytest.raises(ValueError, match=re.escape(needle)):
             derived_symbol(sig, DecompositionIndex(**fields), kind)
 

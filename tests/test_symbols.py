@@ -64,6 +64,7 @@ def test_builtin_unknown_names_and_params():
             ("modulated_bessel", {"mod_freq": 2.5}, "mod_freq"),
             ("multiplier_bessel", {"m": True}, "m"),
             ("oscillatory_exotic", {"xmod": float("-inf")}, "xmod"),
+            ("oscillatory_exotic", {"m": "0.5"}, "m"),
             ("constant", {"c": complex(1.0, float("inf"))}, "c"),
             ("separable", {"terms": [{"xfreq": [1, 0.5]}]}, "terms[0].xfreq"),
             ("separable", {"terms": [{"orders": [0.0, float("nan")]}]},

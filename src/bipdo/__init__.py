@@ -13,10 +13,10 @@ from .grid import (GridSpec, SampledField, DyadicCube, make_grid,
                    read_field, write_field)
 from .decompose import (DecompositionIndex, Mollifier, smooth_step, varphi,
                         phi_j, delta_ell, cube_partition, default_ell_max,
-                        derived_symbol, mollifier_lambda)
+                        derived_symbol, mollifier_lambda, theta_symbol)
 from .symbols import SymbolDescriptor, make_symbol, builtin, BUILTIN_PARAMS
 from .operators import (QuantizedOperator, quantize, apply, apply_at,
-                        adjoint_apply, kernel_slice, kernel_l1, dilate_symbol)
+                        adjoint_apply, kernel_slice, kernel_l1)
 from .analysis import (LinearFieldMap, OpNormEstimate, OrthoMatrix,
                        KernelDecayReport, BoundednessReport, SharpnessTable,
                        compose, adjoint_of, l2_opnorm, fit_line,

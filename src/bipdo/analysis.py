@@ -29,7 +29,7 @@ import numpy as np
 from .grid import (GridSpec, SampledField, bmo_norm, linf_norm, lp_exponent,
                    lp_norm, make_grid)
 from .decompose import (DecompositionIndex, default_ell_max, derived_symbol,
-                        mollifier_lambda, varphi)
+                        mollifier_lambda, theta_symbol, varphi)
 from .symbols import SymbolDescriptor, block_norms, builtin
 from .operators import adjoint_apply, apply, kernel_l1, quantize
 
@@ -708,7 +708,7 @@ def commutator_check(sigma: SymbolDescriptor, Q, rho: float, f_battery) -> float
     N = grid.points_per_axis
     r_side = Q.side * grid.period / N
     sigma1 = derived_symbol(sigma, DecompositionIndex(r=r_side), "high_r")
-    theta = derived_symbol(sigma1, DecompositionIndex(), "theta", mollifier=lam)
+    theta = theta_symbol(sigma1, lam)
     check_battery_spectrum(lam, f_battery)
 
     T1 = quantize(sigma1, grid)

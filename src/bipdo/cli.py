@@ -2,9 +2,11 @@
 
 Config files are flat ``key = JSON`` lines (``#`` comments, blank lines ok).
 Keys are strictly validated: unknown or duplicate keys, and keys the chosen
-experiment does not read, abort with exit code 2 and a line-numbered message.
-Physical parameters (grid, ranges) have no defaults; only tolerances, seeds,
-and the output directory do.
+experiment does not read, abort with exit code 2 and a line-numbered message;
+so does a missing key the experiment requires.  ``_EXPERIMENTS`` declares each
+experiment's runner, required keys and optional keys.  Physical parameters
+(grid, ranges) have no defaults; only tolerances, seeds, and the output
+directory do.
 
 Exit codes: 0 success, 1 experiment failure (FAIL verdict, degenerate fit,
 non-convergence), 2 configuration or usage error.
@@ -24,7 +26,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,27 +53,9 @@ def _checked(what: str):
         raise ConfigError(f"invalid {what}: {exc}") from None
 
 
-@dataclass
-class RunConfig:
-    """Parsed, validated key-value configuration of one run."""
-
-    values: dict
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
-    def require(self, *keys):
-        missing = [k for k in keys if k not in self.values]
-        if missing:
-            raise ConfigError(
-                f"experiment '{self.values.get('experiment')}' requires "
-                f"keys: {', '.join(missing)}")
-
-    def to_dict(self) -> dict:
-        return dict(self.values)
-
-
-def parse_config(path: str) -> RunConfig:
+def parse_config(path: str) -> dict:
+    """The key -> value map of a config file, holding every key its
+    experiment requires and no key it does not read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -105,36 +88,30 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(
             f"{path}: unknown experiment '{name}' "
             f"(known: {', '.join(_EXPERIMENTS)})")
-    readable = _COMMON_KEYS | _EXPERIMENTS[name][1]
+    _, required, optional = _EXPERIMENTS[name]
     for key in values:
-        if key not in readable:
+        if key not in _COMMON_KEYS + required + optional:
             raise ConfigError(f"{path}:{linenos[key]}: experiment '{name}' "
                               f"does not read key '{key}'")
-    return RunConfig(values)
+    missing = [k for k in required if k not in values]
+    if missing:
+        raise ConfigError(
+            f"experiment '{name}' requires keys: {', '.join(missing)}")
+    return values
 
 
-def _jdefault(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def _write_report(outdir: str, name: str, config: RunConfig, seed,
+def _write_report(outdir: str, name: str, config: dict, seed,
                   report: dict, rows, header) -> None:
     os.makedirs(outdir, exist_ok=True)
     payload = {
         "build": __version__,
-        "config": config.to_dict(),
+        "config": config,
         "seed": seed,
         "report": report,
     }
     jpath = os.path.join(outdir, f"{name}.json")
     with open(jpath, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_jdefault)
+        json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
     cpath = os.path.join(outdir, f"{name}.csv")
     with open(cpath, "w", encoding="utf-8", newline="") as fh:
@@ -144,10 +121,8 @@ def _write_report(outdir: str, name: str, config: RunConfig, seed,
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def _build_symbol(cfg: RunConfig, n1: int, n2: int):
-    name = cfg.get("symbol")
-    if name is None:
-        raise ConfigError("missing required key 'symbol'")
+def _build_symbol(cfg: dict, n1: int, n2: int):
+    name = cfg["symbol"]
     with _checked(f"'symbol' {name!r} or its 'params'"):
         return builtin(name, cfg.get("params", {}), n1=n1, n2=n2)
 
@@ -163,11 +138,11 @@ def _number(key: str, value, kind):
     return kind(value)
 
 
-def _num(cfg: RunConfig, key: str, kind, default=None):
+def _num(cfg: dict, key: str, kind, default=None):
     return _number(key, cfg.get(key, default), kind)
 
 
-def _nums(cfg: RunConfig, key: str, kind, length: int | None = None) -> list:
+def _nums(cfg: dict, key: str, kind, length: int | None = None) -> list:
     """A config list of numbers, each read by ``_number``."""
     values = cfg.get(key)
     if not isinstance(values, list) or not values or (
@@ -185,7 +160,7 @@ def _increasing(key: str, values: list) -> list:
     return values
 
 
-def _grid_from_cfg(cfg: RunConfig):
+def _grid_from_cfg(cfg: dict):
     g = cfg.get("grid")
     if not (isinstance(g, list) and len(g) == 4):
         raise ConfigError("'grid' must be a JSON list [n1, n2, N, period]")
@@ -194,7 +169,7 @@ def _grid_from_cfg(cfg: RunConfig):
         return make_grid(n1, n2, N, _number("grid", g[3], float))
 
 
-def _sweep_from_cfg(cfg: RunConfig):
+def _sweep_from_cfg(cfg: dict):
     """(n1, n2, period, N_list) of a sweep over at least two strictly
     increasing, checked grids."""
     n1, n2 = _nums(cfg, "factors", int, length=2)
@@ -208,7 +183,7 @@ def _sweep_from_cfg(cfg: RunConfig):
     return n1, n2, period, Ns
 
 
-def _solver_settings(cfg: RunConfig):
+def _solver_settings(cfg: dict):
     """(tol, max_iter) of a run: tol finite and > 0, max_iter an integer >= 1."""
     tol = _num(cfg, "tol", float, 1e-8)
     max_iter = _num(cfg, "max_iter", int, 500)
@@ -219,8 +194,7 @@ def _solver_settings(cfg: RunConfig):
     return tol, max_iter
 
 
-def _run_ortho(cfg: RunConfig):
-    cfg.require("symbol", "grid", "j_range")
+def _run_ortho(cfg: dict, seed: int):
     grid = _grid_from_cfg(cfg)
     sym = _build_symbol(cfg, grid.n1, grid.n2)
     tol, max_iter = _solver_settings(cfg)
@@ -236,11 +210,9 @@ def _run_ortho(cfg: RunConfig):
     return report.to_dict(), rows, ["j", "k", "opnorm"], line, passed
 
 
-def _run_kernel_decay(cfg: RunConfig):
-    cfg.require("symbol", "grid", "j", "ell_range")
+def _run_kernel_decay(cfg: dict, seed: int):
     grid = _grid_from_cfg(cfg)
     sym = _build_symbol(cfg, grid.n1, grid.n2)
-    seed = _num(cfg, "seed", int, 2026)
     count = _num(cfg, "x_count", int, 5)
     if count < 1:
         raise ConfigError(f"'x_count' must be an integer >= 1, got {count}")
@@ -261,8 +233,7 @@ def _run_kernel_decay(cfg: RunConfig):
     return report.to_dict(), rows, ["ell", "kernel_l1"], line, passed
 
 
-def _run_l2_uniformity(cfg: RunConfig):
-    cfg.require("symbol", "factors", "period", "N_list")
+def _run_l2_uniformity(cfg: dict, seed: int):
     n1, n2, period, Ns = _sweep_from_cfg(cfg)
     sym = _build_symbol(cfg, n1, n2)
     tol, max_iter = _solver_settings(cfg)
@@ -273,29 +244,30 @@ def _run_l2_uniformity(cfg: RunConfig):
     return report.to_dict(), rows, ["N", "opnorm"], line, report.verdict == "PASS"
 
 
-def _run_bmo(cfg: RunConfig):
-    cfg.require("symbol", "factors", "period", "N_list")
+def _run_bmo(cfg: dict, seed: int):
     n1, n2, period, Ns = _sweep_from_cfg(cfg)
     sym = _build_symbol(cfg, n1, n2)
-    report = analysis.bmo_experiment(sym, Ns, period,
-                                     seed=_num(cfg, "seed", int, 2026))
+    report = analysis.bmo_experiment(sym, Ns, period, seed=seed)
     rows = list(zip(report.n_values, report.ratios))
     line = (f"bmo: ratios={[round(r, 6) for r in report.ratios]} "
             f"variation={report.variation():.4g} verdict={report.verdict}")
     return report.to_dict(), rows, ["N", "bmo_ratio"], line, report.verdict == "PASS"
 
 
-def _run_sharpness(cfg: RunConfig):
-    cfg.require("rho", "p_list", "m_grid", "N_list", "factors", "period")
+def _run_sharpness(cfg: dict, seed: int):
     n1, n2, period, Ns = _sweep_from_cfg(cfg)
     rho = _num(cfg, "rho", float)
     with _checked("'rho'"):
         builtin("oscillatory_exotic", {"rho": rho}, n1=n1, n2=n2)
     with _checked("'p_list'"):
-        ps = [lp_exponent(p) for p in _nums(cfg, "p_list", float)]
-    table = analysis.sharpness_scan(
-        rho, ps, _nums(cfg, "m_grid", float), Ns,
-        period, seed=_num(cfg, "seed", int, 2026), n1=n1, n2=n2)
+        ps = _increasing("p_list",
+                         [lp_exponent(p) for p in _nums(cfg, "p_list", float)])
+    ms = _increasing("m_grid", _nums(cfg, "m_grid", float))
+    with _checked("'m_grid'"):
+        for m in ms:
+            builtin("oscillatory_exotic", {"rho": rho, "m": m}, n1=n1, n2=n2)
+    table = analysis.sharpness_scan(rho, ps, ms, Ns, period, seed=seed,
+                                    n1=n1, n2=n2)
     rows = []
     for m in table.ms:
         for p in table.ps:
@@ -309,15 +281,13 @@ def _run_sharpness(cfg: RunConfig):
         line, monotone
 
 
-def _run_commutator(cfg: RunConfig):
-    cfg.require("symbol", "grid", "cube_anchor", "cube_side", "rho")
+def _run_commutator(cfg: dict, seed: int):
     grid = _grid_from_cfg(cfg)
     sym = _build_symbol(cfg, grid.n1, grid.n2)
     tol, _ = _solver_settings(cfg)
     rho = _num(cfg, "rho", float)
     kmax = _num(cfg, "battery_kmax", int, grid.points_per_axis // 4)
     count = _num(cfg, "battery_count", int, 8)
-    seed = _num(cfg, "seed", int, 2026)
     with _checked("'cube_anchor', 'cube_side', 'rho', 'battery_kmax' or "
                   "'battery_count'"):
         Q = DyadicCube(tuple(_nums(cfg, "cube_anchor", int)),
@@ -332,33 +302,33 @@ def _run_commutator(cfg: RunConfig):
     return report, [["max_relative_error", err]], ["quantity", "value"], line, passed
 
 
-# experiment -> (runner, the keys it reads besides _COMMON_KEYS)
+# experiment -> (runner, required keys, optional keys); every experiment also
+# reads _COMMON_KEYS, and no other key
 _EXPERIMENTS = {
-    "ortho": (_run_ortho, frozenset({
-        "symbol", "params", "grid", "j_range", "tol", "max_iter"})),
-    "kernel_decay": (_run_kernel_decay, frozenset({
-        "symbol", "params", "grid", "j", "ell_range", "ell_max", "x_count"})),
-    "l2_uniformity": (_run_l2_uniformity, frozenset({
-        "symbol", "params", "factors", "period", "N_list", "tol", "max_iter"})),
-    "bmo": (_run_bmo, frozenset({
-        "symbol", "params", "factors", "period", "N_list"})),
-    "sharpness": (_run_sharpness, frozenset({
-        "rho", "p_list", "m_grid", "N_list", "factors", "period"})),
-    "commutator": (_run_commutator, frozenset({
-        "symbol", "params", "grid", "cube_anchor", "cube_side", "rho",
-        "battery_kmax", "battery_count", "tol"})),
+    "ortho": (_run_ortho, ("symbol", "grid", "j_range"),
+              ("params", "tol", "max_iter")),
+    "kernel_decay": (_run_kernel_decay, ("symbol", "grid", "j", "ell_range"),
+                     ("params", "ell_max", "x_count")),
+    "l2_uniformity": (_run_l2_uniformity, ("symbol", "factors", "period", "N_list"),
+                      ("params", "tol", "max_iter")),
+    "bmo": (_run_bmo, ("symbol", "factors", "period", "N_list"), ("params",)),
+    "sharpness": (_run_sharpness,
+                  ("rho", "p_list", "m_grid", "N_list", "factors", "period"), ()),
+    "commutator": (_run_commutator,
+                   ("symbol", "grid", "cube_anchor", "cube_side", "rho"),
+                   ("params", "battery_kmax", "battery_count", "tol")),
 }
-_COMMON_KEYS = frozenset({"experiment", "seed", "outdir"})
-_KNOWN_KEYS = _COMMON_KEYS.union(*(keys for _, keys in _EXPERIMENTS.values()))
+_COMMON_KEYS = ("experiment", "seed", "outdir")
+_KNOWN_KEYS = frozenset(_COMMON_KEYS).union(
+    *(required + optional for _, required, optional in _EXPERIMENTS.values()))
 
 
 def cmd_run(args) -> int:
     cfg = parse_config(args.config)
-    name = cfg.get("experiment")
+    name = cfg["experiment"]
     seed = _num(cfg, "seed", int, 2026)
-    report, rows, header, line, passed = _EXPERIMENTS[name][0](cfg)
-    outdir = cfg.get("outdir", ".")
-    _write_report(outdir, name, cfg, seed, report, rows, header)
+    report, rows, header, line, passed = _EXPERIMENTS[name][0](cfg, seed)
+    _write_report(cfg.get("outdir", "."), name, cfg, seed, report, rows, header)
     print(line)
     return 0 if passed else 1
 

@@ -12,9 +12,9 @@ in the test suite assume this exact profile.
 The module provides dyadic annuli phi_j, cone cutoffs delta_ell on the ratio
 |xi2|/|xi1| (with tail-absorbing end indices so the family sums to 1 for every
 frequency, including the axes), a cube partition of unity, band-limited
-mollifiers that majorize 1 on a cube, and ``derived_symbol`` which composes a
-parent symbol with these cutoffs (annulus, cone, high-frequency part, and the
-multiplication-commutator symbol).
+mollifiers that majorize 1 on a cube, ``derived_symbol`` which composes a
+parent symbol with these cutoffs (annulus, cone, high-frequency part), and
+``theta_symbol``, the symbol of the commutator with a mollifier.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .symbols import SymbolDescriptor, block_norms, transform_symbol
 
 # the DecompositionIndex fields each derived kind reads; it reads no other
 _KIND_FIELDS = {"annulus_j": ("j",), "cone_lj": ("j", "ell", "ell_max"),
-                "high_r": ("r",), "theta": ()}
+                "high_r": ("r",)}
 
 
 def smooth_step(u):
@@ -193,8 +193,8 @@ def _cut_symbol(sigma: SymbolDescriptor, cut, tag: str) -> SymbolDescriptor:
     return transform_symbol(sigma, evaluator, term, f"{sigma.name}|{tag}")
 
 
-def derived_symbol(sigma: SymbolDescriptor, index: DecompositionIndex, kind: str,
-                   mollifier=None) -> SymbolDescriptor:
+def derived_symbol(sigma: SymbolDescriptor, index: DecompositionIndex,
+                   kind: str) -> SymbolDescriptor:
     """Compose a symbol with the decomposition cutoffs.
 
     Kinds
@@ -202,14 +202,6 @@ def derived_symbol(sigma: SymbolDescriptor, index: DecompositionIndex, kind: str
     annulus_j : sigma * phi_j(xi); a pair j = (j1, j2) uses per-factor annuli.
     cone_lj   : sigma * phi_j(xi) * delta_ell(xi).
     high_r    : sigma * (1 - varphi(r |xi|)).
-    theta     : the symbol of the commutator [lambda, T_sigma] for a
-                band-limited mollifier lambda:
-                theta(x, xi) = sum_eta beta_eta (sigma(x, xi) - sigma(x, xi + eta))
-                               * e^{2 pi i x.eta}
-                with beta_eta the Fourier coefficients of lambda.  The shift
-                enters as xi + eta: expanding lambda f in modes moves the
-                frequency seen by the symbol up by eta, which the difference
-                must mirror for the operator identity to be exact.
     """
     if kind not in _KIND_FIELDS:
         raise ValueError(f"unknown derived kind '{kind}'; "
@@ -245,26 +237,34 @@ def derived_symbol(sigma: SymbolDescriptor, index: DecompositionIndex, kind: str
             return phi_j(xi, _j) * _delta_from_norms(r1, r2, _l, _m)
         return _cut_symbol(sigma, cut, f"cone[{jj},{ell}]")
 
-    if kind == "high_r":
-        scale = float(index.r)
+    # high_r
+    scale = float(index.r)
 
-        def cut(xi, _s=scale):
-            xi = np.asarray(xi, dtype=float)
-            return 1.0 - varphi(_s * np.sqrt(np.sum(xi ** 2, axis=-1)))
-        return _cut_symbol(sigma, cut, f"high[{scale:g}]")
-
-    # theta
-    if mollifier is None:
-        raise ValueError("derived kind 'theta' requires a mollifier")
-    return _theta_symbol(sigma, mollifier)
+    def cut(xi, _s=scale):
+        xi = np.asarray(xi, dtype=float)
+        return 1.0 - varphi(_s * np.sqrt(np.sum(xi ** 2, axis=-1)))
+    return _cut_symbol(sigma, cut, f"high[{scale:g}]")
 
 
-def _theta_symbol(sigma: SymbolDescriptor, moll: "Mollifier") -> SymbolDescriptor:
-    etas = moll.mode_steps / moll.field.grid.period  # (K, n) physical frequencies
+def theta_symbol(sigma: SymbolDescriptor, mollifier: "Mollifier") -> SymbolDescriptor:
+    """The symbol of the commutator [lambda, T_sigma] for a band-limited
+    mollifier lambda:
+
+        theta(x, xi) = sum_eta beta_eta (sigma(x, xi) - sigma(x, xi + eta))
+                       * e^{2 pi i x.eta}
+
+    with beta_eta the Fourier coefficients of lambda.  The shift enters as
+    xi + eta: expanding lambda f in modes moves the frequency seen by the
+    symbol up by eta, which the difference must mirror for the operator
+    identity to be exact.
+    """
+    # (K, n) physical frequencies
+    etas = mollifier.mode_steps / mollifier.field.grid.period
     if etas.shape[1] != sigma.n:
         raise ValueError(f"mollifier has {etas.shape[1]} axes, symbol has {sigma.n}")
     # the eta = 0 term vanishes identically
-    modes = [(eta, beta) for eta, beta in zip(etas, moll.mode_coeffs) if np.any(eta)]
+    modes = [(eta, beta) for eta, beta in zip(etas, mollifier.mode_coeffs)
+             if np.any(eta)]
 
     def evaluator(x, xi, _p=sigma.evaluator):
         x = np.asarray(x, dtype=float)

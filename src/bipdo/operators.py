@@ -1,4 +1,4 @@
-"""Quantized operators: application, adjoints, kernel slices, dilation.
+"""Quantized operators: application, adjoints, kernel slices.
 
 The quantization rule is
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GridSpec, SampledField, dft_forward, dft_inverse
-from .symbols import SymbolDescriptor, transform_symbol
+from .symbols import SymbolDescriptor
 
 # elements per evaluator chunk in dense sweeps
 _CHUNK = 1 << 22
@@ -212,25 +212,3 @@ def kernel_l1(T: QuantizedOperator, x) -> float:
     """Quadrature L1 norm of the kernel slice at x."""
     sl = kernel_slice(T, x)
     return float(np.sum(np.abs(sl.values)) * T.grid.cell_volume)
-
-
-def dilate_symbol(symbol: SymbolDescriptor, scale) -> SymbolDescriptor:
-    """The conjugated symbol sigma(x/s, s xi) for per-axis scales s.
-
-    With scalar ``scale`` every axis is dilated equally; an array gives one
-    factor per axis.  Class parameters are unchanged (dilation maps the class
-    to itself; the seminorm changes by bounded factors absorbed in constants).
-    """
-    s = np.asarray(scale, dtype=float)
-    if s.ndim == 0:
-        s = np.full(symbol.n, float(s))
-    if s.shape != (symbol.n,) or np.any(s <= 0):
-        raise ValueError(f"scale must be positive scalar or ({symbol.n},) array")
-
-    def evaluator(x, xi, _e=symbol.evaluator, _s=s):
-        return _e(np.asarray(x, dtype=float) / _s, np.asarray(xi, dtype=float) * _s)
-
-    def term(a, b):
-        return [(lambda x, _a=a: np.asarray(_a(np.asarray(x, dtype=float) / s)),
-                 lambda xi, _b=b: np.asarray(_b(np.asarray(xi, dtype=float) * s)))]
-    return transform_symbol(symbol, evaluator, term, f"{symbol.name}|dilated")

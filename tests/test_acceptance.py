@@ -16,42 +16,15 @@ from bipdo import (DecompositionIndex, DyadicCube, SampledField,
                    adjoint_apply, apply, apply_at, band_limited_battery,
                    bmo_experiment, builtin, commutator_check, cube_partition,
                    default_ell_max, delta_ell, derived_symbol, dft_forward,
-                   dft_inverse, dilate_symbol, kernel_decay_experiment,
-                   l2_opnorm, l2_uniformity_sweep, make_grid, make_symbol,
-                   ortho_experiment, phi_j, quantize, sharpness_scan, varphi)
+                   dft_inverse, kernel_decay_experiment, l2_opnorm,
+                   l2_uniformity_sweep, make_grid, make_symbol, ortho_experiment,
+                   phi_j, quantize, sharpness_scan, varphi)
+from helpers import dense_opnorm_oracle, rand_field, rand_separable
 
 
 def _verdict(capsys, idx, name, ok, detail):
     with capsys.disabled():
         print(f"\nacceptance {idx} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-def rand_field(grid, seed):
-    rng = np.random.default_rng(seed)
-    vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    return SampledField(grid, vals)
-
-
-def rand_separable(seed, nterms=3):
-    rng = np.random.default_rng(seed)
-    terms = []
-    for _ in range(nterms):
-        terms.append({
-            "amp": float(rng.uniform(0.2, 1.0)),
-            "xfreq": [int(rng.integers(-2, 3)), int(rng.integers(-2, 3))],
-            "phase": float(rng.uniform(0, 2 * np.pi)),
-            "orders": [float(rng.uniform(-1, 0)), float(rng.uniform(-1, 0))],
-        })
-    return builtin("separable", {"terms": terms})
-
-
-def dense_opnorm_oracle(T, grid):
-    cols = []
-    for i in range(grid.size):
-        e = np.zeros(grid.size, dtype=complex)
-        e[i] = 1.0
-        cols.append(apply(T, SampledField(grid, e.reshape(grid.shape))).values.ravel())
-    return float(np.linalg.svd(np.stack(cols, axis=1), compute_uv=False)[0])
 
 
 def test_c1_identity_suite(capsys):
@@ -174,7 +147,9 @@ def test_c4_scaling_conjugation(capsys):
             f = rand_field(grid, 10 * j)
             s = 2.0 ** (j * rho)
             big = make_grid(1, 1, 16, s * grid.period)
-            tilde = quantize(dilate_symbol(piece, s), big)
+            # the conjugated symbol sigma(x/s, s xi)
+            dilated = make_symbol(lambda x, xi: piece.evaluator(x / s, s * xi), 1, 1)
+            tilde = quantize(dilated, big)
             f_big = SampledField(big, f.values)
             for _ in range(50):
                 x = rng.uniform(0.0, 1.0, 2)

@@ -18,33 +18,7 @@ from bipdo import (DecompositionIndex, SampledField, adjoint_of,
                    ortho_experiment, quantize, sharpness_scan, DyadicCube)
 from bipdo import test_battery as standard_battery
 from bipdo.analysis import fit_line
-
-
-def dense_opnorm_oracle(T, grid):
-    """Top singular value via explicit columns; independent of the iteration.
-
-    ``T`` is a quantized operator or a map with a ``matvec``."""
-    matvec = getattr(T, "matvec", None) or (lambda f: apply(T, f))
-    cols = []
-    for i in range(grid.size):
-        e = np.zeros(grid.size, dtype=complex)
-        e[i] = 1.0
-        cols.append(matvec(SampledField(grid, e.reshape(grid.shape))).values.ravel())
-    mat = np.stack(cols, axis=1)
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
-
-
-def rand_symbol(seed):
-    rng = np.random.default_rng(seed)
-    terms = []
-    for _ in range(3):
-        terms.append({
-            "amp": float(rng.uniform(0.2, 1.0)),
-            "xfreq": [int(rng.integers(-2, 3)), int(rng.integers(-2, 3))],
-            "phase": float(rng.uniform(0, 2 * np.pi)),
-            "orders": [float(rng.uniform(-1, 0)), float(rng.uniform(-1, 0))],
-        })
-    return builtin("separable", {"terms": terms})
+from helpers import dense_opnorm_oracle, rand_separable
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +28,7 @@ def rand_symbol(seed):
 def test_opnorm_matches_svd_oracle():
     grid = make_grid(1, 1, 8, 1.0)
     for seed in (0, 1, 2):
-        T = quantize(rand_symbol(seed), grid)
+        T = quantize(rand_separable(seed), grid)
         est = l2_opnorm(T, tol=1e-10, max_iter=2000)
         oracle = dense_opnorm_oracle(T, grid)
         assert est.converged
@@ -109,7 +83,7 @@ def ortho_piece_ops(grid, js):
 def test_opnorm_converged_residual_within_tol():
     tol = 1e-8
     grid8 = make_grid(1, 1, 8, 1.0)
-    maps = [quantize(rand_symbol(seed), grid8) for seed in (0, 1, 2)]
+    maps = [quantize(rand_separable(seed), grid8) for seed in (0, 1, 2)]
     maps.append(quantize(builtin("multiplier_bessel", {"m": -1.0}), grid8))
     grid16 = make_grid(1, 1, 16, 1.0)
     ops = ortho_piece_ops(grid16, (1, 2, 3))
@@ -140,7 +114,7 @@ def test_opnorm_zero_operator():
 
 def test_opnorm_deterministic():
     grid = make_grid(1, 1, 8, 1.0)
-    T = quantize(rand_symbol(7), grid)
+    T = quantize(rand_separable(7), grid)
     a = l2_opnorm(T)
     b = l2_opnorm(T)
     assert a.value == b.value and a.iterations == b.iterations

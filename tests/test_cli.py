@@ -130,6 +130,26 @@ def test_config_rejections(tmp_path, capsys, body, needle):
     assert needle in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment,keys", [
+    ("ortho", "symbol, grid, j_range"),
+    ("kernel_decay", "symbol, grid, j, ell_range"),
+    ("l2_uniformity", "symbol, factors, period, N_list"),
+    ("bmo", "symbol, factors, period, N_list"),
+    ("sharpness", "rho, p_list, m_grid, N_list, factors, period"),
+    ("commutator", "symbol, grid, cube_anchor, cube_side, rho"),
+])
+def test_config_names_every_missing_required_key(tmp_path, capsys, experiment,
+                                                 keys):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path / "bare.cfg", f"""\
+        experiment = "{experiment}"
+        outdir = {json.dumps(str(out))}
+        """)
+    assert main(["run", cfg]) == 2
+    assert f"experiment '{experiment}' requires keys: {keys}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.cfg")]) == 2
     assert "cannot read config" in capsys.readouterr().err
@@ -181,6 +201,8 @@ _KERNEL = ('experiment = "kernel_decay"\nsymbol = "multiplier_bessel"\n'
            'grid = [1, 1, 16, 1.0]\nj = 2\n')
 _COMM = ('experiment = "commutator"\nsymbol = "multiplier_bessel"\n'
          'grid = [1, 1, 16, 1.0]\n')
+_SHARP = ('experiment = "sharpness"\nrho = 0.5\nN_list = [8, 16]\n'
+          'factors = [1, 1]\nperiod = 1.0\n')
 
 
 @pytest.mark.parametrize("command,body,needle", [
@@ -223,6 +245,11 @@ _COMM = ('experiment = "commutator"\nsymbol = "multiplier_bessel"\n'
     ("run", 'experiment = "ortho"\nsymbol = "multiplier_bessel"\n'
             'grid = [1, 1, 8, 1.0]\nj_range = [1, 1, 3]', "'j_range'"),
     ("run", f'{_KERNEL}ell_range = [1, 1, 2, 3]', "'ell_range'"),
+    ("run", f'{_SHARP}p_list = [2.0]\nm_grid = [NaN]', "'m_grid'"),
+    ("run", f'{_SHARP}p_list = [2.0]\nm_grid = [Infinity]', "'m_grid'"),
+    ("run", f'{_SHARP}p_list = [2.0]\nm_grid = [0.0, -1.0]', "'m_grid'"),
+    ("run", f'{_SHARP}p_list = [2.0]\nm_grid = [0.0, 0.0]', "'m_grid'"),
+    ("run", f'{_SHARP}p_list = [2.0, 2.0]\nm_grid = [0.0]', "'p_list'"),
     ("apply", ["--j", "-1"], "--j"),
     ("apply", ["--j", "2", "--ell", "9"], "--ell"),
     ("apply", ["--split-scale", "-1"], "--split-scale"),
@@ -232,7 +259,8 @@ _COMM = ('experiment = "commutator"\nsymbol = "multiplier_bessel"\n'
         "battery_kmax", "mollifier-radius", "p_list", "battery-spectrum",
         "battery_count", "j_range-empty", "p_list-empty", "ell_range-empty",
         "bmo-j_range", "commutator-max_iter", "N_list-single", "N_list-repeated",
-        "j_range-repeated", "ell_range-repeated", "apply-j",
+        "j_range-repeated", "ell_range-repeated", "m_grid-nan", "m_grid-inf",
+        "m_grid-decreasing", "m_grid-repeated", "p_list-repeated", "apply-j",
         "apply-ell", "apply-split-scale", "kernel-x"])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, body,
                                                needle):

@@ -8,7 +8,8 @@ import pytest
 import bipdo as bp
 from bipdo import (DecompositionIndex, DyadicCube, SampledField, make_grid,
                    dft_forward, default_ell_max, delta_ell, derived_symbol,
-                   mollifier_lambda, phi_j, smooth_step, varphi, cube_partition)
+                   mollifier_lambda, phi_j, smooth_step, theta_symbol, varphi,
+                   cube_partition)
 from bipdo.decompose import phi_j_radial
 
 
@@ -243,7 +244,7 @@ def test_derived_symbol_rejects_mismatch():
              "does not read index field 'r'"),
             ({"j": 3, "ell_max": 5}, "annulus_j", "does not read index field 'ell_max'"),
             ({"j": 3, "r": 0.5}, "high_r", "does not read index field 'j'"),
-            ({"r": 0.5}, "theta", "does not read index field 'r'"),
+            ({}, "theta", "unknown derived kind 'theta'"),
             ({"j": 2.5}, "annulus_j", "j must be nonnegative integer"),
             ({"j": 2, "ell": 1.5, "ell_max": 3}, "cone_lj", "ell must be an integer"),
             ({"j": 2, "ell": 1, "ell_max": 2.5}, "cone_lj",
@@ -257,6 +258,14 @@ def test_derived_symbol_rejects_mismatch():
              "ell must be an integer")]:
         with pytest.raises(ValueError, match=re.escape(needle)):
             derived_symbol(sig, DecompositionIndex(**fields), kind)
+
+
+def test_derived_symbol_takes_no_mollifier():
+    # the commutator symbol is theta_symbol's; no derived kind reads a mollifier
+    lam = mollifier_lambda(make_grid(1, 1, 16, 1.0), DyadicCube((4, 4), 4), 0.5)
+    with pytest.raises(TypeError):
+        derived_symbol(bp.builtin("constant"), DecompositionIndex(j=2), "annulus_j",
+                       mollifier=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +315,7 @@ def test_theta_constant_mollifier_vanishes():
     lam = mollifier_lambda(grid, DyadicCube((0, 0), 32), 0.5)
     sig = bp.builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5})
     hi = derived_symbol(sig, DecompositionIndex(r=0.25), "high_r")
-    th = derived_symbol(hi, DecompositionIndex(), "theta", mollifier=lam)
+    th = theta_symbol(hi, lam)
     rng = np.random.default_rng(8)
     x = rng.uniform(0.0, 1.0, (30, 2))
     xi = rng.uniform(-15.0, 15.0, (30, 2))
@@ -323,7 +332,7 @@ def test_theta_is_trig_polynomial_in_x():
     sig = bp.builtin("multiplier_bessel", {"m": -0.5})
     r = Q.side * grid.period / 32
     hi = derived_symbol(sig, DecompositionIndex(r=r), "high_r")
-    th = derived_symbol(hi, DecompositionIndex(), "theta", mollifier=lam)
+    th = theta_symbol(hi, lam)
     xs = grid.points()
     xi0 = np.broadcast_to(np.array([7.0, -3.0]), xs.shape)
     slice_x = th.evaluator(xs, xi0).reshape(grid.shape)

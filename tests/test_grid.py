@@ -17,6 +17,7 @@ from bipdo import (GridSpec, SampledField, DyadicCube, builtin, make_grid,
                    dft_forward, dft_inverse, lp_norm, linf_norm, bmo_norm,
                    apply, quantize, read_field, write_field)
 from bipdo import test_battery as standard_battery
+from helpers import rand_field
 
 
 def bmo_exhaustive(vals, N, n):
@@ -63,12 +64,6 @@ def bmo_bruteforce_levels(vals):
 
 def bmo_bruteforce(vals):
     return max(0.0, *bmo_bruteforce_levels(vals))
-
-
-def rand_field(grid, seed):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    return SampledField(grid, v)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ import pytest
 import bipdo as bp
 from bipdo import (DecompositionIndex, DyadicCube, SampledField, adjoint_apply,
                    apply, apply_at, builtin, derived_symbol, dft_forward,
-                   dilate_symbol, kernel_l1, kernel_slice, lp_norm, make_grid,
-                   make_symbol, mollifier_lambda, quantize)
+                   kernel_l1, kernel_slice, lp_norm, make_grid, make_symbol,
+                   mollifier_lambda, quantize, theta_symbol)
+from helpers import rand_field, rand_separable
 
 
 def literal_sum(symbol, grid, f, xs):
@@ -29,25 +30,6 @@ def literal_sum(symbol, grid, f, xs):
 def literal_apply(symbol, grid, f):
     """Tf on the grid points by the literal sum."""
     return SampledField(grid, literal_sum(symbol, grid, f, grid.points()))
-
-
-def rand_field(grid, seed):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    return SampledField(grid, v)
-
-
-def rand_separable(seed, nterms=3, n1=1, n2=1):
-    rng = np.random.default_rng(seed)
-    terms = []
-    for _ in range(nterms):
-        terms.append({
-            "amp": float(rng.uniform(0.2, 1.0)),
-            "xfreq": [int(rng.integers(-2, 3)) for _ in range(n1 + n2)],
-            "phase": float(rng.uniform(0, 2 * np.pi)),
-            "orders": [float(rng.uniform(-1.0, 0.0)), float(rng.uniform(-1.0, 0.0))],
-        })
-    return builtin("separable", {"terms": terms}, n1=n1, n2=n2)
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +132,8 @@ _DERIVATIONS = {
     "cone": lambda s, g: derived_symbol(
         s, DecompositionIndex(j=3, ell=-1, ell_max=3), "cone_lj"),
     "high": lambda s, g: derived_symbol(s, DecompositionIndex(r=0.2), "high_r"),
-    "theta": lambda s, g: derived_symbol(
-        s, DecompositionIndex(), "theta",
-        mollifier=mollifier_lambda(g, DyadicCube((4, 4), 4), 0.5)),
-    "dilate": lambda s, g: dilate_symbol(s, [2.0, 0.5]),
+    "theta": lambda s, g: theta_symbol(
+        s, mollifier_lambda(g, DyadicCube((4, 4), 4), 0.5)),
 }
 
 
@@ -378,17 +358,6 @@ def test_kernel_l1_homogeneous():
 # dilation and conjugation
 
 
-def test_dilate_symbol_pointwise():
-    sym = builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5})
-    s = 2.0 ** 1.5
-    dil = dilate_symbol(sym, s)
-    rng = np.random.default_rng(18)
-    x, xi = rng.uniform(0, 1, (10, 2)), rng.uniform(-10, 10, (10, 2))
-    want = sym.evaluator(x / s, s * xi)
-    assert np.abs(dil.evaluator(x, xi) - want).max() <= 1e-14
-    assert dil.rho == sym.rho and dil.order == sym.order
-
-
 def test_conjugation_identity_off_lattice():
     # T_j at scale 2^{j rho}: applying the dilated symbol on the rescaled
     # torus reproduces the original piece at off-lattice points
@@ -401,7 +370,9 @@ def test_conjugation_identity_off_lattice():
 
     s = 2.0 ** (j * rho)
     big = make_grid(1, 1, 16, s * grid.period)
-    tilde = quantize(dilate_symbol(piece, s), big)
+    # the conjugated symbol sigma(x/s, s xi)
+    dilated = make_symbol(lambda x, xi: piece.evaluator(x / s, s * xi), 1, 1)
+    tilde = quantize(dilated, big)
     f_big = SampledField(big, f.values)
 
     rng = np.random.default_rng(20)

@@ -9,7 +9,7 @@ desk scale; every report records the class parameters of its symbol.
 __version__ = "0.1.0"
 
 from .grid import (GridSpec, SampledField, DyadicCube, make_grid,
-                   dft_forward, dft_inverse, lp_norm, linf_norm, bmo_norm,
+                   dft_forward, dft_inverse, lp_norm, bmo_norm,
                    read_field, write_field)
 from .decompose import (DecompositionIndex, Mollifier, smooth_step, varphi,
                         phi_j, delta_ell, cube_partition, default_ell_max,

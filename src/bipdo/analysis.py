@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (GridSpec, SampledField, bmo_norm, linf_norm, lp_exponent,
-                   lp_norm, make_grid)
+from .grid import (GridSpec, SampledField, bmo_norm, lp_exponent, lp_norm,
+                   make_grid)
 from .decompose import (DecompositionIndex, default_ell_max, derived_symbol,
                         mollifier_lambda, theta_symbol, varphi)
 from .symbols import SymbolDescriptor, block_norms, builtin
@@ -358,18 +358,6 @@ def _variation(ratios) -> float:
     return (hi - min(tail)) / hi
 
 
-def _symbol_params(sigma: SymbolDescriptor, extra: dict | None = None) -> dict:
-    order = sigma.order
-    params = {
-        "m": list(order) if isinstance(order, tuple) else order,
-        "rho": sigma.rho,
-        "delta": sigma.delta,
-    }
-    if extra:
-        params.update(extra)
-    return params
-
-
 def _growth_exponent(n_values, ratios) -> float:
     pts = [(math.log2(N), math.log2(r)) for N, r in zip(n_values, ratios) if r > 0.0]
     if len(pts) < 2:
@@ -378,23 +366,33 @@ def _growth_exponent(n_values, ratios) -> float:
     return slope
 
 
-def l2_uniformity_sweep(sigma: SymbolDescriptor, N_list, period: float = 1.0,
-                        tol: float = 1e-8, max_iter: int = 500) -> BoundednessReport:
-    """l2_opnorm across grids; PASS when the last three values vary <= 20%."""
+def _sweep(experiment: str, sigma: SymbolDescriptor, N_list, period: float,
+           measure, p, seed: int, battery: str) -> BoundednessReport:
+    """``measure(quantize(sigma, grid))`` on the grid of each size in
+    ``N_list``; PASS when the last three values vary <= 20%.  The report's
+    params are sigma's class parameters and the exponent ``p``."""
     Ns = tuple(int(N) for N in N_list)
     if len(Ns) < 2 or any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("N_list must hold at least 2 strictly increasing sizes")
-    values = []
-    for N in Ns:
-        grid = make_grid(sigma.n1, sigma.n2, N, period)
-        values.append(l2_opnorm(quantize(sigma, grid), tol, max_iter).value)
-    values = tuple(values)
+    ratios = tuple(measure(quantize(sigma, make_grid(sigma.n1, sigma.n2, N, period)))
+                   for N in Ns)
+    order = sigma.order
+    params = {"m": list(order) if isinstance(order, tuple) else order,
+              "rho": sigma.rho, "delta": sigma.delta, "p": p}
     return BoundednessReport(
-        experiment="l2_uniformity", symbol_name=sigma.name,
-        params=_symbol_params(sigma, {"p": 2.0}), n_values=Ns, ratios=values,
-        growth_exponent=_growth_exponent(Ns, values),
-        verdict="PASS" if _variation(values) <= 0.20 else "FAIL",
-        seed=OPNORM_SEED, battery="lanczos")
+        experiment=experiment, symbol_name=sigma.name, params=params,
+        n_values=Ns, ratios=ratios,
+        growth_exponent=_growth_exponent(Ns, ratios),
+        verdict="PASS" if _variation(ratios) <= 0.20 else "FAIL",
+        seed=seed, battery=battery)
+
+
+def l2_uniformity_sweep(sigma: SymbolDescriptor, N_list, period: float = 1.0,
+                        tol: float = 1e-8, max_iter: int = 500) -> BoundednessReport:
+    """l2_opnorm across grids; PASS when the last three values vary <= 20%."""
+    return _sweep("l2_uniformity", sigma, N_list, period,
+                  lambda T: l2_opnorm(T, tol, max_iter).value,
+                  2.0, OPNORM_SEED, "lanczos")
 
 
 # ---------------------------------------------------------------------------
@@ -505,25 +503,11 @@ def band_limited_battery(grid: GridSpec, kmax: int, count: int = 8,
 def bmo_experiment(sigma: SymbolDescriptor, N_list, period: float = 1.0,
                    seed: int = 2026) -> BoundednessReport:
     """Max of bmo(Tf)/linf(f) over ``test_battery(grid, seed)``, per grid size."""
-    Ns = tuple(int(N) for N in N_list)
-    ratios = []
-    for N in Ns:
-        grid = make_grid(sigma.n1, sigma.n2, N, period)
-        T = quantize(sigma, grid)
-        best = 0.0
-        for f in test_battery(grid, seed):
-            denom = linf_norm(f)
-            if denom == 0.0:
-                continue
-            best = max(best, bmo_norm(apply(T, f)) / denom)
-        ratios.append(best)
-    ratios = tuple(ratios)
-    return BoundednessReport(
-        experiment="bmo", symbol_name=sigma.name,
-        params=_symbol_params(sigma, {"p": "inf-proxy"}), n_values=Ns,
-        ratios=ratios, growth_exponent=_growth_exponent(Ns, ratios),
-        verdict="PASS" if _variation(ratios) <= 0.20 else "FAIL",
-        seed=seed, battery="signs+lacunary+bumps")
+    def measure(T):
+        return max(_ratio(apply(T, f), lp_norm(f, math.inf), math.inf)
+                   for f in test_battery(T.grid, seed))
+    return _sweep("bmo", sigma, N_list, period, measure, "inf-proxy", seed,
+                  "signs+lacunary+bumps")
 
 
 # ---------------------------------------------------------------------------
@@ -659,63 +643,33 @@ def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
 # commutator identity
 
 
-def check_battery_spectrum(lam, f_battery) -> None:
-    """Raise ValueError if a battery mode shifted by a mollifier mode aliases.
-
-    The commutator identity is exact on the lattice only when every battery
-    mode index k plus every mode offset of the mollifier ``lam`` stays within
-    [-N/2, N/2-1] per axis.
-    """
-    grid = lam.field.grid
-    N = grid.points_per_axis
-    steps = np.asarray(lam.mode_steps, dtype=int)
-    m_pos = int(steps.max()) if steps.size else 0
-    m_neg = int(steps.min()) if steps.size else 0
-    idx = np.rint(np.fft.fftfreq(N) * N).astype(int)
-    for f in f_battery:
-        spec = np.fft.fftn(f.values)
-        cap = 1e-12 * float(np.max(np.abs(spec)))
-        live = np.abs(spec) > cap
-        for a in range(grid.n):
-            shape = [1] * grid.n
-            shape[a] = N
-            ax = np.broadcast_to(idx.reshape(shape), grid.shape)[live]
-            if ax.size and (int(ax.max()) + m_pos > N // 2 - 1
-                            or int(ax.min()) + m_neg < -(N // 2)):
-                raise ValueError(
-                    "battery field spectrum too wide: mode shifts would alias "
-                    f"(axis {a}, modes [{ax.min()}, {ax.max()}], "
-                    f"mollifier offsets [{m_neg}, {m_pos}])")
-
-
-def commutator_check(sigma: SymbolDescriptor, Q, rho: float, f_battery) -> float:
-    """Max relative L2 error of lam*T1(f) - T1(lam*f) = T_theta(f).
+def commutator_check(sigma: SymbolDescriptor, grid: GridSpec, Q, rho: float,
+                     kmax: int, count: int = 8, seed: int = 7) -> float:
+    """Max relative L2 error of lam*T1(f) - T1(lam*f) = T_theta(f) over the
+    fields f of ``band_limited_battery(grid, kmax, count, seed)``.
 
     T1 carries the high-frequency part of sigma split at the side length of
     Q, lam is the mollifier adapted to (Q, rho), and theta its commutator
     symbol.  The identity is exact on the lattice only when no spectrum
-    escapes: every battery mode index k plus every mollifier mode offset must
-    stay within [-N/2, N/2-1] per axis, which ``check_battery_spectrum``
-    checks before any operator is applied.
+    escapes [-N/2, N/2-1] per axis.  The battery holds the mode +kmax on
+    every axis and lam shifts modes by at most its degree, so a ValueError
+    is raised, before any operator is applied, when kmax + degree > N/2 - 1.
     """
-    if not f_battery:
-        raise ValueError("f_battery must be nonempty")
-    grid = f_battery[0].grid
-    for f in f_battery:
-        if f.grid != grid:
-            raise ValueError("battery fields must share one grid")
+    battery = band_limited_battery(grid, kmax, count, seed)
     lam = mollifier_lambda(grid, Q, rho)
     N = grid.points_per_axis
     r_side = Q.side * grid.period / N
     sigma1 = derived_symbol(sigma, DecompositionIndex(r=r_side), "high_r")
     theta = theta_symbol(sigma1, lam)
-    check_battery_spectrum(lam, f_battery)
+    if kmax + lam.degree > N // 2 - 1:
+        raise ValueError(f"battery modes would alias: kmax {kmax} + mollifier "
+                         f"degree {lam.degree} > N/2 - 1 = {N // 2 - 1}")
 
     T1 = quantize(sigma1, grid)
     Tth = quantize(theta, grid)
     lam_vals = lam.field.values
     worst = 0.0
-    for f in f_battery:
+    for f in battery:
         tf = apply(T1, f).values
         tlf = apply(T1, SampledField(grid, lam_vals * f.values)).values
         lhs = lam_vals * tf - tlf

@@ -292,8 +292,7 @@ def _run_commutator(cfg: dict, seed: int):
                   "'battery_count'"):
         Q = DyadicCube(tuple(_nums(cfg, "cube_anchor", int)),
                        _num(cfg, "cube_side", int))
-        battery = analysis.band_limited_battery(grid, kmax, count, seed)
-        err = analysis.commutator_check(sym, Q, rho, battery)
+        err = analysis.commutator_check(sym, grid, Q, rho, kmax, count, seed)
     passed = err <= tol
     report = {"max_relative_error": err, "tol": tol,
               "battery_kmax": kmax, "battery_count": count,
@@ -404,9 +403,8 @@ def _check_commutator_constant(N):
     grid = make_grid(1, 1, N, 1.0)
     sym = builtin("multiplier_bessel", {"m": -0.5})
     Q = DyadicCube((0, 0), N)
-    kmax = max(1, N // 4)
-    battery = analysis.band_limited_battery(grid, kmax, count=4, seed=9)
-    return analysis.commutator_check(sym, Q, 0.5, battery)
+    return analysis.commutator_check(sym, grid, Q, 0.5, max(1, N // 4),
+                                     count=4, seed=9)
 
 
 _SELFTEST_CHECKS = (

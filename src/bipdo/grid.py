@@ -158,9 +158,6 @@ class DyadicCube:
         if self.side > N or any(a + self.side > N for a in self.anchor):
             raise ValueError(f"cube {self.anchor}+{self.side} leaves the period (N={N})")
 
-    def slices(self) -> tuple:
-        return tuple(slice(a, a + self.side) for a in self.anchor)
-
 
 def dft_forward(f: SampledField) -> SampledField:
     """Forward transform with quadrature weight (L/N)^n."""
@@ -189,10 +186,6 @@ def lp_norm(f: SampledField, p: float) -> float:
     if np.isinf(p):
         return float(a.max())
     return float((np.sum(a ** p) * f.grid.cell_volume) ** (1.0 / p))
-
-
-def linf_norm(f: SampledField) -> float:
-    return lp_norm(f, np.inf)
 
 
 # complex values gathered per block of exactly evaluated cubes
@@ -289,12 +282,20 @@ def bmo_norm(f: SampledField) -> float:
 
 
 def write_field(f: SampledField, path) -> None:
-    """Write a field as a 32-byte header plus little-endian complex64 values."""
+    """Write a field as a 32-byte header plus little-endian complex64 values.
+
+    Raises ValueError, before the file is opened, when a value does not fit
+    in complex64 (``read_field`` would reject the infinite samples).
+    """
     g = f.grid
+    with np.errstate(over="ignore"):
+        vals = np.ascontiguousarray(f.values, dtype="<c8")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{path}: field values overflow complex64")
     header = _FIELD_HEADER.pack(FIELD_MAGIC, g.n1, g.n2, g.points_per_axis, g.period)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(f.values, dtype="<c8").tobytes())
+        fh.write(vals.tobytes())
 
 
 def read_field(path) -> SampledField:

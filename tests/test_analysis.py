@@ -15,7 +15,8 @@ from bipdo import (DecompositionIndex, SampledField, adjoint_of,
                    bmo_experiment, builtin, commutator_check, compose,
                    derived_symbol, kernel_decay_experiment, l2_opnorm,
                    l2_uniformity_sweep, make_grid, make_symbol,
-                   ortho_experiment, quantize, sharpness_scan, DyadicCube)
+                   mollifier_lambda, ortho_experiment, quantize,
+                   sharpness_scan, DyadicCube)
 from bipdo import test_battery as standard_battery
 from bipdo.analysis import fit_line
 from helpers import dense_opnorm_oracle, rand_separable
@@ -286,19 +287,67 @@ def test_sharpness_table_serializes():
 # commutator identity
 
 
+def check_battery_spectrum(lam, f_battery) -> None:
+    """Oracle for the alias rule: raise ValueError if any battery mode that
+    carries spectrum, shifted by any mollifier mode offset, leaves
+    [-N/2, N/2-1] on some axis.  Scans the FFT of every field, sharing no
+    code with the rule kmax + degree <= N/2 - 1 under test."""
+    grid = lam.field.grid
+    N = grid.points_per_axis
+    steps = np.asarray(lam.mode_steps, dtype=int)
+    m_pos, m_neg = int(steps.max()), int(steps.min())
+    idx = np.rint(np.fft.fftfreq(N) * N).astype(int)
+    for f in f_battery:
+        spec = np.fft.fftn(f.values)
+        live = np.abs(spec) > 1e-12 * float(np.max(np.abs(spec)))
+        for a in range(grid.n):
+            shape = [1] * grid.n
+            shape[a] = N
+            ax = np.broadcast_to(idx.reshape(shape), grid.shape)[live]
+            if int(ax.max()) + m_pos > N // 2 - 1 or int(ax.min()) + m_neg < -(N // 2):
+                raise ValueError("alias")
+
+
 def test_commutator_single_mode_battery():
+    # count=2: the constant and the single mode +kmax on every axis
     grid = make_grid(1, 1, 32, 1.0)
-    pts = grid.points().reshape(grid.shape + (2,))
-    mode = SampledField(grid, np.exp(2j * np.pi * (3 * pts[..., 0] - 2 * pts[..., 1])))
     sym = builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5})
-    err = commutator_check(sym, DyadicCube((8, 8), 8), 0.5, [mode])
+    err = commutator_check(sym, grid, DyadicCube((8, 8), 8), 0.5, 3, count=2)
     assert err <= 1e-12
 
 
 def test_commutator_rejects_full_band_battery():
     grid = make_grid(1, 1, 16, 1.0)
-    rng = np.random.default_rng(0)
-    noise = SampledField(grid, rng.choice([-1.0, 1.0], size=grid.shape).astype(complex))
     sym = builtin("multiplier_bessel", {"m": -0.5})
     with pytest.raises(ValueError, match="alias"):
-        commutator_check(sym, DyadicCube((4, 4), 4), 0.5, [noise])
+        commutator_check(sym, grid, DyadicCube((4, 4), 4), 0.5, 7)
+
+
+@pytest.mark.parametrize("n1,n2,N", [(1, 1, 4), (1, 1, 8), (1, 1, 16), (2, 1, 8)])
+def test_commutator_alias_rule_matches_spectrum_scan(n1, n2, N):
+    grid = make_grid(n1, n2, N, 1.0)
+    sym = builtin("multiplier_bessel", {"m": -0.5}, n1=n1, n2=n2)
+    edges = set()
+    for side in (2 ** e for e in range(N.bit_length())):
+        Q = DyadicCube((N - side,) * grid.n, side)
+        for rho in (0.0, 0.5, 1.0):
+            try:
+                lam = mollifier_lambda(grid, Q, rho)
+            except ValueError:
+                continue
+            for kmax in range(N // 2):
+                for count in (2, 3):
+                    try:
+                        check_battery_spectrum(
+                            lam, band_limited_battery(grid, kmax, count, 7))
+                        aliases = False
+                    except ValueError:
+                        aliases = True
+                    if aliases:
+                        with pytest.raises(ValueError, match="alias"):
+                            commutator_check(sym, grid, Q, rho, kmax, count)
+                    else:
+                        assert commutator_check(sym, grid, Q, rho, kmax, count) <= 1e-12
+                    edges.add((kmax + lam.degree - (N // 2 - 1), aliases))
+    # the boundary is crossed on both sides: sum N/2 - 1 passes, N/2 raises
+    assert {(0, False), (1, True)} <= edges

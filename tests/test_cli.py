@@ -423,6 +423,22 @@ def test_apply_grid_mismatch_is_config_error(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def test_apply_output_overflowing_complex64_writes_no_file(tmp_path, capsys):
+    # <xi>^40 reaches ~1e54 at 32^2: finite in memory, inf as complex64
+    grid = make_grid(1, 1, 32, 1.0)
+    rng = np.random.default_rng(4)
+    src = tmp_path / "in.fld"
+    dst = tmp_path / "out.fld"
+    write_field(SampledField(grid, rng.standard_normal(grid.shape) + 0j), str(src))
+    rc = main(["apply", "--symbol", "multiplier_bessel", "--params", '{"m": 40.0}',
+               "--grid", "1,1,32,1.0", "--in", str(src), "--out", str(dst)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "complex64" in captured.err
+    assert captured.out == ""
+    assert not dst.exists()
+
+
 def test_apply_missing_input_file(tmp_path, capsys):
     rc = main(["apply", "--symbol", "constant", "--grid", "1,1,8,1.0",
                "--in", str(tmp_path / "absent.fld"),

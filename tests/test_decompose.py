@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bipdo as bp
-from bipdo import (DecompositionIndex, DyadicCube, SampledField, make_grid,
+from bipdo import (DecompositionIndex, DyadicCube, make_grid,
                    dft_forward, default_ell_max, delta_ell, derived_symbol,
                    mollifier_lambda, phi_j, smooth_step, theta_symbol, varphi,
                    cube_partition)
@@ -278,7 +278,7 @@ def test_mollifier_documented_configuration():
     lam = mollifier_lambda(grid, Q, 0.5)
     v = lam.field.values
     assert np.abs(v.imag).max() == 0.0
-    on_q = v.real[Q.slices()]
+    on_q = v.real[tuple(slice(a, a + Q.side) for a in Q.anchor)]
     assert on_q.min() >= 1.0
     assert on_q.min() <= 1.0 + 1e-6
     assert v.real.max() <= 10.0

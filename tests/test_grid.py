@@ -13,8 +13,8 @@ import itertools
 import numpy as np
 import pytest
 
-from bipdo import (GridSpec, SampledField, DyadicCube, builtin, make_grid,
-                   dft_forward, dft_inverse, lp_norm, linf_norm, bmo_norm,
+from bipdo import (SampledField, DyadicCube, builtin, make_grid,
+                   dft_forward, dft_inverse, lp_norm, bmo_norm,
                    apply, quantize, read_field, write_field)
 from bipdo import test_battery as standard_battery
 from helpers import rand_field
@@ -197,7 +197,7 @@ def test_lp_monotone_on_unit_torus():
     g = make_grid(1, 1, 16, 1.0)
     f = rand_field(g, 7)
     ps = [1.0, 1.5, 2.0, 4.0, 8.0]
-    vals = [lp_norm(f, p) for p in ps] + [linf_norm(f)]
+    vals = [lp_norm(f, p) for p in ps] + [lp_norm(f, np.inf)]
     for a, b in zip(vals, vals[1:]):
         assert a <= b * (1 + 1e-12)
 
@@ -212,7 +212,7 @@ def test_lp_rejects_p_below_one():
 def test_linf_is_max_abs():
     g = make_grid(1, 1, 8, 1.0)
     f = rand_field(g, 3)
-    assert linf_norm(f) == pytest.approx(np.abs(f.values).max(), abs=0)
+    assert lp_norm(f, np.inf) == pytest.approx(np.abs(f.values).max(), abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +315,7 @@ def test_bmo_below_twice_sup():
     g = make_grid(1, 1, 16, 1.0)
     for seed in range(10):
         f = rand_field(g, seed)
-        assert bmo_norm(f) <= 2.0 * linf_norm(f) + 1e-12
+        assert bmo_norm(f) <= 2.0 * lp_norm(f, np.inf) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -347,3 +347,14 @@ def test_field_binary_rejects_corruption(tmp_path):
     (tmp_path / "short.fld").write_bytes(raw[:40])
     with pytest.raises(ValueError):
         read_field(tmp_path / "short.fld")
+
+
+def test_field_binary_rejects_complex64_overflow(tmp_path):
+    # finite in complex128, infinite once stored as complex64
+    g = make_grid(1, 1, 8, 1.0)
+    vals = np.ones(g.shape, dtype=complex)
+    vals[3, 5] = 1j * 1e39
+    path = tmp_path / "f.fld"
+    with pytest.raises(ValueError, match="complex64"):
+        write_field(SampledField(g, vals), path)
+    assert not path.exists()

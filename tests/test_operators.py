@@ -10,7 +10,7 @@ import pytest
 import bipdo as bp
 from bipdo import (DecompositionIndex, DyadicCube, SampledField, adjoint_apply,
                    apply, apply_at, builtin, derived_symbol, dft_forward,
-                   kernel_l1, kernel_slice, lp_norm, make_grid, make_symbol,
+                   kernel_l1, kernel_slice, make_grid, make_symbol,
                    mollifier_lambda, quantize, theta_symbol)
 from helpers import rand_field, rand_separable
 

@@ -106,3 +106,15 @@ def test_tracer_rebuilds_symbols_without_changing_them():
     assert metrics["decompose.cutoff.calls"] > 0
     for a, b in zip(plain, traced):
         assert np.array_equal(a, b)
+
+
+def test_reference_binds_battery_and_kernel_names():
+    # reference.py reaches test_battery, derived_symbol and DecompositionIndex
+    # fields by name; the stored values pin what they return (the scan
+    # workload's 1e-9 relative tolerance)
+    reference = load_perfbench("reference")
+    stored = reference.load()
+    assert reference.battery_digest(16, 1) == stored["bmo_sweep"]["1"]["battery"]["16"]
+    got = reference.kernel_reference(64)
+    want = stored["scan_kernel"]["64"]
+    assert np.allclose(got, want, rtol=1e-9, atol=0.0)

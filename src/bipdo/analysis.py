@@ -9,6 +9,9 @@ table around the boundedness threshold.
 
 Conventions shared by the experiments:
 
+* the decay, sweep and sharpness experiments return their report as a plain
+  dict of JSON values, the ``report`` that ``bipdo run`` writes (the README
+  lists its keys),
 * decay and growth fits are least squares on log2 of the measured values;
   1-D decay fits (kernel experiment) drop their first point as a transient,
 * entries measured as exact zeros are excluded from decay fits (they sit at
@@ -186,112 +189,69 @@ def fit_line(xs, ys):
 # almost-orthogonality of annulus pieces
 
 
-@dataclass
-class OrthoMatrix:
-    """Measured |T_j* T_k| over a block of annulus indices, with decay fit.
+def ortho_experiment(sigma: SymbolDescriptor, j_range, grid: GridSpec,
+                     tol: float = 1e-8, max_iter: int = 500) -> dict:
+    """Measure |T_j* T_k| for annulus pieces of sigma and fit the decay.
 
-    ``entries`` maps ordered pairs (j, k) to the ``l2_opnorm`` estimate of
-    |T_j* T_k| (symmetric by construction): a Lanczos Ritz value, or the exact
+    The report's ``entries`` are [j, k, value] triples over every ordered
+    pair, j major, where value is the ``l2_opnorm`` estimate of |T_j* T_k|
+    (symmetric by construction): a Lanczos Ritz value, or the exact
     max |b_j b_k| over the lattice when both pieces are Fourier multipliers.
     The fit models entries with |j - k| >= ``min_gap`` (``ORTHO_MIN_GAP``)
     as A 2^(-eps (j+k)); entries at or below ``zero_floor`` are treated as
     exact zeros and left out of the fit.
     """
-
-    js: tuple
-    entries: dict
-    fitted_epsilon: float
-    fitted_A: float
-    r_squared: float
-    zero_floor: float
-    min_gap: int
-    converged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "js": list(self.js),
-            "entries": [[j, k, self.entries[(j, k)]]
-                        for j in self.js for k in self.js],
-            "fitted_epsilon": self.fitted_epsilon,
-            "fitted_A": self.fitted_A,
-            "r_squared": self.r_squared,
-            "zero_floor": self.zero_floor,
-            "min_gap": self.min_gap,
-            "converged": self.converged,
-        }
-
-
-def ortho_experiment(sigma: SymbolDescriptor, j_range, grid: GridSpec,
-                     tol: float = 1e-8, max_iter: int = 500) -> OrthoMatrix:
-    """Measure |T_j* T_k| for annulus pieces of sigma and fit the decay."""
-    js = tuple(int(j) for j in j_range)
+    js = [int(j) for j in j_range]
     ops = {}
     for j in js:
         piece = derived_symbol(sigma, DecompositionIndex(j=j), "annulus_j")
         ops[j] = quantize(piece, grid)
 
-    entries = {}
+    norms = {}
     converged = True
     for a, j in enumerate(js):
         for k in js[a:]:
             est = l2_opnorm(compose(adjoint_of(ops[j]), _as_map(ops[k])), tol, max_iter)
-            entries[(j, k)] = est.value
-            entries[(k, j)] = est.value
+            norms[(j, k)] = est.value
+            norms[(k, j)] = est.value
             converged = converged and est.converged
 
-    top = max(entries.values(), default=0.0)
+    top = max(norms.values(), default=0.0)
     zero_floor = 1e-10 * max(1.0, top)
     xs, ys = [], []
     for a, j in enumerate(js):
         for k in js[a + 1:]:
-            if abs(j - k) >= ORTHO_MIN_GAP and entries[(j, k)] > zero_floor:
+            if abs(j - k) >= ORTHO_MIN_GAP and norms[(j, k)] > zero_floor:
                 xs.append(j + k)
-                ys.append(math.log2(entries[(j, k)]))
+                ys.append(math.log2(norms[(j, k)]))
     slope, intercept, r2 = fit_line(xs, ys)
-    eps = -slope if not math.isnan(slope) else math.nan
-    A = 2.0 ** intercept if not math.isnan(intercept) else math.nan
-    return OrthoMatrix(js, entries, eps, A, r2, zero_floor, ORTHO_MIN_GAP,
-                       converged)
+    return {
+        "js": js,
+        "entries": [[j, k, norms[(j, k)]] for j in js for k in js],
+        "fitted_epsilon": -slope,
+        "fitted_A": 2.0 ** intercept,
+        "r_squared": r2,
+        "zero_floor": zero_floor,
+        "min_gap": ORTHO_MIN_GAP,
+        "converged": converged,
+    }
 
 
 # ---------------------------------------------------------------------------
 # kernel L1 decay across cone sectors
 
 
-@dataclass
-class KernelDecayReport:
-    j: int
-    ells: tuple
-    values: tuple
-    slope: float
-    intercept: float
-    r_squared: float
-    target_slope: float
-    verdict: str
-
-    def to_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "ells": list(self.ells),
-            "values": list(self.values),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "target_slope": self.target_slope,
-            "verdict": self.verdict,
-        }
-
-
 def kernel_decay_experiment(sigma: SymbolDescriptor, j: int, ell_range,
                             x_samples, grid: GridSpec,
-                            ell_max: int | None = None) -> KernelDecayReport:
+                            ell_max: int | None = None) -> dict:
     """Sup over x-samples of the kernel L1 norm per cone sector, with fit.
 
     The fitted slope of log2(value) against ell is compared to the
     theoretical -n1/2; the first point is dropped from the fit as a
-    transient.  All-zero values give verdict "degenerate" and a NaN slope.
+    transient, and so are values of exactly zero.  Fewer than two values
+    left to fit give verdict "degenerate" and a NaN slope.
     """
-    ells = tuple(int(e) for e in ell_range)
+    ells = [int(e) for e in ell_range]
     if ell_max is None:
         ell_max = default_ell_max(grid.points_per_axis)
     xs = np.atleast_2d(np.asarray(x_samples, dtype=float))
@@ -302,60 +262,17 @@ def kernel_decay_experiment(sigma: SymbolDescriptor, j: int, ell_range,
         idx = DecompositionIndex(j=j, ell=ell, ell_max=ell_max)
         T = quantize(derived_symbol(sigma, idx, "cone_lj"), grid)
         values.append(max(kernel_l1(T, x) for x in xs))
-    values = tuple(values)
-    target = -grid.n1 / 2.0
     fit_ells = [e for e, v in zip(ells[1:], values[1:]) if v > 0.0]
     fit_vals = [math.log2(v) for v in values[1:] if v > 0.0]
-    if max(values, default=0.0) <= 0.0 or len(fit_ells) < 2:
-        return KernelDecayReport(j, ells, values, math.nan, math.nan, 0.0,
-                                 target, "degenerate")
     slope, intercept, r2 = fit_line(fit_ells, fit_vals)
-    return KernelDecayReport(j, ells, values, slope, intercept, r2, target, "ok")
+    return {"j": j, "ells": ells, "values": values, "slope": slope,
+            "intercept": intercept, "r_squared": r2,
+            "target_slope": -grid.n1 / 2.0,
+            "verdict": "ok" if len(fit_ells) >= 2 else "degenerate"}
 
 
 # ---------------------------------------------------------------------------
 # boundedness sweeps over grid refinement
-
-
-@dataclass
-class BoundednessReport:
-    """Norm-ratio measurements across bandwidths with a growth verdict."""
-
-    experiment: str
-    symbol_name: str
-    params: dict
-    n_values: tuple
-    ratios: tuple
-    growth_exponent: float
-    verdict: str
-    seed: int | None = None
-    battery: str = ""
-
-    def variation(self) -> float:
-        """Relative spread (max-min)/max of the last three ratios."""
-        return _variation(self.ratios)
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "symbol": self.symbol_name,
-            "params": dict(self.params),
-            "n_values": list(self.n_values),
-            "ratios": list(self.ratios),
-            "growth_exponent": self.growth_exponent,
-            "variation": self.variation(),
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "battery": self.battery,
-        }
-
-
-def _variation(ratios) -> float:
-    tail = ratios[-3:]
-    hi = max(tail)
-    if hi == 0.0:
-        return 0.0
-    return (hi - min(tail)) / hi
 
 
 def _growth_exponent(n_values, ratios) -> float:
@@ -367,28 +284,31 @@ def _growth_exponent(n_values, ratios) -> float:
 
 
 def _sweep(experiment: str, sigma: SymbolDescriptor, N_list, period: float,
-           measure, p, seed: int, battery: str) -> BoundednessReport:
+           measure, p, seed: int, battery: str) -> dict:
     """``measure(quantize(sigma, grid))`` on the grid of each size in
-    ``N_list``; PASS when the last three values vary <= 20%.  The report's
-    params are sigma's class parameters and the exponent ``p``."""
-    Ns = tuple(int(N) for N in N_list)
+    ``N_list``; PASS when the last three values vary <= 20%, where the
+    variation is their relative spread (max-min)/max.  The report's params
+    are sigma's class parameters and the exponent ``p``."""
+    Ns = [int(N) for N in N_list]
     if len(Ns) < 2 or any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("N_list must hold at least 2 strictly increasing sizes")
-    ratios = tuple(measure(quantize(sigma, make_grid(sigma.n1, sigma.n2, N, period)))
-                   for N in Ns)
+    ratios = [measure(quantize(sigma, make_grid(sigma.n1, sigma.n2, N, period)))
+              for N in Ns]
+    tail = ratios[-3:]
+    variation = (max(tail) - min(tail)) / max(tail) if max(tail) != 0.0 else 0.0
     order = sigma.order
     params = {"m": list(order) if isinstance(order, tuple) else order,
               "rho": sigma.rho, "delta": sigma.delta, "p": p}
-    return BoundednessReport(
-        experiment=experiment, symbol_name=sigma.name, params=params,
-        n_values=Ns, ratios=ratios,
-        growth_exponent=_growth_exponent(Ns, ratios),
-        verdict="PASS" if _variation(ratios) <= 0.20 else "FAIL",
-        seed=seed, battery=battery)
+    return {"experiment": experiment, "symbol": sigma.name, "params": params,
+            "n_values": Ns, "ratios": ratios,
+            "growth_exponent": _growth_exponent(Ns, ratios),
+            "variation": variation,
+            "verdict": "PASS" if variation <= 0.20 else "FAIL",
+            "seed": seed, "battery": battery}
 
 
 def l2_uniformity_sweep(sigma: SymbolDescriptor, N_list, period: float = 1.0,
-                        tol: float = 1e-8, max_iter: int = 500) -> BoundednessReport:
+                        tol: float = 1e-8, max_iter: int = 500) -> dict:
     """l2_opnorm across grids; PASS when the last three values vary <= 20%."""
     return _sweep("l2_uniformity", sigma, N_list, period,
                   lambda T: l2_opnorm(T, tol, max_iter).value,
@@ -501,7 +421,7 @@ def band_limited_battery(grid: GridSpec, kmax: int, count: int = 8,
 
 
 def bmo_experiment(sigma: SymbolDescriptor, N_list, period: float = 1.0,
-                   seed: int = 2026) -> BoundednessReport:
+                   seed: int = 2026) -> dict:
     """Max of bmo(Tf)/linf(f) over ``test_battery(grid, seed)``, per grid size."""
     def measure(T):
         return max(_ratio(apply(T, f), lp_norm(f, math.inf), math.inf)
@@ -556,46 +476,6 @@ def adversarial_battery(grid: GridSpec, rho: float, seed: int = 2026) -> list:
     return fields
 
 
-@dataclass
-class SharpnessTable:
-    """Growth verdicts per (m, p) cell around the boundedness threshold."""
-
-    rho: float
-    ms: tuple
-    ps: tuple
-    n_values: tuple
-    ratios: dict
-    exponents: dict
-    growing: dict
-    seed: int
-
-    def flip_m(self, p) -> float | None:
-        """Smallest m marked growing at this p (None if none are)."""
-        for m in self.ms:
-            if self.growing[(m, p)]:
-                return m
-        return None
-
-    def monotone_in_m(self, p) -> bool:
-        flags = [self.growing[(m, p)] for m in self.ms]
-        return all(b or not a for a, b in zip(flags, flags[1:]))
-
-    def to_dict(self) -> dict:
-        cells = []
-        for m in self.ms:
-            for p in self.ps:
-                cells.append({
-                    "m": m, "p": p,
-                    "ratios": list(self.ratios[(m, p)]),
-                    "exponent": self.exponents[(m, p)],
-                    "growing": self.growing[(m, p)],
-                })
-        return {"rho": self.rho, "ms": list(self.ms), "ps": list(self.ps),
-                "n_values": list(self.n_values), "cells": cells,
-                "seed": self.seed,
-                "threshold": GROWTH_EXPONENT_THRESHOLD}
-
-
 def _ratio(Tf: SampledField, denom: float, p: float) -> float:
     if not denom > 0:
         return 0.0
@@ -603,24 +483,26 @@ def _ratio(Tf: SampledField, denom: float, p: float) -> float:
 
 
 def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
-                   seed: int = 2026, n1: int = 1, n2: int = 1) -> SharpnessTable:
+                   seed: int = 2026, n1: int = 1, n2: int = 1) -> dict:
     """Battery L^p ratios for the oscillating symbol across (m, p, N).
 
     For each order m the symbol is the built-in oscillatory family at the
     given rho; ratios are maxima over the adversarial battery; the growth
     exponent is the fitted slope of log2(ratio) against log2(N).  p = inf is
-    measured through the BMO/L-inf proxy ratio.
+    measured through the BMO/L-inf proxy ratio.  The report's ``cells`` hold
+    one entry per (m, p), m major, with the ratios per N, the exponent, and
+    whether it exceeds ``GROWTH_EXPONENT_THRESHOLD``.
     """
-    ps = tuple(lp_exponent(p) for p in p_list)
-    ms = tuple(float(m) for m in m_grid)
-    Ns = tuple(int(N) for N in N_list)
+    ps = [lp_exponent(p) for p in p_list]
+    ms = [float(m) for m in m_grid]
+    Ns = [int(N) for N in N_list]
     grids = {N: make_grid(n1, n2, N, period) for N in Ns}
     batteries = {N: adversarial_battery(grids[N], rho, seed) for N in Ns}
     # the battery does not depend on m, so each of its norms is taken once
     denoms = {(N, p): [lp_norm(f, p) for f in batteries[N]]
               for N in Ns for p in ps}
 
-    ratios, exponents, growing = {}, {}, {}
+    cells = []
     for m in ms:
         sym = builtin("oscillatory_exotic", {"m": m, "rho": rho}, n1=n1, n2=n2)
         per_p = {p: [] for p in ps}
@@ -631,12 +513,11 @@ def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
                 per_p[p].append(max(_ratio(Tf, d, p)
                                     for Tf, d in zip(images, denoms[(N, p)])))
         for p in ps:
-            vals = tuple(per_p[p])
-            ratios[(m, p)] = vals
-            exp = _growth_exponent(Ns, vals)
-            exponents[(m, p)] = exp
-            growing[(m, p)] = bool(exp > GROWTH_EXPONENT_THRESHOLD)
-    return SharpnessTable(rho, ms, ps, Ns, ratios, exponents, growing, seed)
+            exp = _growth_exponent(Ns, per_p[p])
+            cells.append({"m": m, "p": p, "ratios": per_p[p], "exponent": exp,
+                          "growing": bool(exp > GROWTH_EXPONENT_THRESHOLD)})
+    return {"rho": rho, "ms": ms, "ps": ps, "n_values": Ns, "cells": cells,
+            "seed": seed, "threshold": GROWTH_EXPONENT_THRESHOLD}
 
 
 # ---------------------------------------------------------------------------

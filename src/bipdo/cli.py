@@ -203,11 +203,10 @@ def _run_ortho(cfg: dict, seed: int):
         for j in js:
             DecompositionIndex(j=j)
     report = analysis.ortho_experiment(sym, js, grid, tol=tol, max_iter=max_iter)
-    rows = [[j, k, report.entries[(j, k)]] for j in report.js for k in report.js]
-    passed = report.converged
-    line = (f"ortho: epsilon={report.fitted_epsilon:.4g} A={report.fitted_A:.4g} "
-            f"R2={report.r_squared:.4g} converged={report.converged}")
-    return report.to_dict(), rows, ["j", "k", "opnorm"], line, passed
+    line = (f"ortho: epsilon={report['fitted_epsilon']:.4g} "
+            f"A={report['fitted_A']:.4g} R2={report['r_squared']:.4g} "
+            f"converged={report['converged']}")
+    return report, report["entries"], ["j", "k", "opnorm"], line, report["converged"]
 
 
 def _run_kernel_decay(cfg: dict, seed: int):
@@ -226,32 +225,46 @@ def _run_kernel_decay(cfg: dict, seed: int):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, grid.period, size=(count, grid.n))
     report = analysis.kernel_decay_experiment(sym, j, ells, xs, grid, ell_max=ell_max)
-    rows = list(zip(report.ells, report.values))
-    passed = report.verdict == "ok"
-    line = (f"kernel_decay: slope={report.slope:.4g} "
-            f"target={report.target_slope:.4g} verdict={report.verdict}")
-    return report.to_dict(), rows, ["ell", "kernel_l1"], line, passed
+    rows = list(zip(report["ells"], report["values"]))
+    line = (f"kernel_decay: slope={report['slope']:.4g} "
+            f"target={report['target_slope']:.4g} verdict={report['verdict']}")
+    return report, rows, ["ell", "kernel_l1"], line, report["verdict"] == "ok"
+
+
+def _sweep_result(report: dict, column: str):
+    """The runner result of an l2_uniformity or bmo sweep report."""
+    rows = list(zip(report["n_values"], report["ratios"]))
+    line = (f"{report['experiment']}: "
+            f"ratios={[round(r, 6) for r in report['ratios']]} "
+            f"variation={report['variation']:.4g} verdict={report['verdict']}")
+    return report, rows, ["N", column], line, report["verdict"] == "PASS"
 
 
 def _run_l2_uniformity(cfg: dict, seed: int):
     n1, n2, period, Ns = _sweep_from_cfg(cfg)
     sym = _build_symbol(cfg, n1, n2)
     tol, max_iter = _solver_settings(cfg)
-    report = analysis.l2_uniformity_sweep(sym, Ns, period, tol=tol, max_iter=max_iter)
-    rows = list(zip(report.n_values, report.ratios))
-    line = (f"l2_uniformity: ratios={[round(r, 6) for r in report.ratios]} "
-            f"variation={report.variation():.4g} verdict={report.verdict}")
-    return report.to_dict(), rows, ["N", "opnorm"], line, report.verdict == "PASS"
+    return _sweep_result(
+        analysis.l2_uniformity_sweep(sym, Ns, period, tol=tol, max_iter=max_iter),
+        "opnorm")
 
 
 def _run_bmo(cfg: dict, seed: int):
     n1, n2, period, Ns = _sweep_from_cfg(cfg)
     sym = _build_symbol(cfg, n1, n2)
-    report = analysis.bmo_experiment(sym, Ns, period, seed=seed)
-    rows = list(zip(report.n_values, report.ratios))
-    line = (f"bmo: ratios={[round(r, 6) for r in report.ratios]} "
-            f"variation={report.variation():.4g} verdict={report.verdict}")
-    return report.to_dict(), rows, ["N", "bmo_ratio"], line, report.verdict == "PASS"
+    return _sweep_result(analysis.bmo_experiment(sym, Ns, period, seed=seed),
+                         "bmo_ratio")
+
+
+def _sharpness_flips(report: dict):
+    """Per p, the smallest m whose ratio grows with N (None if none does),
+    and whether growth, once reached, persists for every larger m."""
+    growing = {(c["m"], c["p"]): c["growing"] for c in report["cells"]}
+    flags = {p: [growing[(m, p)] for m in report["ms"]] for p in report["ps"]}
+    flips = {p: next((m for m, g in zip(report["ms"], f) if g), None)
+             for p, f in flags.items()}
+    monotone = all(b or not a for f in flags.values() for a, b in zip(f, f[1:]))
+    return flips, monotone
 
 
 def _run_sharpness(cfg: dict, seed: int):
@@ -266,18 +279,13 @@ def _run_sharpness(cfg: dict, seed: int):
     with _checked("'m_grid'"):
         for m in ms:
             builtin("oscillatory_exotic", {"rho": rho, "m": m}, n1=n1, n2=n2)
-    table = analysis.sharpness_scan(rho, ps, ms, Ns, period, seed=seed,
-                                    n1=n1, n2=n2)
-    rows = []
-    for m in table.ms:
-        for p in table.ps:
-            for N, r in zip(table.n_values, table.ratios[(m, p)]):
-                rows.append([m, p, N, r, table.exponents[(m, p)],
-                             int(table.growing[(m, p)])])
-    monotone = all(table.monotone_in_m(p) for p in table.ps)
-    flips = {p: table.flip_m(p) for p in table.ps}
+    report = analysis.sharpness_scan(rho, ps, ms, Ns, period, seed=seed,
+                                     n1=n1, n2=n2)
+    rows = [[c["m"], c["p"], N, r, c["exponent"], int(c["growing"])]
+            for c in report["cells"] for N, r in zip(report["n_values"], c["ratios"])]
+    flips, monotone = _sharpness_flips(report)
     line = f"sharpness: flips={flips} monotone={monotone}"
-    return table.to_dict(), rows, ["m", "p", "N", "ratio", "exponent", "growing"], \
+    return report, rows, ["m", "p", "N", "ratio", "exponent", "growing"], \
         line, monotone
 
 
@@ -326,6 +334,8 @@ def cmd_run(args) -> int:
     cfg = parse_config(args.config)
     name = cfg["experiment"]
     seed = _num(cfg, "seed", int, 2026)
+    if seed < 0:
+        raise ConfigError(f"'seed' must be an integer >= 0, got {seed}")
     report, rows, header, line, passed = _EXPERIMENTS[name][0](cfg, seed)
     _write_report(cfg.get("outdir", "."), name, cfg, seed, report, rows, header)
     print(line)
@@ -465,6 +475,8 @@ def _symbol_from_flags(args, grid):
         sym = builtin(args.symbol, params, n1=grid.n1, n2=grid.n2)
     if args.ell is not None and args.j is None:
         raise ConfigError("--ell requires --j")
+    if args.ellmax is not None and args.ell is None:
+        raise ConfigError("--ellmax requires --ell")
     with _checked("--split-scale, --j, --ell or --ellmax"):
         if args.split_scale is not None:
             sym = derived_symbol(sym, DecompositionIndex(r=args.split_scale), "high_r")
@@ -552,7 +564,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ell", type=int, default=None,
                        help="restrict to cone sector ell (needs --j)")
         p.add_argument("--ellmax", type=int, default=None,
-                       help="cone tail index (default log2 N)")
+                       help="cone tail index (needs --ell; default log2 N)")
         p.add_argument("--split-scale", type=float, default=None,
                        dest="split_scale",
                        help="keep only frequencies above 1/r for scale r")

@@ -300,15 +300,14 @@ class Mollifier:
     ``field`` holds the values on the construction grid; ``mode_steps`` (K, n
     integer rows) and ``mode_coeffs`` give the exact finite Fourier expansion
     lam(x) = sum_k coeffs[k] * e^{2 pi i (steps[k]/L).x}, which the commutator
-    symbol consumes.  ``freq_radius`` is the guaranteed support radius of the
-    transform.
+    symbol consumes.  ``degree`` is the largest |step| per axis, so the
+    transform is supported in |xi| <= sqrt(n) * degree / L.
     """
 
     field: SampledField
     degree: int
     mode_steps: np.ndarray
     mode_coeffs: np.ndarray
-    freq_radius: float
 
 
 def _one_sided_fejer_autocorr(M: int) -> np.ndarray:
@@ -345,7 +344,7 @@ def mollifier_lambda(grid: GridSpec, Q: DyadicCube, rho: float) -> Mollifier:
     if Q.side == N:
         ones = SampledField(grid, np.ones(grid.shape, dtype=complex))
         return Mollifier(ones, 0, np.zeros((1, n), dtype=int),
-                         np.ones(1, dtype=complex), 0.0)
+                         np.ones(1, dtype=complex))
 
     center = tuple((a + Q.side / 2.0) * step for a in Q.anchor)
     r_phys = Q.side * step
@@ -395,4 +394,4 @@ def mollifier_lambda(grid: GridSpec, Q: DyadicCube, rho: float) -> Mollifier:
     for i, d in enumerate(steps):
         amp = scale * np.prod(c_d[np.abs(d)])
         coeffs[i] = amp * np.exp(-2j * np.pi * np.dot(d, center) / L)
-    return Mollifier(field, M, steps, coeffs, np.sqrt(n) * M / L)
+    return Mollifier(field, M, steps, coeffs)

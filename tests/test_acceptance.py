@@ -18,6 +18,7 @@ from bipdo import (DecompositionIndex, DyadicCube, SampledField,
                    dft_inverse, kernel_decay_experiment, l2_opnorm,
                    l2_uniformity_sweep, make_grid, make_symbol, ortho_experiment,
                    phi_j, quantize, sharpness_scan, varphi)
+from bipdo.cli import _sharpness_flips
 from helpers import dense_opnorm_oracle, rand_field, rand_separable
 
 
@@ -168,12 +169,12 @@ def test_c5_almost_orthogonality_decay(capsys):
 
     mult = builtin("multiplier_bessel", {"m": 0.0})
     repm = ortho_experiment(mult, [1, 2, 3, 4, 5], grid, max_iter=2000)
-    far = max(v for (j, k), v in repm.entries.items() if abs(j - k) >= 2)
+    far = max(v for j, k, v in repm["entries"] if abs(j - k) >= 2)
     elapsed = time.time() - t0
 
-    ok = (rep.fitted_epsilon >= 0.1 and rep.r_squared >= 0.8
+    ok = (rep["fitted_epsilon"] >= 0.1 and rep["r_squared"] >= 0.8
           and far <= 1e-10 and elapsed <= 600.0)
-    detail = (f"epsilon={rep.fitted_epsilon:.3f} R2={rep.r_squared:.4f} "
+    detail = (f"epsilon={rep['fitted_epsilon']:.3f} R2={rep['r_squared']:.4f} "
               f"multiplier_far_max={far:.2e} {elapsed:.1f}s")
     _verdict(capsys, 5, "almost-orthogonality", ok, detail)
     assert ok, detail
@@ -193,9 +194,10 @@ def test_c6_kernel_cone_decay(capsys):
     xs = rng.uniform(0.0, 1.0, size=(5, 2))
     rep = kernel_decay_experiment(sym, 5, range(0, 5), xs, grid)
     elapsed = time.time() - t0
-    ok = rep.slope <= -0.35 and elapsed <= 300.0
-    detail = (f"fitted_slope={rep.slope:.3f} bar=-0.35 ideal=-0.5 "
-              f"R2={rep.r_squared:.3f} values={[round(v, 4) for v in rep.values]} "
+    ok = rep["slope"] <= -0.35 and elapsed <= 300.0
+    detail = (f"fitted_slope={rep['slope']:.3f} bar=-0.35 ideal=-0.5 "
+              f"R2={rep['r_squared']:.3f} "
+              f"values={[round(v, 4) for v in rep['values']]} "
               f"{elapsed:.1f}s")
     _verdict(capsys, 6, "kernel-cone-decay", ok, detail)
     assert ok, detail
@@ -204,12 +206,12 @@ def test_c6_kernel_cone_decay(capsys):
 def test_c7_uniform_l2_bound(capsys):
     sym = builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5})
     rep = l2_uniformity_sweep(sym, [16, 32, 64], tol=1e-8, max_iter=2000)
-    vals = rep.ratios
+    vals = rep["ratios"]
     var = (max(vals) - min(vals)) / min(vals)
 
     twin = builtin("oscillatory_exotic", {"m": 0.5, "rho": 0.5})
     rept = l2_uniformity_sweep(twin, [16, 32, 64], tol=1e-8, max_iter=2000)
-    growth = (rept.ratios[-1] - rept.ratios[0]) / rept.ratios[0]
+    growth = (rept["ratios"][-1] - rept["ratios"][0]) / rept["ratios"][0]
 
     ok = var <= 0.20 and growth >= 0.25
     detail = (f"critical_order_variation={var * 100:.2f}% (cap 20%), "
@@ -225,10 +227,10 @@ def test_c8_bmo_ratio_stability(capsys):
     modulated = bmo_experiment(builtin("modulated_bessel", {"m": -0.5}),
                                [16, 32, 64])
     elapsed = time.time() - t0
-    ok = (plain.variation() <= 0.20 and modulated.variation() <= 0.20
+    ok = (plain["variation"] <= 0.20 and modulated["variation"] <= 0.20
           and elapsed <= 600.0)
-    detail = (f"multiplier_variation={plain.variation() * 100:.2f}% "
-              f"modulated_variation={modulated.variation() * 100:.2f}% "
+    detail = (f"multiplier_variation={plain['variation'] * 100:.2f}% "
+              f"modulated_variation={modulated['variation'] * 100:.2f}% "
               f"(cap 20%) {elapsed:.1f}s")
     _verdict(capsys, 8, "bmo-ratio-stability", ok, detail)
     assert ok, detail
@@ -242,8 +244,7 @@ def test_c9_sharpness_scan(capsys):
     tab = sharpness_scan(0.5, ps, ms, [16, 32, 64])
     elapsed = time.time() - t0
 
-    monotone = all(tab.monotone_in_m(p) for p in ps)
-    flips = {p: tab.flip_m(p) for p in ps}
+    flips, monotone = _sharpness_flips(tab)
     p2_ok = flips[2.0] is not None and abs(flips[2.0]) <= step + 1e-12
     side_ok = all(flips[p] is not None and -1.0 <= flips[p] <= 0.0
                   for p in (ps[0], 4.0))

@@ -19,6 +19,7 @@ from bipdo import (DecompositionIndex, SampledField, adjoint_of,
                    sharpness_scan, DyadicCube)
 from bipdo import test_battery as standard_battery
 from bipdo.analysis import fit_line
+from bipdo.cli import _sharpness_flips
 from helpers import dense_opnorm_oracle, rand_separable
 
 
@@ -138,23 +139,24 @@ def test_ortho_multiplier_compositions_vanish():
     grid = make_grid(1, 1, 32, 1.0)
     sym = builtin("multiplier_bessel", {"m": 0.0})
     rep = ortho_experiment(sym, [1, 2, 3, 4], grid)
-    for (j, k), v in rep.entries.items():
+    entries = {(j, k): v for j, k, v in rep["entries"]}
+    for (j, k), v in entries.items():
         if abs(j - k) >= 2:
             assert v == 0.0, (j, k, v)
     # annuli at distance >= 2 have disjoint supports, so the closed-form
     # norm max |b_j b_k| is exactly zero; diagonals and neighbors stay positive
-    assert rep.entries[(1, 1)] > 0.1
+    assert entries[(1, 1)] > 0.1
 
 
 def test_ortho_diagonal_matches_opnorm_squared():
     grid = make_grid(1, 1, 16, 1.0)
     sym = builtin("multiplier_bessel", {"m": 0.0})
     rep = ortho_experiment(sym, [1, 2], grid, tol=1e-10, max_iter=5000)
-    from bipdo import DecompositionIndex, derived_symbol
+    diagonal = {j: v for j, k, v in rep["entries"] if j == k}
     for j in (1, 2):
         piece = derived_symbol(sym, DecompositionIndex(j=j), "annulus_j")
         norm = l2_opnorm(quantize(piece, grid), tol=1e-10, max_iter=5000).value
-        assert rep.entries[(j, j)] == pytest.approx(norm ** 2, rel=1e-6)
+        assert diagonal[j] == pytest.approx(norm ** 2, rel=1e-6)
 
 
 def test_ortho_entries_symmetric_and_deterministic():
@@ -162,9 +164,10 @@ def test_ortho_entries_symmetric_and_deterministic():
     sym = builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5})
     a = ortho_experiment(sym, [1, 2, 3], grid, max_iter=800)
     b = ortho_experiment(sym, [1, 2, 3], grid, max_iter=800)
-    assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
-    for (j, k), v in a.entries.items():
-        assert a.entries[(k, j)] == v
+    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    entries = {(j, k): v for j, k, v in a["entries"]}
+    for (j, k), v in entries.items():
+        assert entries[(k, j)] == v
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +178,18 @@ def test_kernel_decay_zero_symbol_degenerate():
     grid = make_grid(1, 1, 16, 1.0)
     rep = kernel_decay_experiment(builtin("constant", {"c": 0.0}), 3,
                                   range(0, 3), [np.zeros(2)], grid)
-    assert rep.verdict == "degenerate"
-    assert all(v == 0.0 for v in rep.values)
+    assert rep["verdict"] == "degenerate"
+    assert all(v == 0.0 for v in rep["values"])
 
 
 def test_kernel_decay_monotone_for_product_symbol():
     grid = make_grid(1, 1, 32, 1.0)
     sym = builtin("multiplier_bessel", {"m": -0.5})
     rep = kernel_decay_experiment(sym, 4, range(0, 4), [np.zeros(2)], grid)
-    assert rep.verdict == "ok"
-    for a, b in zip(rep.values, rep.values[1:]):
+    assert rep["verdict"] == "ok"
+    for a, b in zip(rep["values"], rep["values"][1:]):
         assert b <= a * (1.0 + 1e-9)
-    assert rep.target_slope == -0.5
+    assert rep["target_slope"] == -0.5
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +199,8 @@ def test_kernel_decay_monotone_for_product_symbol():
 def test_uniformity_contraction_multiplier():
     sym = builtin("multiplier_bessel", {"m": -1.0})   # |sigma| <= 1
     rep = l2_uniformity_sweep(sym, [8, 16, 32])
-    assert all(v <= 1.0 + 1e-6 for v in rep.ratios)
-    assert rep.verdict == "PASS"
+    assert all(v <= 1.0 + 1e-6 for v in rep["ratios"])
+    assert rep["verdict"] == "PASS"
 
 
 def test_uniformity_requires_increasing_n():
@@ -210,7 +213,7 @@ def test_uniformity_requires_increasing_n():
 def test_bmo_zero_symbol_and_constant_field():
     zero = builtin("constant", {"c": 0.0})
     rep = bmo_experiment(zero, [8, 16])
-    assert all(r == 0.0 for r in rep.ratios)
+    assert all(r == 0.0 for r in rep["ratios"])
 
     grid = make_grid(1, 1, 16, 1.0)
     const = SampledField(grid, np.ones(grid.shape, dtype=complex))
@@ -271,16 +274,14 @@ def test_adversarial_battery_deterministic():
 
 def test_sharpness_p2_column_flips_above_zero():
     tab = sharpness_scan(0.5, [2.0], [-0.5, 0.5], [16, 32])
-    assert not tab.growing[(-0.5, 2.0)]
-    assert tab.growing[(0.5, 2.0)]
-    assert tab.flip_m(2.0) == 0.5
-    assert tab.monotone_in_m(2.0)
+    assert [(c["m"], c["p"], c["growing"]) for c in tab["cells"]] == \
+        [(-0.5, 2.0, False), (0.5, 2.0, True)]
+    assert _sharpness_flips(tab) == ({2.0: 0.5}, True)
 
 
 def test_sharpness_table_serializes():
     tab = sharpness_scan(0.5, [2.0], [0.0], [16, 32])
-    doc = tab.to_dict()
-    assert json.dumps(doc, sort_keys=True)
+    assert json.loads(json.dumps(tab, sort_keys=True)) == tab
 
 
 # ---------------------------------------------------------------------------

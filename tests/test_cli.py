@@ -101,6 +101,65 @@ def test_run_exit_one_when_experiment_fails(tmp_path, capsys):
     assert "verdict=FAIL" in capsys.readouterr().out
 
 
+# experiment -> (config body, sorted report keys)
+_REPORT_RUNS = {
+    "ortho": ('symbol = "oscillatory_exotic"\ngrid = [1, 1, 16, 1.0]\nj_range = [1, 2, 3]',
+              "converged entries fitted_A fitted_epsilon js min_gap r_squared zero_floor"),
+    "kernel_decay": ('symbol = "multiplier_bessel"\ngrid = [1, 1, 16, 1.0]\nj = 2\n'
+                     'ell_range = [0, 1, 2]',
+                     "ells intercept j r_squared slope target_slope values verdict"),
+    "l2_uniformity": ('symbol = "multiplier_bessel"\nfactors = [1, 1]\nperiod = 1.0\n'
+                      'N_list = [8, 16]',
+                      "battery experiment growth_exponent n_values params ratios seed "
+                      "symbol variation verdict"),
+    "bmo": ('symbol = "multiplier_bessel"\nfactors = [1, 1]\nperiod = 1.0\n'
+            'N_list = [8, 16]',
+            "battery experiment growth_exponent n_values params ratios seed symbol "
+            "variation verdict"),
+    "sharpness": ('rho = 0.5\np_list = [2.0]\nm_grid = [0.0]\nN_list = [8, 16]\n'
+                  'factors = [1, 1]\nperiod = 1.0',
+                  "cells ms n_values ps rho seed threshold"),
+    "commutator": ('symbol = "oscillatory_exotic"\ngrid = [1, 1, 16, 1.0]\n'
+                   'cube_anchor = [4, 4]\ncube_side = 4\nrho = 0.5',
+                   "battery_count battery_kmax max_relative_error tol verdict"),
+}
+
+
+@pytest.mark.parametrize("experiment", _REPORT_RUNS)
+def test_report_keys_per_experiment(tmp_path, experiment):
+    # the report schema the README documents and perfbench/workloads.py reads
+    body, keys = _REPORT_RUNS[experiment]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f'experiment = "{experiment}"\n{body}\n'
+                   f"outdir = {json.dumps(str(tmp_path))}\n", encoding="utf-8")
+    assert main(["run", str(cfg)]) in (0, 1)
+    report = json.loads((tmp_path / f"{experiment}.json").read_text())["report"]
+    assert sorted(report) == keys.split()
+    if experiment == "ortho":
+        assert [e[:2] for e in report["entries"]] == \
+            [[j, k] for j in (1, 2, 3) for k in (1, 2, 3)]
+        assert all(len(e) == 3 and isinstance(e[2], float) for e in report["entries"])
+    if experiment == "sharpness":
+        assert [sorted(c) for c in report["cells"]] == \
+            [["exponent", "growing", "m", "p", "ratios"]]
+
+
+def test_sharpness_run_reports_flip_and_exit_code(tmp_path, capsys):
+    # the verdict line and the exit code come from the CLI's flip derivation
+    cfg = write_cfg(tmp_path / "run.cfg", f"""\
+        experiment = "sharpness"
+        rho = 0.5
+        p_list = [2.0]
+        m_grid = [-0.5, 0.5]
+        N_list = [16, 32]
+        factors = [1, 1]
+        period = 1.0
+        outdir = {json.dumps(str(tmp_path))}
+        """)
+    assert main(["run", cfg]) == 0
+    assert "flips={2.0: 0.5} monotone=True" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # config validation
 
@@ -254,6 +313,14 @@ _SHARP = ('experiment = "sharpness"\nrho = 0.5\nN_list = [8, 16]\n'
     ("apply", ["--j", "2", "--ell", "9"], "--ell"),
     ("apply", ["--split-scale", "-1"], "--split-scale"),
     ("kernel", ["--x", "nan,0"], "--x"),
+    ("run", f'experiment = "bmo"\n{_SWEEP}period = 1.0\nN_list = [8, 16]\nseed = -3',
+     "'seed'"),
+    ("run", f'{_COMM}cube_anchor = [4, 4]\ncube_side = 4\nrho = 0.5\nseed = -3',
+     "'seed'"),
+    ("run", 'experiment = "ortho"\nsymbol = "multiplier_bessel"\n'
+            'grid = [1, 1, 8, 1.0]\nj_range = [1, 2]\nseed = -3', "'seed'"),
+    ("apply", ["--j", "2", "--ellmax", "3"], "--ellmax requires --ell"),
+    ("kernel", ["--ellmax", "0"], "--ellmax requires --ell"),
 ], ids=["period", "N_list-odd", "N_list-decreasing", "j_range", "ell_range",
         "ell_max", "x_count", "sharpness-rho", "cube_side", "cube_anchor",
         "battery_kmax", "mollifier-radius", "p_list", "battery-spectrum",
@@ -261,7 +328,8 @@ _SHARP = ('experiment = "sharpness"\nrho = 0.5\nN_list = [8, 16]\n'
         "bmo-j_range", "commutator-max_iter", "N_list-single", "N_list-repeated",
         "j_range-repeated", "ell_range-repeated", "m_grid-nan", "m_grid-inf",
         "m_grid-decreasing", "m_grid-repeated", "p_list-repeated", "apply-j",
-        "apply-ell", "apply-split-scale", "kernel-x"])
+        "apply-ell", "apply-split-scale", "kernel-x", "bmo-seed", "commutator-seed",
+        "ortho-seed", "apply-ellmax", "kernel-ellmax"])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, body,
                                                needle):
     out = tmp_path / "out"

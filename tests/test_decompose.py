@@ -287,7 +287,8 @@ def test_mollifier_documented_configuration():
     assert v.real.max() == pytest.approx(1.3217, rel=1e-3)
     hat = dft_forward(lam.field).values
     fr = np.linalg.norm(grid.freqs(), axis=-1).reshape(grid.shape)
-    leak = np.abs(hat[fr > lam.freq_radius + 1e-9]).max()
+    radius = np.sqrt(grid.n) * lam.degree / grid.period
+    leak = np.abs(hat[fr > radius + 1e-9]).max()
     assert leak <= 1e-12
 
 
@@ -295,7 +296,7 @@ def test_mollifier_whole_torus_is_one():
     grid = make_grid(1, 1, 32, 1.0)
     lam = mollifier_lambda(grid, DyadicCube((0, 0), 32), 0.7)
     assert np.array_equal(lam.field.values, np.ones(grid.shape, dtype=complex))
-    assert lam.degree == 0 and lam.freq_radius == 0.0
+    assert lam.degree == 0
 
 
 def test_mollifier_infeasible_configurations():

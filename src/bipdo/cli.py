@@ -336,8 +336,13 @@ def cmd_run(args) -> int:
     seed = _num(cfg, "seed", int, 2026)
     if seed < 0:
         raise ConfigError(f"'seed' must be an integer >= 0, got {seed}")
+    outdir = cfg.get("outdir", ".")
+    if not isinstance(outdir, str) or not outdir:
+        raise ConfigError(f"'outdir' must be a non-empty string, got {outdir!r}")
+    if not isinstance(cfg.get("symbol", ""), str):
+        raise ConfigError(f"'symbol' must be a string, got {cfg['symbol']!r}")
     report, rows, header, line, passed = _EXPERIMENTS[name][0](cfg, seed)
-    _write_report(cfg.get("outdir", "."), name, cfg, seed, report, rows, header)
+    _write_report(outdir, name, cfg, seed, report, rows, header)
     print(line)
     return 0 if passed else 1
 
@@ -575,8 +580,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="input .fld file")
     p_apply.add_argument("--out", dest="outfile", required=True,
                          help="output .fld file")
-    p_apply.add_argument("--path", default="auto",
-                         choices=("auto", "dense", "separable"))
+    p_apply.add_argument("--path", default="separable",
+                         choices=("dense", "separable"))
     p_apply.set_defaults(func=cmd_apply)
 
     p_kernel = sub.add_parser("kernel", help="export a kernel slice as CSV")

@@ -184,13 +184,10 @@ def _check_fields(index: DecompositionIndex, kind: str):
 
 
 def _cut_symbol(sigma: SymbolDescriptor, cut, tag: str) -> SymbolDescriptor:
-    """Multiply sigma by a frequency cutoff, propagating separable structure."""
-    def evaluator(x, xi, _p=sigma.evaluator, _c=cut):
-        return _p(x, xi) * _c(xi)
-
+    """Multiply sigma by a frequency cutoff: each term (a, b) becomes (a, b cut)."""
     def term(a, b):
         return [(a, lambda xi, _b=b, _c=cut: np.asarray(_b(xi)) * _c(xi))]
-    return transform_symbol(sigma, evaluator, term, f"{sigma.name}|{tag}")
+    return transform_symbol(sigma, term, f"{sigma.name}|{tag}")
 
 
 def derived_symbol(sigma: SymbolDescriptor, index: DecompositionIndex,
@@ -256,7 +253,9 @@ def theta_symbol(sigma: SymbolDescriptor, mollifier: "Mollifier") -> SymbolDescr
     with beta_eta the Fourier coefficients of lambda.  The shift enters as
     xi + eta: expanding lambda f in modes moves the frequency seen by the
     symbol up by eta, which the difference must mirror for the operator
-    identity to be exact.
+    identity to be exact.  Each term (a, b) of sigma becomes the terms
+    (beta_eta a e^{2 pi i x.eta}, b - b(. + eta)), so a whole-torus mollifier,
+    which has no eta != 0, leaves none.
     """
     # (K, n) physical frequencies
     etas = mollifier.mode_steps / mollifier.field.grid.period
@@ -265,17 +264,6 @@ def theta_symbol(sigma: SymbolDescriptor, mollifier: "Mollifier") -> SymbolDescr
     # the eta = 0 term vanishes identically
     modes = [(eta, beta) for eta, beta in zip(etas, mollifier.mode_coeffs)
              if np.any(eta)]
-
-    def evaluator(x, xi, _p=sigma.evaluator):
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        base = _p(x, xi)
-        acc = np.zeros(np.broadcast(x[..., 0], xi[..., 0]).shape, dtype=complex)
-        for eta, beta in modes:
-            shifted = _p(x, xi + eta)
-            phase = np.exp(2j * np.pi * np.sum(x * eta, axis=-1))
-            acc = acc + beta * (base - shifted) * phase
-        return acc
 
     def term(a, b):
         out = []
@@ -290,7 +278,7 @@ def theta_symbol(sigma: SymbolDescriptor, mollifier: "Mollifier") -> SymbolDescr
                 return np.asarray(_b(xi)) - np.asarray(_b(xi + _eta))
             out.append((ax, bx))
         return out
-    return transform_symbol(sigma, evaluator, term, f"{sigma.name}|theta")
+    return transform_symbol(sigma, term, f"{sigma.name}|theta")
 
 
 @dataclass(frozen=True)

@@ -4,17 +4,18 @@ The quantization rule is
 
     (T f)(x) = sum_{xi in lattice} fhat(xi) sigma(x, xi) e^{2 pi i x.xi} (1/L)^n
 
-with fhat from ``dft_forward``.  The dense path evaluates this sum literally
-(chunked over output points) and is the reference semantics: apply, apply_at
-and the dense adjoint share one chunked sweep, which builds the phase
-e^{2 pi i x.xi} as a product of per-axis tables e^{2 pi i x_a k_a}.  The
-separable path rewrites sigma = sum_k a_k(x) b_k(xi) as multiplier sandwiches
+with fhat from ``dft_forward``.  The separable path, every operator's
+default, applies the symbol's terms sigma = sum_k a_k(x) b_k(xi) as
+multiplier sandwiches
 
     T f = sum_k a_k * ifft(b_k * fft(f))
 
-which agrees with the dense path to roundoff and runs at FFT speed.  Adjoints
-are taken with respect to the quadrature inner product <u, v> =
-sum u conj(v) (L/N)^n.
+at FFT speed.  The dense path, on request, is its oracle: it evaluates the
+lattice sum literally, with sigma summed from the same terms.  apply, apply_at
+and the dense adjoint share one sweep, chunked over output points, which
+builds the phase e^{2 pi i x.xi} as a product of per-axis tables
+e^{2 pi i x_a k_a}.  Adjoints are taken with respect to the quadrature inner
+product <u, v> = sum u conj(v) (L/N)^n.
 
 ``apply_at`` evaluates the same lattice sum at arbitrary (off-grid) points,
 which makes the dilation conjugation identity exact: with s = 2^(j rho),
@@ -35,25 +36,20 @@ _CHUNK = 1 << 22
 class QuantizedOperator:
     """A symbol bound to a grid with a chosen application path.
 
-    ``path`` is "dense" or "separable"; "auto" at construction picks the
-    separable path whenever the symbol carries separable terms.  The
-    separable path caches the factor tables a_k on the point grid and b_k on
-    the frequency lattice for apply and adjoint, and, apart from them, the
-    transformed tables fftn(b_k) / L^n for kernel slices; each set is built
-    on first use.  The dense path caches nothing and evaluates the symbol
-    afresh in every sweep.
+    ``path`` is "separable" (the default) or "dense".  The separable path
+    caches the factor tables a_k on the point grid and b_k on the frequency
+    lattice for apply and adjoint, and, apart from them, the transformed
+    tables fftn(b_k) / L^n for kernel slices; each set is built on first use.
+    The dense path caches nothing and sums the terms afresh in every sweep.
     """
 
-    def __init__(self, symbol: SymbolDescriptor, grid: GridSpec, path: str = "auto"):
+    def __init__(self, symbol: SymbolDescriptor, grid: GridSpec,
+                 path: str = "separable"):
         if symbol.n != grid.n:
             raise ValueError(
                 f"symbol has {symbol.n} axes, grid has {grid.n}")
-        if path == "auto":
-            path = "separable" if symbol.separable_terms is not None else "dense"
         if path not in ("dense", "separable"):
             raise ValueError(f"unknown path '{path}'")
-        if path == "separable" and symbol.separable_terms is None:
-            raise ValueError("separable path requires a symbol with separable terms")
         self.symbol = symbol
         self.grid = grid
         self.path = path
@@ -85,7 +81,8 @@ class QuantizedOperator:
         return self._kernels
 
 
-def quantize(symbol: SymbolDescriptor, grid: GridSpec, path: str = "auto") -> QuantizedOperator:
+def quantize(symbol: SymbolDescriptor, grid: GridSpec,
+             path: str = "separable") -> QuantizedOperator:
     return QuantizedOperator(symbol, grid, path)
 
 
@@ -184,8 +181,8 @@ def kernel_slice(T: QuantizedOperator, x) -> SampledField:
     """The x-slice of the kernel: y -> sum_xi sigma(x, xi) e^{-2 pi i y.xi} / L^n.
 
     The separable path sums a_k(x) fftn(b_k) / L^n over the cached transformed
-    tables, with each a_k evaluated at x alone; the dense path transforms
-    sigma(x, .) evaluated over the whole lattice, and is the reference.
+    tables, with each a_k evaluated at x alone; the dense path transforms the
+    terms summed over the whole lattice, sigma(x, .), and is the reference.
     """
     grid = T.grid
     x = np.asarray(x, dtype=float)

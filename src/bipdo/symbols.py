@@ -13,9 +13,10 @@ and the bi-parameter variant replaces (1+|xi|)^m by per-factor orders
 analytically, by construction, and every experiment report records them;
 class membership is not estimated numerically.
 
-Descriptors may carry a separable decomposition sigma = sum_k a_k(x) b_k(xi),
-which downstream code uses for FFT-speed operator application; the evaluator
-and the decomposition must agree (and tests enforce it for builtins).
+A symbol is its separable terms sigma = sum_k a_k(x) b_k(xi).  The FFT path
+of the operators applies the terms, and ``make_symbol``, the one constructor,
+sets the evaluator to their sum, which the dense reference path reads.  A
+builtin or derived symbol is written as its terms only.
 """
 from __future__ import annotations
 
@@ -33,15 +34,14 @@ DEFAULT_MOD_DEPTH = 0.75
 
 @dataclass(frozen=True)
 class SymbolDescriptor:
-    """An evaluable symbol with declared class parameters.
+    """A symbol given by its separable terms, with declared class parameters.
 
     Attributes
     ----------
     evaluator : callable
-        ``evaluator(x, xi) -> complex array`` where ``x`` and ``xi`` are
-        broadcast-compatible arrays whose last axis has length n1 + n2.
-        Must be total (finite for every finite input, including xi = 0)
-        and deterministic.
+        ``evaluator(x, xi) -> array``, the sum of the separable terms, set by
+        :func:`make_symbol`; ``x`` and ``xi`` are broadcast-compatible arrays
+        whose last axis has length n1 + n2.  The dense path reads it.
     n1, n2 : int
         Dimensions of the two frequency factors.
     order : float or tuple
@@ -49,10 +49,11 @@ class SymbolDescriptor:
         for the bi-parameter class.
     rho, delta : float
         Declared regularity parameters, each in [0, 1].
-    separable_terms : tuple or None
-        Optional tuple of ``(a, b)`` callables with sigma = sum a_k(x) b_k(xi);
-        ``a`` maps (..., n) points to complex, ``b`` maps (..., n) frequencies
-        to complex.
+    separable_terms : tuple
+        Tuple of ``(a, b)`` callables with sigma = sum a_k(x) b_k(xi); ``a``
+        maps (..., n) points and ``b`` maps (..., n) frequencies to arrays.
+        Each must be total (finite for every finite input, including xi = 0)
+        and deterministic.
     name : str
         Human-readable tag used in reports.
     """
@@ -60,36 +61,24 @@ class SymbolDescriptor:
     evaluator: object
     n1: int
     n2: int
-    order: object = 0.0
-    rho: float = 0.0
-    delta: float = 0.0
-    separable_terms: object = None
-    name: str = "symbol"
+    order: object
+    rho: float
+    delta: float
+    separable_terms: tuple
+    name: str
 
     @property
     def n(self) -> int:
         return self.n1 + self.n2
 
 
-def _terms_evaluator(terms):
-    def evaluator(x, xi, _terms=terms):
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        out = None
-        for a, b in _terms:
-            contrib = np.asarray(a(x)) * np.asarray(b(xi))
-            out = contrib if out is None else out + contrib
-        return np.asarray(out, dtype=complex)
-    return evaluator
-
-
-def make_symbol(evaluator, n1: int, n2: int, order=0.0, rho: float = 0.0,
-                delta: float = 0.0, separable_terms=None,
-                name: str = "symbol") -> SymbolDescriptor:
-    """Validate the declared parameters and build a :class:`SymbolDescriptor`.
+def make_symbol(terms, n1: int, n2: int, order=0.0, rho: float = 0.0,
+                delta: float = 0.0, name: str = "symbol") -> SymbolDescriptor:
+    """Validate the declared parameters and build the :class:`SymbolDescriptor`
+    of sigma = sum_k a_k(x) b_k(xi) over the ``(a, b)`` pairs in ``terms``.
 
     The declared order and (rho, delta) are recorded as given; they are not
-    checked against the evaluator.
+    checked against the terms.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError(f"factor dimensions must be positive, got ({n1}, {n2})")
@@ -103,28 +92,32 @@ def make_symbol(evaluator, n1: int, n2: int, order=0.0, rho: float = 0.0,
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    if separable_terms is not None:
-        separable_terms = tuple(tuple(t) for t in separable_terms)
-        if any(len(t) != 2 for t in separable_terms):
-            raise ValueError("separable terms must be (a(x), b(xi)) pairs")
+    try:
+        terms = tuple((a, b) for a, b in terms)
+    except (TypeError, ValueError):
+        raise ValueError("separable terms must be (a(x), b(xi)) pairs") from None
+
+    def evaluator(x, xi):
+        # summed as computed, real or complex: a complex copy slows dense sweeps
+        x = np.asarray(x, dtype=float)
+        xi = np.asarray(xi, dtype=float)
+        out = None
+        for a, b in terms:
+            contrib = np.asarray(a(x)) * np.asarray(b(xi))
+            out = contrib if out is None else out + contrib
+        if out is None:
+            out = np.zeros(np.broadcast(x[..., 0], xi[..., 0]).shape, dtype=complex)
+        return out
     return SymbolDescriptor(evaluator, n1, n2, order, float(rho), float(delta),
-                            separable_terms, name)
+                            terms, name)
 
 
-def transform_symbol(sym: SymbolDescriptor, evaluator, term,
-                     name: str) -> SymbolDescriptor:
-    """A symbol derived from ``sym``, its evaluator and terms changed together.
-
-    ``evaluator`` is the derived symbol, and ``term(a, b)`` maps each separable
-    term of ``sym`` to the list of terms it becomes, so the derived terms sum
-    to ``evaluator`` whenever those of ``sym`` sum to its evaluator.  The
-    factor dimensions and class parameters carry over.
-    """
-    terms = None
-    if sym.separable_terms is not None:
-        terms = [t for a, b in sym.separable_terms for t in term(a, b)]
-    return make_symbol(evaluator, sym.n1, sym.n2, order=sym.order, rho=sym.rho,
-                       delta=sym.delta, separable_terms=terms, name=name)
+def transform_symbol(sym: SymbolDescriptor, term, name: str) -> SymbolDescriptor:
+    """The symbol whose terms are the lists ``term(a, b)`` over the terms
+    (a, b) of ``sym``, with the factor dimensions and class parameters of ``sym``."""
+    terms = [t for a, b in sym.separable_terms for t in term(a, b)]
+    return make_symbol(terms, sym.n1, sym.n2, order=sym.order, rho=sym.rho,
+                       delta=sym.delta, name=name)
 
 
 def block_norms(xi, n1: int):
@@ -216,7 +209,8 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
                         x-modulated multiplier of order m, rho 1, delta 0.
 
     All families use smoothed per-factor magnitudes <xi_i> = (1+|xi_i|^2)^(1/2)
-    so that evaluators are total and infinitely differentiable on the axes.
+    so that their terms are total and infinitely differentiable on the axes.
+    Each family is written as its separable terms only.
     Each family declares its class parameters analytically.  Numeric
     parameters must be finite numbers (``mod_freq`` and ``xfreq`` entries
     integers); anything else is a ValueError naming the parameter.
@@ -240,28 +234,17 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
 
     if name == "constant":
         c = num("c", complex)
-
-        def evaluator(x, xi, _c=c):
-            shape = np.broadcast(np.asarray(x)[..., 0], np.asarray(xi)[..., 0]).shape
-            return np.full(shape, _c)
-
         terms = (((lambda x, _c=c: np.full(np.asarray(x).shape[:-1], _c)),
                   (lambda xi: np.ones(np.asarray(xi).shape[:-1]))),)
-        return make_symbol(evaluator, n1, n2, order=0.0, rho=1.0, delta=0.0,
-                           separable_terms=terms, name=f"constant[{c:g}]")
+        return make_symbol(terms, n1, n2, order=0.0, rho=1.0, delta=0.0,
+                           name=f"constant[{c:g}]")
 
     if name == "multiplier_bessel":
         m = num("m")
-
-        def evaluator(x, xi, _m=m):
-            val = _bessel_value(xi, _m)
-            shape = np.broadcast(np.asarray(x)[..., 0], val).shape
-            return np.broadcast_to(val.astype(complex), shape)
-
         terms = (((lambda x: np.ones(np.asarray(x).shape[:-1])),
                   (lambda xi, _m=m: _bessel_value(xi, _m))),)
-        return make_symbol(evaluator, n1, n2, order=m, rho=1.0, delta=0.0,
-                           separable_terms=terms, name=f"bessel[{m:g}]")
+        return make_symbol(terms, n1, n2, order=m, rho=1.0, delta=0.0,
+                           name=f"bessel[{m:g}]")
 
     if name == "separable":
         raw = p["terms"]
@@ -297,8 +280,7 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
         terms = tuple((a_factory(amp, xf, ph), b_factory(t1, t2))
                       for amp, xf, ph, t1, t2 in spec_terms)
         m_pair = (max(t[3] for t in spec_terms), max(t[4] for t in spec_terms))
-        return make_symbol(_terms_evaluator(terms), n1, n2, order=m_pair,
-                           rho=1.0, delta=0.0, separable_terms=terms,
+        return make_symbol(terms, n1, n2, order=m_pair, rho=1.0, delta=0.0,
                            name=f"separable[{len(terms)}]")
 
     if name == "oscillatory_exotic":
@@ -318,14 +300,8 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
             phase = g1 ** (_a / 2.0) + g2 ** (_a / 2.0)
             return chi * np.exp(1j * phase) * (1.0 + r ** 2) ** (_m / 2.0)
 
-        def evaluator(x, xi, _b=b_part, _mu=mu, _d=xmod):
-            x = np.asarray(x, dtype=float)
-            amp = 1.0 + _d * _mu(x)
-            return amp * _b(xi)
-
         terms = (((lambda x, _mu=mu, _d=xmod: 1.0 + _d * _mu(x)), b_part),)
-        return make_symbol(evaluator, n1, n2, order=m, rho=rho, delta=0.0,
-                           separable_terms=terms,
+        return make_symbol(terms, n1, n2, order=m, rho=rho, delta=0.0,
                            name=f"exotic[m={m:g},rho={rho:g}]")
 
     # modulated_bessel
@@ -333,13 +309,7 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
     strength = num("strength")
     freq = num("mod_freq", int)
     mu = _axis_cos_modulation(n, freq)
-
-    def evaluator(x, xi, _m=m, _s=strength, _mu=mu):
-        x = np.asarray(x, dtype=float)
-        return (1.0 + _s * _mu(x)) * _bessel_value(xi, _m)
-
     terms = (((lambda x, _s=strength, _mu=mu: 1.0 + _s * _mu(x)),
               (lambda xi, _m=m: _bessel_value(xi, _m))),)
-    return make_symbol(evaluator, n1, n2, order=m, rho=1.0, delta=0.0,
-                       separable_terms=terms,
+    return make_symbol(terms, n1, n2, order=m, rho=1.0, delta=0.0,
                        name=f"modbessel[m={m:g},s={strength:g}]")

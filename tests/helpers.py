@@ -5,6 +5,11 @@ import numpy as np
 from bipdo import SampledField, apply, builtin
 
 
+def ones(v):
+    """The factor 1 of a separable term, on points or frequencies ``v``."""
+    return np.ones(np.asarray(v).shape[:-1])
+
+
 def rand_field(grid, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)

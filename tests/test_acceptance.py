@@ -146,8 +146,10 @@ def test_c4_scaling_conjugation(capsys):
             f = rand_field(grid, 10 * j)
             s = 2.0 ** (j * rho)
             big = make_grid(1, 1, 16, s * grid.period)
-            # the conjugated symbol sigma(x/s, s xi)
-            dilated = make_symbol(lambda x, xi: piece.evaluator(x / s, s * xi), 1, 1)
+            # the conjugated symbol sigma(x/s, s xi), term by term
+            dilated = make_symbol([(lambda x, a=a, s=s: a(x / s),
+                                    lambda xi, b=b, s=s: b(s * xi))
+                                   for a, b in piece.separable_terms], 1, 1)
             tilde = quantize(dilated, big)
             f_big = SampledField(big, f.values)
             for _ in range(50):

@@ -20,7 +20,7 @@ from bipdo import (DecompositionIndex, SampledField, adjoint_of,
 from bipdo import test_battery as standard_battery
 from bipdo.analysis import fit_line
 from bipdo.cli import _sharpness_flips
-from helpers import dense_opnorm_oracle, rand_separable
+from helpers import dense_opnorm_oracle, ones, rand_separable
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +55,11 @@ def test_opnorm_multiplication_is_sup_of_coefficient():
         x = np.asarray(x, dtype=float)
         return 2.0 + np.cos(2 * np.pi * x[..., 0])
 
-    sym = make_symbol(lambda x, xi: a_of(x).astype(complex), 1, 1)
-    est = l2_opnorm(quantize(sym, grid), tol=1e-10, max_iter=5000)
+    sym = make_symbol([(a_of, ones)], 1, 1)
     sup = a_of(grid.points()).max()
-    assert est.value == pytest.approx(float(sup), rel=1e-5)
+    for path in ("dense", "separable"):
+        est = l2_opnorm(quantize(sym, grid, path), tol=1e-10, max_iter=5000)
+        assert est.value == pytest.approx(float(sup), rel=1e-5), path
 
 
 def test_opnorm_constant_is_closed_form():

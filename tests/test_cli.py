@@ -260,6 +260,7 @@ _KERNEL = ('experiment = "kernel_decay"\nsymbol = "multiplier_bessel"\n'
            'grid = [1, 1, 16, 1.0]\nj = 2\n')
 _COMM = ('experiment = "commutator"\nsymbol = "multiplier_bessel"\n'
          'grid = [1, 1, 16, 1.0]\n')
+_BMO = f'experiment = "bmo"\n{_SWEEP}period = 1.0\nN_list = [8, 16]\n'
 _SHARP = ('experiment = "sharpness"\nrho = 0.5\nN_list = [8, 16]\n'
           'factors = [1, 1]\nperiod = 1.0\n')
 
@@ -321,6 +322,14 @@ _SHARP = ('experiment = "sharpness"\nrho = 0.5\nN_list = [8, 16]\n'
             'grid = [1, 1, 8, 1.0]\nj_range = [1, 2]\nseed = -3', "'seed'"),
     ("apply", ["--j", "2", "--ellmax", "3"], "--ellmax requires --ell"),
     ("kernel", ["--ellmax", "0"], "--ellmax requires --ell"),
+    ("run", f'{_BMO}outdir = 5', "'outdir'"),
+    ("run", f'{_BMO}outdir = null', "'outdir'"),
+    ("run", f'{_BMO}outdir = ["a"]', "'outdir'"),
+    ("run", f'{_BMO}outdir = ""', "'outdir'"),
+    ("run", 'experiment = "bmo"\nsymbol = ["x"]\nfactors = [1, 1]\nperiod = 1.0\n'
+            'N_list = [8, 16]', "'symbol'"),
+    ("run", 'experiment = "bmo"\nsymbol = {"a": 1}\nfactors = [1, 1]\nperiod = 1.0\n'
+            'N_list = [8, 16]', "'symbol'"),
 ], ids=["period", "N_list-odd", "N_list-decreasing", "j_range", "ell_range",
         "ell_max", "x_count", "sharpness-rho", "cube_side", "cube_anchor",
         "battery_kmax", "mollifier-radius", "p_list", "battery-spectrum",
@@ -329,13 +338,16 @@ _SHARP = ('experiment = "sharpness"\nrho = 0.5\nN_list = [8, 16]\n'
         "j_range-repeated", "ell_range-repeated", "m_grid-nan", "m_grid-inf",
         "m_grid-decreasing", "m_grid-repeated", "p_list-repeated", "apply-j",
         "apply-ell", "apply-split-scale", "kernel-x", "bmo-seed", "commutator-seed",
-        "ortho-seed", "apply-ellmax", "kernel-ellmax"])
+        "ortho-seed", "apply-ellmax", "kernel-ellmax", "outdir-number",
+        "outdir-null", "outdir-list", "outdir-empty", "symbol-list", "symbol-map"])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, body,
                                                needle):
     out = tmp_path / "out"
     if command == "run":
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"{body}\noutdir = {json.dumps(str(out))}\n", encoding="utf-8")
+        if "outdir" not in body:
+            body += f"\noutdir = {json.dumps(str(out))}"
+        cfg.write_text(f"{body}\n", encoding="utf-8")
         argv = ["run", str(cfg)]
     else:
         grid = make_grid(1, 1, 8, 1.0)
@@ -466,6 +478,20 @@ def test_apply_roundtrip_matches_library(tmp_path, capsys):
     want = apply(quantize(builtin("multiplier_bessel", {"m": -1.0}), grid), f)
     top = np.abs(want.values).max()
     assert np.abs(got.values - want.values).max() <= 1e-6 * top
+
+
+def test_apply_path_is_dense_or_separable(tmp_path, capsys):
+    grid = make_grid(1, 1, 8, 1.0)
+    src, dst = tmp_path / "in.fld", tmp_path / "out.fld"
+    write_field(SampledField(grid, np.ones(grid.shape, dtype=complex)), str(src))
+    argv = ["apply", "--symbol", "constant", "--grid", "1,1,8,1.0",
+            "--in", str(src), "--out", str(dst), "--path"]
+    for path in ("dense", "separable"):
+        assert main(argv + [path]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["auto"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'auto'" in capsys.readouterr().err
 
 
 def test_apply_with_annulus_restriction(tmp_path):

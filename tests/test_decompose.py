@@ -326,6 +326,28 @@ def test_theta_constant_mollifier_vanishes():
     assert not np.any(bp.kernel_slice(bp.quantize(th, grid), x[0]).values)
 
 
+@pytest.mark.parametrize("name,params", [
+    ("oscillatory_exotic", {"m": 0.0, "rho": 0.5, "xmod": 0.75}),
+    ("separable", {"terms": [{"amp": 1.0, "xfreq": [1, -1], "phase": 0.4,
+                              "orders": [-0.5, 0.25]},
+                             {"amp": 0.5, "xfreq": [0, 2]}]}),
+], ids=["exotic", "separable"])
+def test_theta_matches_its_defining_formula(name, params):
+    # theta = sum_eta beta_eta (sigma(x, xi) - sigma(x, xi + eta)) e^{2 pi i x.eta},
+    # summed here from the parent's evaluator; theta's own evaluator sums its terms
+    grid = make_grid(1, 1, 32, 1.0)
+    lam = mollifier_lambda(grid, DyadicCube((8, 8), 8), 0.5)
+    sig = bp.builtin(name, params)
+    rng = np.random.default_rng(10)
+    x = rng.uniform(0.0, 1.0, (40, 2))
+    xi = rng.uniform(-15.0, 15.0, (40, 2))
+    want = sum(beta * (sig.evaluator(x, xi) - sig.evaluator(x, xi + eta))
+               * np.exp(2j * np.pi * (x @ eta))
+               for eta, beta in zip(lam.mode_steps / grid.period, lam.mode_coeffs))
+    got = theta_symbol(sig, lam).evaluator(x, xi)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_theta_is_trig_polynomial_in_x():
     grid = make_grid(1, 1, 32, 1.0)
     Q = DyadicCube((8, 8), 8)

@@ -12,7 +12,7 @@ from bipdo import (DecompositionIndex, DyadicCube, SampledField, adjoint_apply,
                    apply, apply_at, builtin, derived_symbol, dft_forward,
                    kernel_l1, kernel_slice, make_grid, make_symbol,
                    mollifier_lambda, quantize, theta_symbol)
-from helpers import rand_field, rand_separable
+from helpers import ones, rand_field, rand_separable
 
 
 def literal_sum(symbol, grid, f, xs):
@@ -77,15 +77,16 @@ def test_translation_symbol_shifts_exactly():
     shift = (3, 1)
     y0 = np.array(shift) * grid.period / 8
 
-    def ev(x, xi):
+    def b(xi):
         xi = np.asarray(xi, dtype=float)
         return np.exp(-2j * np.pi * (xi @ y0))
 
-    sym = make_symbol(ev, 1, 1, name="translate")
+    sym = make_symbol([(ones, b)], 1, 1, name="translate")
     f = rand_field(grid, 3)
-    out = apply(quantize(sym, grid), f).values
     want = np.roll(f.values, shift, axis=(0, 1))
-    assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+    for path in ("dense", "separable"):
+        out = apply(quantize(sym, grid, path), f).values
+        assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max(), path
 
 
 def test_multiplication_symbol():
@@ -96,11 +97,12 @@ def test_multiplication_symbol():
         return (1.3 + np.cos(2 * np.pi * x[..., 0])
                 + 0.5j * np.sin(2 * np.pi * x[..., 1]))
 
-    sym = make_symbol(lambda x, xi: a_of(x).astype(complex), 1, 1, name="mult")
+    sym = make_symbol([(a_of, ones)], 1, 1, name="mult")
     f = rand_field(grid, 4)
-    out = apply(quantize(sym, grid), f).values
     want = a_of(grid.points()).reshape(grid.shape) * f.values
-    assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+    for path in ("dense", "separable"):
+        out = apply(quantize(sym, grid, path), f).values
+        assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max(), path
 
 
 def test_multiplier_diagonalizes():
@@ -182,12 +184,8 @@ def test_apply_validates_inputs():
     T = quantize(builtin("constant", {"c": 1.0}), g1)
     with pytest.raises(ValueError):
         apply(T, rand_field(g2, 0))
-    nonsep = make_symbol(lambda x, xi: np.ones(np.asarray(x).shape[:-1],
-                                               dtype=complex), 1, 1)
-    with pytest.raises(ValueError):
-        quantize(nonsep, g1, path="separable")
-    with pytest.raises(ValueError):
-        quantize(nonsep, g1, path="warp")
+    with pytest.raises(ValueError, match="unknown path 'warp'"):
+        quantize(builtin("constant", {"c": 1.0}), g1, path="warp")
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +228,7 @@ def test_adjoint_inner_product_identity():
             sym = rand_separable(300 + seed, n1=grid.n1) if seed % 2 else builtin(
                 "oscillatory_exotic", {"m": 0.0, "rho": 0.5, "xmod": 0.5},
                 n1=grid.n1, n2=grid.n2)
-            T = quantize(sym, grid, path="dense" if seed % 3 else "auto")
+            T = quantize(sym, grid, path="dense" if seed % 3 else "separable")
             f, g = rand_field(grid, seed), rand_field(grid, 50 + seed)
             # <Tf, g> = <f, T*g> with <u, v> = sum u conj(v) * cell volume
             lhs = np.vdot(g.values, apply(T, f).values) * w
@@ -253,12 +251,12 @@ def test_multiplication_adjoint_conjugates():
         x = np.asarray(x, dtype=float)
         return np.cos(2 * np.pi * x[..., 0]) + 2j * np.sin(2 * np.pi * x[..., 1])
 
-    sym = make_symbol(lambda x, xi: a_of(x).astype(complex), 1, 1)
-    T = quantize(sym, grid)
+    sym = make_symbol([(a_of, ones)], 1, 1)
     g = rand_field(grid, 13)
     want = np.conj(a_of(grid.points()).reshape(grid.shape)) * g.values
-    got = adjoint_apply(T, g).values
-    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    for path in ("dense", "separable"):
+        got = adjoint_apply(quantize(sym, grid, path), g).values
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), path
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +276,17 @@ def test_kernel_of_identity_is_lattice_spike():
 def test_kernel_gaussian_self_duality():
     grid = make_grid(1, 1, 64, 12.0)
 
-    def gauss(x, xi):
+    def gauss(xi):
         xi = np.asarray(xi, dtype=float)
-        return np.exp(-np.pi * np.sum(xi * xi, axis=-1)).astype(complex)
+        return np.exp(-np.pi * np.sum(xi * xi, axis=-1))
 
-    sym = make_symbol(gauss, 1, 1, rho=1.0)
-    ks = kernel_slice(quantize(sym, grid), np.zeros(2))
+    sym = make_symbol([(ones, gauss)], 1, 1, rho=1.0)
     pts = grid.points()
     d = np.minimum(pts % 12.0, 12.0 - pts % 12.0)
     want = np.exp(-np.pi * np.sum(d * d, axis=-1))
-    assert np.abs(ks.values.ravel() - want).max() <= 1e-6
+    for path in ("dense", "separable"):
+        ks = kernel_slice(quantize(sym, grid, path), np.zeros(2))
+        assert np.abs(ks.values.ravel() - want).max() <= 1e-6, path
 
 
 _KERNEL_SYMBOLS = {
@@ -347,8 +346,7 @@ def test_kernel_l1_homogeneous():
     grid = make_grid(1, 1, 16, 1.0)
     sym = builtin("multiplier_bessel", {"m": -0.5})
     (a, b), = sym.separable_terms
-    scaled = make_symbol(lambda x, xi: -3.0j * sym.evaluator(x, xi), 1, 1,
-                         separable_terms=[(lambda x: -3.0j * a(x), b)])
+    scaled = make_symbol([(lambda x: -3.0j * a(x), b)], 1, 1)
     base = kernel_l1(quantize(sym, grid), np.zeros(2))
     assert kernel_l1(quantize(scaled, grid), np.zeros(2)) == pytest.approx(
         3.0 * base, rel=1e-12)
@@ -370,8 +368,9 @@ def test_conjugation_identity_off_lattice():
 
     s = 2.0 ** (j * rho)
     big = make_grid(1, 1, 16, s * grid.period)
-    # the conjugated symbol sigma(x/s, s xi)
-    dilated = make_symbol(lambda x, xi: piece.evaluator(x / s, s * xi), 1, 1)
+    # the conjugated symbol sigma(x/s, s xi), term by term
+    dilated = make_symbol([(lambda x, a=a: a(x / s), lambda xi, b=b: b(s * xi))
+                           for a, b in piece.separable_terms], 1, 1)
     tilde = quantize(dilated, big)
     f_big = SampledField(big, f.values)
 

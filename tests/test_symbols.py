@@ -1,8 +1,8 @@
 """Symbol descriptors and builtin families.
 
 Builtins declare their class parameters analytically and reports record
-them; these tests check construction, parameter validation, closed forms,
-and that every builtin's separable terms sum to its evaluator.
+them; these tests check construction, parameter validation, and that every
+builtin's terms sum to a closed form written here.
 """
 
 import re
@@ -12,17 +12,17 @@ import pytest
 
 from bipdo import builtin, make_symbol, varphi
 from bipdo.symbols import BUILTIN_PARAMS
+from helpers import ones
 
 
-def separable_mismatch(evaluator, terms, count=12, seed=2024):
-    """max |sum_k a_k(x) b_k(xi) - sigma(x, xi)| over seeded points with
-    xi in [-6, 6], relative to the largest |sigma| there."""
+def closed_form_mismatch(sig, closed_form, count=40, seed=2024):
+    """max |sigma(x, xi) - closed_form(x, xi)| over seeded points with
+    xi in [-6, 6], relative to the largest |closed_form| there."""
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, 1.0, size=(count, 2))
     xis = rng.uniform(-6.0, 6.0, size=(count, 2))
-    direct = np.asarray(evaluator(xs, xis))
-    summed = sum(np.asarray(a(xs)) * np.asarray(b(xis)) for a, b in terms)
-    return np.max(np.abs(direct - summed)) / max(np.max(np.abs(direct)), 1e-30)
+    want = closed_form(xs, xis)
+    return np.max(np.abs(sig.evaluator(xs, xis) - want)) / np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -30,13 +30,16 @@ def separable_mismatch(evaluator, terms, count=12, seed=2024):
 
 
 def test_make_symbol_rejects_bad_parameters():
-    ev = lambda x, xi: np.ones(np.asarray(x).shape[:-1], dtype=complex)
-    with pytest.raises(ValueError):
-        make_symbol(ev, 0, 1)
-    with pytest.raises(ValueError):
-        make_symbol(ev, 1, 1, order=(1.0, 2.0, 3.0))
-    with pytest.raises(ValueError):
-        make_symbol(ev, 1, 1, rho=1.5)
+    terms = [(ones, ones)]
+    for args, kwargs, needle in [
+            ((terms, 0, 1), {}, "factor dimensions"),
+            ((terms, 1, 1), {"order": (1.0, 2.0, 3.0)}, "order pair"),
+            ((terms, 1, 1), {"rho": 1.5}, "rho"),
+            (([(ones,)], 1, 1), {}, "(a(x), b(xi)) pairs"),
+            (([(ones, ones, ones)], 1, 1), {}, "(a(x), b(xi)) pairs"),
+            (([ones], 1, 1), {}, "(a(x), b(xi)) pairs")]:
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            make_symbol(*args, **kwargs)
 
 
 def test_builtin_unknown_names_and_params():
@@ -117,30 +120,55 @@ def test_modulated_bessel_is_x_dependent():
     assert abs(v[0] - v[1]) > 1e-3
 
 
+def _bracket(v, power):
+    """<v>^power = (1 + |v|^2)^(power / 2) over the last axis."""
+    return (1.0 + np.sum(v * v, axis=-1)) ** (power / 2.0)
+
+
+def _mu(x, freq):
+    """The unit-period axis modulation of the oscillating builtins, in 2-D."""
+    return (np.cos(2 * np.pi * freq * x[:, 0]) + np.cos(2 * np.pi * freq * x[:, 1])) / 2
+
+
+_SEP_TERMS = [(0.7, (1, -2), 0.3, (-0.5, -0.25)), (0.4, (0, 1), 0.0, (0.5, 0.0))]
+
+
+def _exotic(x, xi, m=-0.5, rho=0.5, xmod=0.75):
+    a = 1.0 - rho
+    phase = _bracket(xi[:, :1], a) + _bracket(xi[:, 1:], a)
+    chi = 1.0 - varphi(np.linalg.norm(xi, axis=-1))
+    return (1.0 + xmod * _mu(x, 2)) * chi * np.exp(1j * phase) * _bracket(xi, m)
+
+
+# (name, params, closed form of sigma(x, xi)) for every builtin
 BUILTIN_CASES = [
-    ("constant", {}),
-    ("multiplier_bessel", {}),
-    ("separable", {"terms": [{"amp": 0.7, "xfreq": [1, -2], "phase": 0.3,
-                              "orders": [-0.5, -0.25]}]}),
-    ("oscillatory_exotic", {"m": 0.0, "rho": 0.5, "xmod": 0.75}),
-    ("oscillatory_exotic", {"m": 0.0, "rho": 0.5, "xmod": 0.0}),
-    ("modulated_bessel", {}),
+    ("constant", {"c": 1.5 - 0.5j}, lambda x, xi: np.full(len(x), 1.5 - 0.5j)),
+    ("multiplier_bessel", {"m": -1.0}, lambda x, xi: _bracket(xi, -1.0)),
+    ("separable",
+     {"terms": [{"amp": amp, "xfreq": list(f), "phase": ph, "orders": list(t)}
+                for amp, f, ph, t in _SEP_TERMS]},
+     lambda x, xi: sum(amp * np.cos(2 * np.pi * (x @ np.array(f)) + ph)
+                       * _bracket(xi[:, :1], t[0]) * _bracket(xi[:, 1:], t[1])
+                       for amp, f, ph, t in _SEP_TERMS)),
+    ("oscillatory_exotic", {"m": -0.5, "rho": 0.5, "xmod": 0.75}, _exotic),
+    ("modulated_bessel", {"m": -1.0, "strength": 0.3, "mod_freq": 1},
+     lambda x, xi: (1.0 + 0.3 * _mu(x, 1)) * _bracket(xi, -1.0)),
 ]
 
 
 def test_builtin_separable_terms_match_evaluator():
-    assert {name for name, _ in BUILTIN_CASES} == set(BUILTIN_PARAMS)
-    for name, params in BUILTIN_CASES:
-        sig = builtin(name, params)
-        assert separable_mismatch(sig.evaluator, sig.separable_terms) <= 1e-9, name
+    # the evaluator is the sum of the terms, so each builtin's terms are
+    # checked against a closed form written here
+    assert {name for name, _, _ in BUILTIN_CASES} == set(BUILTIN_PARAMS)
+    for name, params, closed_form in BUILTIN_CASES:
+        assert closed_form_mismatch(builtin(name, params), closed_form) <= 1e-12, name
     for name in ("oscillatory_exotic", "modulated_bessel"):
         assert len(builtin(name, {}).separable_terms) == 1
 
-    # the comparison sees a term that drops the x-modulation
-    sig = builtin("oscillatory_exotic", {"xmod": 0.75})
+    # the comparison sees a term list that drops the x-modulation
+    sig = builtin("oscillatory_exotic", {"m": -0.5, "rho": 0.5, "xmod": 0.75})
     (_, b), = sig.separable_terms
-    ones = lambda x: np.ones(np.asarray(x).shape[:-1])
-    assert separable_mismatch(sig.evaluator, ((ones, b),)) > 1e-9
+    assert closed_form_mismatch(make_symbol([(ones, b)], 1, 1), _exotic) > 1e-9
 
 
 def test_separable_product_bessel_biparameter():

@@ -18,7 +18,8 @@ Conventions shared by the experiments:
   the quadrature floor, not on the decay line),
 * every random choice is driven by an explicit seed, so reports are
   reproducible byte for byte,
-* L^p ratios for p != 2 are battery lower bounds on the operator norm, not
+* the L2, BMO and sharpness sweeps share one family-by-N loop, and BMO and
+  L^p ratios one battery maximum: lower bounds on the operator norm, not
   certified upper bounds; growth verdicts compare the fitted exponent of the
   ratio as a function of N against a 0.05 threshold.
 """
@@ -283,17 +284,32 @@ def _growth_exponent(n_values, ratios) -> float:
     return slope
 
 
-def _sweep(experiment: str, sigma: SymbolDescriptor, N_list, period: float,
-           measure, p, seed: int, battery: str) -> dict:
-    """``measure(quantize(sigma, grid))`` on the grid of each size in
-    ``N_list``; PASS when the last three values vary <= 20%, where the
-    variation is their relative spread (max-min)/max.  The report's params
-    are sigma's class parameters and the exponent ``p``."""
-    Ns = [int(N) for N in N_list]
+def _family_sweep(make, values, Ns, n1, n2, period, probe) -> dict:
+    """{(v, key): [ratio per N]} over the symbols ``make(v)``, v in ``values``,
+    each built once.  Per size in ``Ns`` (at least two, strictly increasing),
+    one grid's measure T -> {key: ratio}, ``probe(grid)``, is held at a time."""
     if len(Ns) < 2 or any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("N_list must hold at least 2 strictly increasing sizes")
-    ratios = [measure(quantize(sigma, make_grid(sigma.n1, sigma.n2, N, period)))
-              for N in Ns]
+    syms = {v: make(v) for v in values}
+    out = {}
+    for N in Ns:
+        grid = make_grid(n1, n2, N, period)
+        measure = probe(grid)
+        for v, sym in syms.items():
+            for key, r in measure(quantize(sym, grid)).items():
+                out.setdefault((v, key), []).append(r)
+    return out
+
+
+def _sweep(experiment: str, sigma: SymbolDescriptor, N_list, period: float,
+           probe, p, seed: int, battery: str) -> dict:
+    """The one-symbol family sweep of sigma, whose measure ``probe(grid)``
+    returns one ratio per grid; PASS when the last three values vary <= 20%,
+    where the variation is their relative spread (max-min)/max.  The
+    report's params are sigma's class parameters and the exponent ``p``."""
+    Ns = [int(N) for N in N_list]
+    (ratios,) = _family_sweep(lambda _: sigma, [None], Ns, sigma.n1, sigma.n2,
+                              period, probe).values()
     tail = ratios[-3:]
     variation = (max(tail) - min(tail)) / max(tail) if max(tail) != 0.0 else 0.0
     order = sigma.order
@@ -311,8 +327,25 @@ def l2_uniformity_sweep(sigma: SymbolDescriptor, N_list, period: float = 1.0,
                         tol: float = 1e-8, max_iter: int = 500) -> dict:
     """l2_opnorm across grids; PASS when the last three values vary <= 20%."""
     return _sweep("l2_uniformity", sigma, N_list, period,
-                  lambda T: l2_opnorm(T, tol, max_iter).value,
+                  lambda grid: lambda T: {2.0: l2_opnorm(T, tol, max_iter).value},
                   2.0, OPNORM_SEED, "lanczos")
+
+
+def _battery_max(battery, ps):
+    """The measure T -> {p: max over the battery of |Tf|_p / |f|_p}, with
+    bmo(Tf) / |f|_inf at p = inf and 0 for a zero f.  The norms of each f are
+    taken once, and one image Tf is held at a time."""
+    denoms = [[lp_norm(f, p) for p in ps] for f in battery]
+
+    def measure(T):
+        best = None
+        for f, ds in zip(battery, denoms):
+            Tf = apply(T, f)
+            rs = [(bmo_norm(Tf) if math.isinf(p) else lp_norm(Tf, p)) / d
+                  if d > 0 else 0.0 for p, d in zip(ps, ds)]
+            best = rs if best is None else [max(b, r) for b, r in zip(best, rs)]
+        return dict(zip(ps, best))
+    return measure
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +456,9 @@ def band_limited_battery(grid: GridSpec, kmax: int, count: int = 8,
 def bmo_experiment(sigma: SymbolDescriptor, N_list, period: float = 1.0,
                    seed: int = 2026) -> dict:
     """Max of bmo(Tf)/linf(f) over ``test_battery(grid, seed)``, per grid size."""
-    def measure(T):
-        return max(_ratio(apply(T, f), lp_norm(f, math.inf), math.inf)
-                   for f in test_battery(T.grid, seed))
-    return _sweep("bmo", sigma, N_list, period, measure, "inf-proxy", seed,
-                  "signs+lacunary+bumps")
+    return _sweep("bmo", sigma, N_list, period,
+                  lambda grid: _battery_max(test_battery(grid, seed), [math.inf]),
+                  "inf-proxy", seed, "signs+lacunary+bumps")
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +507,6 @@ def adversarial_battery(grid: GridSpec, rho: float, seed: int = 2026) -> list:
     return fields
 
 
-def _ratio(Tf: SampledField, denom: float, p: float) -> float:
-    if not denom > 0:
-        return 0.0
-    return (bmo_norm(Tf) if math.isinf(p) else lp_norm(Tf, p)) / denom
-
-
 def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
                    seed: int = 2026, n1: int = 1, n2: int = 1) -> dict:
     """Battery L^p ratios for the oscillating symbol across (m, p, N).
@@ -496,25 +521,15 @@ def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
     ps = [lp_exponent(p) for p in p_list]
     ms = [float(m) for m in m_grid]
     Ns = [int(N) for N in N_list]
-    grids = {N: make_grid(n1, n2, N, period) for N in Ns}
-    batteries = {N: adversarial_battery(grids[N], rho, seed) for N in Ns}
-    # the battery does not depend on m, so each of its norms is taken once
-    denoms = {(N, p): [lp_norm(f, p) for f in batteries[N]]
-              for N in Ns for p in ps}
-
+    ratios = _family_sweep(
+        lambda m: builtin("oscillatory_exotic", {"m": m, "rho": rho}, n1=n1, n2=n2),
+        ms, Ns, n1, n2, period,
+        lambda grid: _battery_max(adversarial_battery(grid, rho, seed), ps))
     cells = []
     for m in ms:
-        sym = builtin("oscillatory_exotic", {"m": m, "rho": rho}, n1=n1, n2=n2)
-        per_p = {p: [] for p in ps}
-        for N in Ns:
-            T = quantize(sym, grids[N])
-            images = [apply(T, f) for f in batteries[N]]
-            for p in ps:
-                per_p[p].append(max(_ratio(Tf, d, p)
-                                    for Tf, d in zip(images, denoms[(N, p)])))
         for p in ps:
-            exp = _growth_exponent(Ns, per_p[p])
-            cells.append({"m": m, "p": p, "ratios": per_p[p], "exponent": exp,
+            exp = _growth_exponent(Ns, ratios[(m, p)])
+            cells.append({"m": m, "p": p, "ratios": ratios[(m, p)], "exponent": exp,
                           "growing": bool(exp > GROWTH_EXPONENT_THRESHOLD)})
     return {"rho": rho, "ms": ms, "ps": ps, "n_values": Ns, "cells": cells,
             "seed": seed, "threshold": GROWTH_EXPONENT_THRESHOLD}

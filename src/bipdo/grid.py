@@ -180,12 +180,23 @@ def lp_exponent(p) -> float:
 
 
 def lp_norm(f: SampledField, p: float) -> float:
-    """Discrete L^p norm with cell-volume weight; p = inf gives the sup norm."""
+    """Discrete L^p norm with cell-volume weight; p = inf gives the sup norm.
+
+    When sum |f|^p leaves the float range (large p), the norm is taken again
+    as max|f| (sum (|f| / max|f|)^p vol)^(1/p).
+    """
     p = lp_exponent(p)
     a = np.abs(f.values)
     if np.isinf(p):
         return float(a.max())
-    return float((np.sum(a ** p) * f.grid.cell_volume) ** (1.0 / p))
+    vol = f.grid.cell_volume
+    with np.errstate(over="ignore"):
+        norm = float((np.sum(a ** p) * vol) ** (1.0 / p))
+    if not 0.0 < norm < np.inf:
+        top = float(a.max())
+        if top > 0.0:
+            norm = top * float((np.sum((a / top) ** p) * vol) ** (1.0 / p))
+    return norm
 
 
 # complex values gathered per block of exactly evaluated cubes

@@ -206,9 +206,27 @@ def test_uniformity_contraction_multiplier():
 
 def test_uniformity_requires_increasing_n():
     sym = builtin("multiplier_bessel", {"m": -1.0})
-    for Ns in ([16, 8, 32], [8, 8, 16], [8]):
-        with pytest.raises(ValueError):
-            l2_uniformity_sweep(sym, Ns)
+    sweeps = (lambda Ns: l2_uniformity_sweep(sym, Ns),
+              lambda Ns: bmo_experiment(sym, Ns),
+              lambda Ns: sharpness_scan(0.5, [2.0], [0.0], Ns))
+    for sweep in sweeps:
+        for Ns in ([16, 8, 32], [8, 8, 16], [8]):
+            with pytest.raises(ValueError):
+                sweep(Ns)
+
+
+def test_bmo_ratios_match_a_literal_loop():
+    sym = builtin("modulated_bessel", {"m": -0.5})
+    rep = bmo_experiment(sym, [16, 32])
+    expect = []
+    for N in (16, 32):
+        grid = make_grid(1, 1, N, 1.0)
+        T = quantize(sym, grid)
+        ratios = []
+        for f in standard_battery(grid):
+            ratios.append(bp.bmo_norm(apply(T, f)) / bp.lp_norm(f, np.inf))
+        expect.append(max(ratios))
+    assert rep["ratios"] == expect
 
 
 def test_bmo_zero_symbol_and_constant_field():
@@ -278,6 +296,36 @@ def test_sharpness_p2_column_flips_above_zero():
     assert [(c["m"], c["p"], c["growing"]) for c in tab["cells"]] == \
         [(-0.5, 2.0, False), (0.5, 2.0, True)]
     assert _sharpness_flips(tab) == ({2.0: 0.5}, True)
+
+
+def test_sharpness_ratios_match_a_literal_loop():
+    ps, ms, Ns = [4 / 3, 2.0, np.inf], [-0.5, 0.0], [16, 32]
+    tab = sharpness_scan(0.5, ps, ms, Ns)
+    expect = {}
+    for m in ms:
+        sym = builtin("oscillatory_exotic", {"m": m, "rho": 0.5})
+        for N in Ns:
+            grid = make_grid(1, 1, N, 1.0)
+            T = quantize(sym, grid)
+            ratios = {p: [] for p in ps}
+            for f in adversarial_battery(grid, 0.5):
+                Tf = apply(T, f)
+                for p in ps:
+                    if np.isinf(p):
+                        ratios[p].append(bp.bmo_norm(Tf) / bp.lp_norm(f, p))
+                    else:
+                        ratios[p].append(bp.lp_norm(Tf, p) / bp.lp_norm(f, p))
+            for p in ps:
+                expect.setdefault((m, p), []).append(max(ratios[p]))
+    assert {(c["m"], c["p"]): c["ratios"] for c in tab["cells"]} == expect
+
+
+def test_sharpness_large_p_ratios_are_finite():
+    # at p = 400 the sum |Tf|^p overflows unless lp_norm rescales it
+    tab = sharpness_scan(0.5, [2.0, 400.0], [0.0, 1.0], [16, 32])
+    for c in tab["cells"]:
+        assert all(np.isfinite(r) and r > 0 for r in c["ratios"])
+        assert np.isfinite(c["exponent"])
 
 
 def test_sharpness_table_serializes():

@@ -186,6 +186,16 @@ def test_lp_constant():
         assert lp_norm(f, p) == pytest.approx(2.5, rel=1e-13)
 
 
+def test_lp_large_p_leaves_no_overflow():
+    # sum |f|^p over- or underflows at these p; the norm of a constant c on
+    # the torus of side L is c L^(n/p)
+    g = make_grid(1, 1, 16, 1.3)
+    for c in (8.0, 0.1):
+        f = SampledField(g, np.full(g.shape, c + 0j))
+        for p in (400.0, 1000.0):
+            assert lp_norm(f, p) == pytest.approx(c * 1.3 ** (2 / p), rel=1e-12)
+
+
 def test_lp_spike():
     g = make_grid(1, 1, 8, 1.0)
     v = np.zeros(g.shape, dtype=complex)

@@ -1,6 +1,8 @@
 """Every name a module imports is used: the package modules and the tests.
+Every private module-level name of the package is read inside the package.
 
-``bipdo/__init__.py`` is left out, since it imports names to re-export them.
+``bipdo/__init__.py`` is left out of the import check, since it imports
+names to re-export them.
 """
 
 import ast
@@ -31,3 +33,35 @@ def test_every_imported_name_is_used():
     paths += sorted((ROOT / "tests").glob("*.py"))
     unused = [line for p in paths for line in unused_imports(p)]
     assert not unused, unused
+
+
+def private_names(path):
+    """``name: line`` of each module-level ``_name`` the module defines."""
+    out = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            names = []
+        out.update({n: node.lineno for n in names
+                    if n.startswith("_") and not n.startswith("__")})
+    return out
+
+
+def read_names(path):
+    """Every name the module reads, bare or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_every_private_helper_is_read():
+    paths = sorted((ROOT / "src" / "bipdo").glob("*.py"))
+    read = set().union(*(read_names(p) for p in paths))
+    dead = [f"{p.relative_to(ROOT)}:{line}: {name}" for p in paths
+            for name, line in private_names(p).items() if name not in read]
+    assert not dead, dead

@@ -468,7 +468,7 @@ def bmo_experiment(sigma: SymbolDescriptor, N_list, period: float = 1.0,
 def adversarial_battery(grid: GridSpec, rho: float, seed: int = 2026) -> list:
     """Fields chosen to stress an oscillating symbol of parameter rho.
 
-    Composition (8 fields): a lattice spike, a spike train, the extreme
+    Composition (7 fields): a lattice spike, a spike train, the extreme
     lattice mode, a chirp whose spectral phase cancels the symbol phase
     exp(i(<xi_1>^a + <xi_2>^a)) with a = 1-rho over a dyadic band, the
     conjugate chirp, and two random complex fields.

@@ -321,4 +321,7 @@ def read_field(path) -> SampledField:
     vals = np.frombuffer(raw, dtype="<c8", offset=_FIELD_HEADER.size)
     if vals.size != grid.size:
         raise ValueError(f"{path}: expected {grid.size} samples, found {vals.size}")
-    return SampledField(grid, vals.astype(np.complex128))
+    try:
+        return SampledField(grid, vals.astype(np.complex128))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -13,12 +13,10 @@ import numpy as np
 
 from bipdo import (DecompositionIndex, DyadicCube, SampledField,
                    adjoint_apply, apply, apply_at, bmo_experiment, builtin,
-                   commutator_check, cube_partition,
-                   default_ell_max, delta_ell, derived_symbol, dft_forward,
-                   dft_inverse, kernel_decay_experiment, l2_opnorm,
-                   l2_uniformity_sweep, make_grid, make_symbol, ortho_experiment,
-                   phi_j, quantize, sharpness_scan, varphi)
-from bipdo.cli import _sharpness_flips
+                   commutator_check, derived_symbol, kernel_decay_experiment,
+                   l2_opnorm, l2_uniformity_sweep, make_grid, make_symbol,
+                   ortho_experiment, quantize, sharpness_scan)
+from bipdo.cli import _identity_errors, _sharpness_flips
 from helpers import dense_opnorm_oracle, rand_field, rand_separable
 
 
@@ -29,47 +27,7 @@ def _verdict(capsys, idx, name, ok, detail):
 
 def test_c1_identity_suite(capsys):
     t0 = time.time()
-    grid = make_grid(1, 1, 32, 1.0)
-    errs = {}
-
-    f = rand_field(grid, 1)
-    back = dft_inverse(dft_forward(f))
-    errs["fft"] = float(np.abs(back.values - f.values).max())
-
-    out = apply(quantize(builtin("constant", {"c": 1.0}), grid), f)
-    errs["identity"] = float(np.abs(out.values - f.values).max())
-
-    sym = builtin("multiplier_bessel", {"m": -1.0})
-    fh = dft_forward(f)
-    ax = np.fft.fftfreq(32, d=grid.period / 32)
-    xi = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
-    gh = SampledField(grid, fh.values * sym.evaluator(np.zeros_like(xi), xi))
-    direct = dft_inverse(gh)
-    errs["diag"] = float(np.abs(
-        apply(quantize(sym, grid), f).values - direct.values).max())
-
-    rng = np.random.default_rng(2)
-    xi = rng.uniform(-40.0, 40.0, size=(1000, 2))
-    J = 7
-    tele = sum(phi_j(xi, j) for j in range(J + 1))
-    errs["dyadic"] = float(np.abs(
-        tele - varphi(2.0 ** (-J) * np.sqrt((xi ** 2).sum(axis=1)))).max())
-
-    xi2 = rng.uniform(-30.0, 30.0, size=(1000, 2))
-    xi2[:20, 0] = 0.0
-    xi2[20:40, 1] = 0.0
-    emax = default_ell_max(32)
-    cone = sum(delta_ell(xi2[:, :1], xi2[:, 1:], ell, emax)
-               for ell in range(-emax, emax + 1))
-    errs["cone"] = float(np.abs(cone - 1.0).max())
-
-    x = rng.uniform(-5.0, 5.0, size=(1000, 2))
-    total = np.zeros(len(x))
-    for k1 in range(-7, 8):
-        for k2 in range(-7, 8):
-            total += cube_partition(x, np.array([k1, k2]))
-    errs["cube"] = float(np.abs(total - 1.0).max())
-
+    errs = _identity_errors(32)
     elapsed = time.time() - t0
     worst = max(errs.values())
     ok = worst <= 1e-12 and elapsed <= 60.0

@@ -281,7 +281,7 @@ def test_adversarial_battery_deterministic():
     grid = make_grid(1, 1, 16, 1.0)
     a = adversarial_battery(grid, 0.5)
     b = adversarial_battery(grid, 0.5)
-    assert len(a) == len(b)
+    assert len(a) == len(b) == 7
     for fa, fb in zip(a, b):
         assert np.array_equal(fa.values, fb.values)
         assert np.abs(fa.values).max() > 0

@@ -1,6 +1,7 @@
 """Command line behavior: configs, exit codes, selftest, file round trips."""
 
 import json
+import re
 import shutil
 import subprocess
 import textwrap
@@ -10,7 +11,7 @@ import pytest
 
 from bipdo import (SampledField, apply, builtin, kernel_slice, make_grid,
                    quantize, read_field, write_field)
-from bipdo.cli import main
+from bipdo.cli import _identity_errors, main
 
 
 def write_cfg(path, text):
@@ -430,7 +431,10 @@ def test_selftest_passes(capsys):
     assert main(["selftest", "--n", "8"]) == 0
     out = capsys.readouterr().out
     assert "all 7 checks passed" in out
-    assert out.count("ok (err=") == 7
+    # one ok line per check of the suite, in its order, with its error
+    printed = re.findall(r"^selftest: (\S+) ok \(err=(\S+)\)$", out, re.M)
+    assert printed == [(name, f"{err:.3e}")
+                       for name, err in _identity_errors(8).items()]
 
 
 def test_selftest_smallest_supported_grid(capsys):
@@ -441,7 +445,7 @@ def test_selftest_smallest_supported_grid(capsys):
 @pytest.mark.parametrize("n", ["7", "2", "0"])
 def test_selftest_rejects_bad_n(capsys, n):
     assert main(["selftest", "--n", n]) == 2
-    assert "must be even" in capsys.readouterr().err
+    assert "invalid --n:" in capsys.readouterr().err
 
 
 def test_selftest_catches_injected_fault(capsys, monkeypatch):
@@ -450,8 +454,8 @@ def test_selftest_catches_injected_fault(capsys, monkeypatch):
     monkeypatch.setattr(cli, "phi_j", lambda xi, j: 1.01 * true_phi(xi, j))
     assert main(["selftest", "--n", "8"]) == 1
     out = capsys.readouterr().out
-    assert "dyadic-partition FAIL" in out
-    assert "FAILED checks:" in out
+    assert "dyadic FAIL" in out
+    assert "FAILED checks: dyadic\n" in out
 
 
 # ---------------------------------------------------------------------------

@@ -357,6 +357,12 @@ def test_field_binary_rejects_corruption(tmp_path):
     (tmp_path / "short.fld").write_bytes(raw[:40])
     with pytest.raises(ValueError):
         read_field(tmp_path / "short.fld")
+    # a NaN first sample: the message names the file, as the others do
+    start = len(raw) - 8 * g.size
+    nan = np.array([np.nan], dtype="<c8").tobytes()
+    (tmp_path / "nan.fld").write_bytes(raw[:start] + nan + raw[start + 8:])
+    with pytest.raises(ValueError, match="nan.fld: field values must be finite"):
+        read_field(tmp_path / "nan.fld")
 
 
 def test_field_binary_rejects_complex64_overflow(tmp_path):

@@ -70,10 +70,9 @@ def _as_map(T) -> LinearFieldMap:
     if isinstance(T, LinearFieldMap):
         return T
     multiplier = None
-    if T.path == "separable":
-        factors = T._separable_factors()
-        if all(np.all(av == av.flat[0]) for av, _ in factors):
-            multiplier = sum(av.flat[0] * bv for av, bv in factors)
+    factors = T._separable_factors()
+    if all(np.all(av == av.flat[0]) for av, _ in factors):
+        multiplier = sum(av.flat[0] * bv for av, bv in factors)
     return LinearFieldMap(T.grid,
                           matvec=lambda f, _T=T: apply(_T, f),
                           rmatvec=lambda g, _T=T: adjoint_apply(_T, g),
@@ -137,8 +136,10 @@ def l2_opnorm(T, tol: float = 1e-8, max_iter: int = 500) -> OpNormEstimate:
     composition with disjoint frequency supports whose true norm is zero).
     That also stops as converged, with the Ritz value reached so far.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     A = _as_map(T)
     if A.multiplier is not None:
         return OpNormEstimate(float(np.max(np.abs(A.multiplier))), 0, True, 0.0)
@@ -256,8 +257,8 @@ def kernel_decay_experiment(sigma: SymbolDescriptor, j: int, ell_range,
     if ell_max is None:
         ell_max = default_ell_max(grid.points_per_axis)
     xs = np.atleast_2d(np.asarray(x_samples, dtype=float))
-    if xs.shape[1] != grid.n:
-        raise ValueError(f"x_samples must have {grid.n} columns")
+    if xs.shape[1] != grid.n or len(xs) == 0:
+        raise ValueError(f"x_samples must be one or more rows of {grid.n} columns")
     values = []
     for ell in ells:
         idx = DecompositionIndex(j=j, ell=ell, ell_max=ell_max)

@@ -312,16 +312,16 @@ def write_field(f: SampledField, path) -> None:
 def read_field(path) -> SampledField:
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < _FIELD_HEADER.size:
-        raise ValueError(f"{path}: truncated field file")
-    magic, n1, n2, N, L = _FIELD_HEADER.unpack_from(raw)
-    if magic != FIELD_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    grid = make_grid(int(n1), int(n2), int(N), float(L))
-    vals = np.frombuffer(raw, dtype="<c8", offset=_FIELD_HEADER.size)
-    if vals.size != grid.size:
-        raise ValueError(f"{path}: expected {grid.size} samples, found {vals.size}")
     try:
+        if len(raw) < _FIELD_HEADER.size:
+            raise ValueError("truncated field file")
+        magic, n1, n2, N, L = _FIELD_HEADER.unpack_from(raw)
+        if magic != FIELD_MAGIC:
+            raise ValueError(f"bad magic {magic!r}")
+        grid = make_grid(int(n1), int(n2), int(N), float(L))
+        vals = np.frombuffer(raw, dtype="<c8", offset=_FIELD_HEADER.size)
+        if vals.size != grid.size:
+            raise ValueError(f"expected {grid.size} samples, found {vals.size}")
         return SampledField(grid, vals.astype(np.complex128))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -11,11 +11,11 @@ multiplier sandwiches
     T f = sum_k a_k * ifft(b_k * fft(f))
 
 at FFT speed.  The dense path, on request, is its oracle: it evaluates the
-lattice sum literally, with sigma summed from the same terms.  apply, apply_at
-and the dense adjoint share one sweep, chunked over output points, which
-builds the phase e^{2 pi i x.xi} as a product of per-axis tables
-e^{2 pi i x_a k_a}.  Adjoints are taken with respect to the quadrature inner
-product <u, v> = sum u conj(v) (L/N)^n.
+lattice sum literally, with sigma summed from the same terms.  The dense apply
+and apply_at share one sweep, chunked over output points, which builds the
+phase e^{2 pi i x.xi} as a product of per-axis tables e^{2 pi i x_a k_a}.
+The path chooses only how T itself is evaluated: the adjoint for the
+quadrature inner product <u, v> = sum u conj(v) (L/N)^n is factor-wise on both.
 
 ``apply_at`` evaluates the same lattice sum at arbitrary (off-grid) points,
 which makes the dilation conjugation identity exact: with s = 2^(j rho),
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridSpec, SampledField, dft_forward, dft_inverse
+from .grid import GridSpec, SampledField, dft_forward
 from .symbols import SymbolDescriptor
 
 # elements per evaluator chunk in dense sweeps
@@ -36,11 +36,12 @@ _CHUNK = 1 << 22
 class QuantizedOperator:
     """A symbol bound to a grid with a chosen application path.
 
-    ``path`` is "separable" (the default) or "dense".  The separable path
-    caches the factor tables a_k on the point grid and b_k on the frequency
-    lattice for apply and adjoint, and, apart from them, the transformed
-    tables fftn(b_k) / L^n for kernel slices; each set is built on first use.
-    The dense path caches nothing and sums the terms afresh in every sweep.
+    ``path`` is "separable" (the default) or "dense"; it chooses how apply
+    and kernel_slice evaluate T.  The factor tables a_k on the point grid and
+    b_k on the frequency lattice serve the separable apply and the adjoint on
+    either path; the transformed tables fftn(b_k) / L^n serve separable kernel
+    slices.  Each set is built on first use.  The dense apply sums the terms
+    afresh in every sweep.
     """
 
     def __init__(self, symbol: SymbolDescriptor, grid: GridSpec,
@@ -105,33 +106,27 @@ def apply(T: QuantizedOperator, f: SampledField) -> SampledField:
     return SampledField(T.grid, vals.reshape(T.grid.shape))
 
 
-def _dense_blocks(symbol: SymbolDescriptor, grid: GridSpec, xs: np.ndarray):
-    """Yield (rows, K) for successive chunks ``xs[rows]`` of the points, with
-    K = sigma(x, xi) e^{2 pi i x.xi} over (point, frequency).
+def _dense_rows(symbol: SymbolDescriptor, grid: GridSpec, xs: np.ndarray,
+                fhat_flat: np.ndarray) -> np.ndarray:
+    """The lattice sum at the points ``xs``, chunked over points, with
+    K = sigma(x, xi) e^{2 pi i x.xi} over (point, frequency) per chunk.
 
     The phase factors over the axes, e^{2 pi i x.xi} = prod_a e^{2 pi i x_a k_a},
     so each chunk builds n tables of shape (chunk, N) and multiplies them out
-    in the lattice's row-major order.  Each K is a fresh array the caller may
-    overwrite.
+    in the lattice's row-major order.
     """
     frs = grid.freqs()
     k = grid.axis_freqs()
     step = max(1, _CHUNK // max(1, frs.shape[0]))
+    out = np.empty(len(xs), dtype=complex)
     for i in range(0, len(xs), step):
         xc = xs[i:i + step]
-        ph = np.exp(2j * np.pi * np.multiply.outer(xc[:, 0], k))
+        K = np.exp(2j * np.pi * np.multiply.outer(xc[:, 0], k))
         for a in range(1, grid.n):
             E = np.exp(2j * np.pi * np.multiply.outer(xc[:, a], k))
-            ph = (ph[:, :, None] * E[:, None, :]).reshape(len(xc), -1)
-        ph *= symbol.evaluator(xc[:, None, :], frs[None, :, :])
-        yield slice(i, i + step), ph
-
-
-def _dense_rows(symbol: SymbolDescriptor, grid: GridSpec, xs: np.ndarray,
-                fhat_flat: np.ndarray) -> np.ndarray:
-    out = np.empty(len(xs), dtype=complex)
-    for rows, K in _dense_blocks(symbol, grid, xs):
-        out[rows] = K @ fhat_flat
+            K = (K[:, :, None] * E[:, None, :]).reshape(len(xc), -1)
+        K *= symbol.evaluator(xc[:, None, :], frs[None, :, :])
+        out[i:i + step] = K @ fhat_flat
     return out / grid.period ** grid.n
 
 
@@ -157,24 +152,14 @@ def apply_at(T: QuantizedOperator, f: SampledField, x) -> complex:
 def adjoint_apply(T: QuantizedOperator, g: SampledField) -> SampledField:
     """Apply the conjugate transpose with respect to the quadrature product.
 
-    Separable operators use the exact factor-wise adjoint
-    T* g = sum_k ifft(conj(b_k) fft(conj(a_k) g)).  Dense operators run the
-    apply sweep with each kernel block conjugated and transposed.
+    On either path this is the exact factor-wise adjoint
+    T* g = sum_k ifft(conj(b_k) fft(conj(a_k) g)) over the cached factor tables.
     """
     _check_grid(T, g)
-    if T.path == "separable":
-        out = np.zeros(T.grid.shape, dtype=complex)
-        for av, bv in T._separable_factors():
-            out += np.fft.ifftn(np.conj(bv) * np.fft.fftn(np.conj(av) * g.values))
-        return SampledField(T.grid, out)
-    grid = T.grid
-    gv = g.values.ravel()
-    acc = np.zeros(grid.size, dtype=complex)
-    for rows, K in _dense_blocks(T.symbol, grid, grid.points()):
-        np.conjugate(K, out=K)
-        acc += K.T @ gv[rows]
-    acc *= grid.cell_volume
-    return dft_inverse(SampledField(grid, acc.reshape(grid.shape)))
+    out = np.zeros(T.grid.shape, dtype=complex)
+    for av, bv in T._separable_factors():
+        out += np.fft.ifftn(np.conj(bv) * np.fft.fftn(np.conj(av) * g.values))
+    return SampledField(T.grid, out)
 
 
 def kernel_slice(T: QuantizedOperator, x) -> SampledField:

@@ -40,12 +40,14 @@ def test_opnorm_matches_svd_oracle():
 
 
 def test_opnorm_multiplier_is_lattice_sup():
+    # the closed form, with no iteration, whichever path evaluates T
     grid = make_grid(1, 1, 16, 1.0)
     sym = builtin("multiplier_bessel", {"m": -1.0})
-    est = l2_opnorm(quantize(sym, grid), tol=1e-10, max_iter=2000)
     fr = grid.freqs()
-    sup = np.abs(sym.evaluator(np.zeros_like(fr), fr)).max()
-    assert est.value == pytest.approx(float(sup), rel=1e-6)
+    sup = float(np.abs(sym.evaluator(np.zeros_like(fr), fr)).max())
+    for path in ("dense", "separable"):
+        est = l2_opnorm(quantize(sym, grid, path), tol=1e-10, max_iter=2000)
+        assert est == bp.OpNormEstimate(sup, 0, True, 0.0), path
 
 
 def test_opnorm_multiplication_is_sup_of_coefficient():
@@ -66,6 +68,17 @@ def test_opnorm_constant_is_closed_form():
     grid = make_grid(1, 1, 8, 1.0)
     est = l2_opnorm(quantize(builtin("constant", {"c": 2.0}), grid))
     assert est == bp.OpNormEstimate(2.0, 0, True, 0.0)
+
+
+@pytest.mark.parametrize("tol,max_iter", [(np.inf, 50), (np.nan, 50), (0.0, 50),
+                                          (-1e-8, 50), (1e-8, 0), (1e-8, -1)])
+def test_opnorm_rejects_bad_solver_settings(tol, max_iter):
+    # each would give a wrong or empty estimate; refused before any table
+    grid = make_grid(1, 1, 8, 1.0)
+    T = quantize(builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5}), grid)
+    with pytest.raises(ValueError, match="tol must be|max_iter must be"):
+        l2_opnorm(T, tol=tol, max_iter=max_iter)
+    assert T._factors is None
 
 
 def test_opnorm_nonconstant_coefficient_iterates():
@@ -181,6 +194,20 @@ def test_kernel_decay_zero_symbol_degenerate():
                                   range(0, 3), [np.zeros(2)], grid)
     assert rep["verdict"] == "degenerate"
     assert all(v == 0.0 for v in rep["values"])
+
+
+def test_kernel_decay_rejects_empty_or_misshapen_x_samples(monkeypatch):
+    # refused before any piece is quantized
+    grid = make_grid(1, 1, 16, 1.0)
+    sym = builtin("multiplier_bessel", {"m": -0.5})
+
+    def no_quantize(*args):
+        raise AssertionError("a piece was quantized")
+
+    monkeypatch.setattr(bp.analysis, "quantize", no_quantize)
+    for xs in (np.empty((0, 2)), [], np.zeros((2, 3))):
+        with pytest.raises(ValueError, match="x_samples must be one or more rows"):
+            kernel_decay_experiment(sym, 3, range(0, 3), xs, grid)
 
 
 def test_kernel_decay_monotone_for_product_symbol():

@@ -331,6 +331,12 @@ _SHARP = ('experiment = "sharpness"\nrho = 0.5\nN_list = [8, 16]\n'
             'N_list = [8, 16]', "'symbol'"),
     ("run", 'experiment = "bmo"\nsymbol = {"a": 1}\nfactors = [1, 1]\nperiod = 1.0\n'
             'N_list = [8, 16]', "'symbol'"),
+    ("apply", ["--grid", "1,1,8"], "--grid expects n1,n2,N,L"),
+    ("apply", ["--params", "{bad"], "--params is not valid JSON"),
+    ("apply", ["--ell", "1"], "--ell requires --j"),
+    ("kernel", ["--x", "a,b"], "--x expects comma-separated reals"),
+    ("run", 'experiment = "ortho"\nsymbol = "multiplier_bessel"\n'
+            'grid = [1, 1, 8]\nj_range = [1, 2]', "'grid' must be a JSON list"),
 ], ids=["period", "N_list-odd", "N_list-decreasing", "j_range", "ell_range",
         "ell_max", "x_count", "sharpness-rho", "cube_side", "cube_anchor",
         "battery_kmax", "mollifier-radius", "p_list", "battery-spectrum",
@@ -340,7 +346,9 @@ _SHARP = ('experiment = "sharpness"\nrho = 0.5\nN_list = [8, 16]\n'
         "m_grid-decreasing", "m_grid-repeated", "p_list-repeated", "apply-j",
         "apply-ell", "apply-split-scale", "kernel-x", "bmo-seed", "commutator-seed",
         "ortho-seed", "apply-ellmax", "kernel-ellmax", "outdir-number",
-        "outdir-null", "outdir-list", "outdir-empty", "symbol-list", "symbol-map"])
+        "outdir-null", "outdir-list", "outdir-empty", "symbol-list", "symbol-map",
+        "apply-grid", "apply-params", "apply-ell-without-j", "kernel-x-text",
+        "grid-short"])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, body,
                                                needle):
     out = tmp_path / "out"

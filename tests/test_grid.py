@@ -9,6 +9,7 @@ return its value bit for bit.
 """
 
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -355,14 +356,25 @@ def test_field_binary_rejects_corruption(tmp_path):
     with pytest.raises(ValueError):
         read_field(tmp_path / "bad_magic.fld")
     (tmp_path / "short.fld").write_bytes(raw[:40])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="short.fld: expected 64 samples, found 1$"):
         read_field(tmp_path / "short.fld")
-    # a NaN first sample: the message names the file, as the others do
+    (tmp_path / "cut.fld").write_bytes(raw[:20])
+    with pytest.raises(ValueError, match="cut.fld: truncated field file"):
+        read_field(tmp_path / "cut.fld")
+    # every message names the file: a NaN first sample, and header grids that
+    # make_grid rejects (N = 3 at byte 16, a NaN period at byte 20)
     start = len(raw) - 8 * g.size
     nan = np.array([np.nan], dtype="<c8").tobytes()
-    (tmp_path / "nan.fld").write_bytes(raw[:start] + nan + raw[start + 8:])
-    with pytest.raises(ValueError, match="nan.fld: field values must be finite"):
-        read_field(tmp_path / "nan.fld")
+    bad = {"nan.fld": (raw[:start] + nan + raw[start + 8:],
+                       "field values must be finite"),
+           "bad3.fld": (raw[:16] + struct.pack("<I", 3) + raw[20:],
+                        "points_per_axis must be an even integer >= 4, got 3"),
+           "nanperiod.fld": (raw[:20] + struct.pack("<d", np.nan) + raw[28:],
+                             "period must be positive and finite, got nan")}
+    for name, (data, message) in bad.items():
+        (tmp_path / name).write_bytes(data)
+        with pytest.raises(ValueError, match=f"{name}: {message}"):
+            read_field(tmp_path / name)
 
 
 def test_field_binary_rejects_complex64_overflow(tmp_path):

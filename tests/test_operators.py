@@ -9,7 +9,7 @@ import pytest
 
 import bipdo as bp
 from bipdo import (DecompositionIndex, DyadicCube, SampledField, adjoint_apply,
-                   apply, apply_at, builtin, derived_symbol, dft_forward,
+                   apply, apply_at, builtin, compose, derived_symbol, dft_forward,
                    kernel_l1, kernel_slice, make_grid, make_symbol,
                    mollifier_lambda, quantize, theta_symbol)
 from helpers import ones, rand_field, rand_separable
@@ -188,6 +188,23 @@ def test_apply_validates_inputs():
         quantize(builtin("constant", {"c": 1.0}), g1, path="warp")
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda g: quantize(builtin("constant", {"c": 1.0}, n1=2, n2=1), g),
+     "symbol has 3 axes, grid has 2"),
+    (lambda g: apply_at(quantize(builtin("constant", {"c": 1.0}), g),
+                        rand_field(g, 0), np.zeros((4, 3))),
+     "points have 3 axes, grid has 2"),
+    (lambda g: kernel_slice(quantize(builtin("constant", {"c": 1.0}), g), np.zeros(3)),
+     r"x must be one point of shape \(2,\), got \(3,\)"),
+    (lambda g: compose(quantize(builtin("constant", {"c": 1.0}), g),
+                       quantize(builtin("constant", {"c": 1.0}), make_grid(1, 1, 16, 1.0))),
+     "composed maps must share a grid"),
+], ids=["quantize-axes", "apply_at-axes", "kernel_slice-shape", "compose-grids"])
+def test_mismatched_axes_and_grids_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(make_grid(1, 1, 8, 1.0))
+
+
 # ---------------------------------------------------------------------------
 # off-lattice evaluation
 
@@ -222,18 +239,24 @@ def test_apply_at_single_mode_closed_form():
 
 
 def test_adjoint_inner_product_identity():
+    # one factor-wise adjoint on both paths, checked against the separable
+    # apply and against the dense literal sum
     for grid in (make_grid(1, 1, 8, 1.0), make_grid(2, 1, 4, 1.0)):
         w = grid.cell_volume
         for seed in range(10):
             sym = rand_separable(300 + seed, n1=grid.n1) if seed % 2 else builtin(
                 "oscillatory_exotic", {"m": 0.0, "rho": 0.5, "xmod": 0.5},
                 n1=grid.n1, n2=grid.n2)
-            T = quantize(sym, grid, path="dense" if seed % 3 else "separable")
             f, g = rand_field(grid, seed), rand_field(grid, 50 + seed)
-            # <Tf, g> = <f, T*g> with <u, v> = sum u conj(v) * cell volume
-            lhs = np.vdot(g.values, apply(T, f).values) * w
-            rhs = np.vdot(adjoint_apply(T, g).values, f.values) * w
-            assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0), (grid.n, seed)
+            adj = {}
+            for path in ("dense", "separable"):
+                T = quantize(sym, grid, path)
+                adj[path] = adjoint_apply(T, g).values
+                # <Tf, g> = <f, T*g> with <u, v> = sum u conj(v) * cell volume
+                lhs = np.vdot(g.values, apply(T, f).values) * w
+                rhs = np.vdot(adj[path], f.values) * w
+                assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0), (grid.n, seed, path)
+            assert np.array_equal(adj["dense"], adj["separable"]), (grid.n, seed)
 
 
 def test_real_multiplier_self_adjoint():

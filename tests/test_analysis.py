@@ -5,6 +5,7 @@ singular value, sharing no code with the Lanczos iteration under test.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from bipdo import (DecompositionIndex, SampledField, adjoint_of,
                    mollifier_lambda, ortho_experiment, quantize,
                    sharpness_scan, DyadicCube)
 from bipdo import test_battery as standard_battery
-from bipdo.analysis import fit_line
+from bipdo.analysis import (OPNORM_SEED, LinearFieldMap, _as_map, _ritz_screen,
+                            fit_line)
 from bipdo.cli import _sharpness_flips
 from helpers import dense_opnorm_oracle, ones, rand_separable
 
@@ -90,10 +92,15 @@ def test_opnorm_nonconstant_coefficient_iterates():
     assert est.converged and est.iterations > 0
 
 
-def ortho_piece_ops(grid, js):
-    sym = builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5})
-    return {j: quantize(derived_symbol(sym, DecompositionIndex(j=j), "annulus_j"), grid)
-            for j in js}
+def ortho_cells(sym, grid, js):
+    """The compositions T_j* T_k (j <= k) of ``sym``'s annulus pieces."""
+    ops = {j: quantize(derived_symbol(sym, DecompositionIndex(j=j), "annulus_j"), grid)
+           for j in js}
+    return {(j, k): compose(adjoint_of(ops[j]), ops[k])
+            for j in js for k in js if j <= k}
+
+
+EXOTIC = builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5})
 
 
 def test_opnorm_converged_residual_within_tol():
@@ -101,10 +108,8 @@ def test_opnorm_converged_residual_within_tol():
     grid8 = make_grid(1, 1, 8, 1.0)
     maps = [quantize(rand_separable(seed), grid8) for seed in (0, 1, 2)]
     maps.append(quantize(builtin("multiplier_bessel", {"m": -1.0}), grid8))
-    grid16 = make_grid(1, 1, 16, 1.0)
-    ops = ortho_piece_ops(grid16, (1, 2, 3))
-    maps += [compose(adjoint_of(ops[j]), ops[k])
-             for j, k in ((1, 1), (1, 2), (1, 3), (2, 3))]
+    cells = ortho_cells(EXOTIC, make_grid(1, 1, 16, 1.0), (1, 2, 3))
+    maps += [cells[jk] for jk in ((1, 1), (1, 2), (1, 3), (2, 3))]
     for T in maps:
         est = l2_opnorm(T, tol=tol, max_iter=2000)
         assert est.converged
@@ -113,9 +118,9 @@ def test_opnorm_converged_residual_within_tol():
 
 def test_opnorm_ortho_cell_matches_svd_oracle():
     grid = make_grid(1, 1, 32, 1.0)
-    ops = ortho_piece_ops(grid, (1, 3, 4))
+    cells = ortho_cells(EXOTIC, grid, (1, 3, 4))
     for j, k in ((1, 3), (3, 4)):
-        comp = compose(adjoint_of(ops[j]), ops[k])
+        comp = cells[(j, k)]
         est = l2_opnorm(comp, tol=1e-8, max_iter=2000)
         oracle = dense_opnorm_oracle(comp, grid)
         assert est.converged
@@ -134,6 +139,145 @@ def test_opnorm_deterministic():
     a = l2_opnorm(T)
     b = l2_opnorm(T)
     assert a.value == b.value and a.iterations == b.iterations
+
+
+def per_step_opnorm(T, tol, max_iter):
+    """The Lanczos loop of ``l2_opnorm`` with eigh at every step."""
+    A = _as_map(T)
+    if A.multiplier is not None:
+        return bp.OpNormEstimate(float(np.max(np.abs(A.multiplier))), 0, True, 0.0)
+    rng = np.random.default_rng(OPNORM_SEED)
+    v = rng.standard_normal(A.grid.shape) + 1j * rng.standard_normal(A.grid.shape)
+    v /= np.linalg.norm(v)
+    v_prev = np.zeros_like(v)
+    alphas, betas = [], []
+    beta = 0.0
+    theta = residual = 0.0
+    for it in range(1, max_iter + 1):
+        Tv = A.matvec(SampledField(A.grid, v)).values
+        w = A.rmatvec(SampledField(A.grid, Tv)).values
+        alpha = np.vdot(v, w).real
+        linearity_defect = abs(alpha - np.vdot(Tv, Tv).real)
+        w = w - alpha * v - beta * v_prev
+        alphas.append(alpha)
+        beta = float(np.linalg.norm(w))
+        ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1)
+                                    + np.diag(betas, -1))
+        theta = max(float(ritz[-1]), 0.0)
+        residual = beta * abs(float(vecs[-1, -1]))
+        if residual <= tol * theta or linearity_defect > tol * theta:
+            return bp.OpNormEstimate(math.sqrt(theta), it, True, residual)
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    return bp.OpNormEstimate(math.sqrt(theta), max_iter, False, residual)
+
+
+def test_opnorm_matches_a_literal_per_step_loop():
+    # the Ritz screen only decides when eigh may be skipped: every estimate
+    # equals the per-step loop's bit for bit (dataclass equality on floats)
+    grid32 = make_grid(1, 1, 32, 1.0)
+    cases = []
+    for sym in (EXOTIC, builtin("modulated_bessel", {"m": 0.0})):
+        for T in ortho_cells(sym, grid32, (1, 2, 3, 4)).values():
+            cases += [(T, 1e-8, 2000), (T, 1e-12, 2000)]
+    # capped at 7 steps, the last cell returns unconverged
+    cases.append((cases[-1][0], 1e-8, 7))
+    zero = LinearFieldMap(grid32, matvec=lambda f: SampledField(f.grid, 0 * f.values),
+                          rmatvec=lambda g: SampledField(g.grid, 0 * g.values))
+    cases.append((zero, 1e-8, 2000))
+    grid8 = make_grid(1, 1, 8, 1.0)
+    for seed in range(6):
+        T = quantize(rand_separable(seed), grid8)
+        # tol 1e-16 is below roundoff: most of these stop on the defect
+        cases += [(T, 1e-10, 2000), (T, 1e-16, 2000)]
+    stops = {"cap": 0, "defect": 0}
+    for T, tol, max_iter in cases:
+        est = l2_opnorm(T, tol, max_iter)
+        assert est == per_step_opnorm(T, tol, max_iter), (tol, max_iter)
+        if not est.converged:
+            stops["cap"] += 1
+        elif est.residual > tol * est.value ** 2:
+            stops["defect"] += 1
+    # the cases reach both stops the screen must never skip: the cap, and the
+    # defect (the (1,4) cells, whose disjoint supports leave a roundoff norm,
+    # and the tol 1e-16 maps, which stop on it at steps 2 and 3)
+    assert stops["cap"] == 1 and stops["defect"] >= 8
+
+
+def test_opnorm_calls_eigh_on_few_steps(monkeypatch):
+    # eigh costs O(k^3) at step k; the screen keeps it off most steps
+    T = ortho_cells(EXOTIC, make_grid(1, 1, 32, 1.0), (3, 4))[(3, 4)]
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    est = l2_opnorm(T, tol=1e-8, max_iter=2000)
+    assert est.converged and est.iterations > 40
+    assert calls[0] == 1 and calls[-1] == est.iterations
+    assert len(calls) <= est.iterations // 4, calls
+
+
+def lanczos_tridiagonal(rng, k, n=400):
+    """Lanczos coefficients of k steps on a random positive diagonal matrix."""
+    spectrum = rng.uniform(0.0, 1.0, n)
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    v_prev, beta = np.zeros(n), 0.0
+    alphas, betas = [], []
+    for _ in range(k):
+        w = spectrum * v
+        alpha = v @ w
+        w = w - alpha * v - beta * v_prev
+        beta = np.linalg.norm(w)
+        alphas.append(alpha)
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    return np.array(alphas), np.array(betas[:-1])
+
+
+def test_ritz_screen_bounds_the_top_pair():
+    rng = np.random.default_rng(19)
+    screened = 0
+    for trial in range(300):
+        k = int(rng.integers(2, 201))
+        if trial % 2:
+            alphas, betas = lanczos_tridiagonal(rng, k)
+        else:
+            alphas = rng.uniform(0.0, 1.0, k)
+            betas = rng.uniform(0.0, 1.0, k - 1)
+        if trial % 3 == 1:
+            # theta_k nearly equals theta_{k-1}, as when Lanczos has converged
+            betas[-1] = 10.0 ** -rng.integers(4, 15)
+        head = np.linalg.eigh(np.diag(alphas[:-1]) + np.diag(betas[:-1], 1)
+                              + np.diag(betas[:-1], -1))
+        prev_theta = head[0][-1]
+        ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1)
+                                    + np.diag(betas, -1))
+        theta, s = ritz[-1], abs(vecs[-1, -1])
+        r = betas[-1] * abs(head[1][-1, -1])
+        rayleigh = 0.5 * (prev_theta + alphas[-1]) + math.hypot(
+            0.5 * (prev_theta - alphas[-1]), r)
+        alphas, betas = alphas.tolist(), betas.tolist()
+        # Newton from left of theta_{k-1} could find a lower root
+        assert _ritz_screen(alphas, betas, prev_theta - 0.05) is None, trial
+        pair = _ritz_screen(alphas, betas, rayleigh)
+        if pair is not None:
+            lo, hi, s_lo = pair
+            assert lo <= theta * (1 + 1e-14), (trial, lo, theta)
+            assert hi >= theta * (1 - 1e-14), (trial, hi, theta)
+            assert s_lo <= s * (1 + 1e-12), (trial, s_lo, s)
+            screened += 1
+    assert screened >= 80
+    # at scale 1e-200 a pivot near rounding squares to below the float range
+    alphas, betas = [1e-200, 0.5e-200, 0.8e-200, 0.3e-200], [0.4e-200, 0.2e-200, 0.1e-200]
+    top = np.linalg.eigvalsh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))[-1]
+    for x in np.linspace(0.5e-200, 1.3e-200, 2001):
+        pair = _ritz_screen(alphas, betas, float(x))
+        assert pair is None or pair[0] <= top * (1 + 1e-14) <= pair[1] * (1 + 2e-14)
 
 
 def test_fit_line_recovers_exact_line():

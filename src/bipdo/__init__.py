@@ -18,7 +18,7 @@ from .symbols import SymbolDescriptor, make_symbol, builtin, BUILTIN_PARAMS
 from .operators import (QuantizedOperator, quantize, apply, apply_at,
                         adjoint_apply, kernel_slice, kernel_l1)
 from .analysis import (LinearFieldMap, OpNormEstimate,
-                       compose, adjoint_of, l2_opnorm, fit_line,
+                       adjoint_product, l2_opnorm, fit_line,
                        ortho_experiment, kernel_decay_experiment,
                        l2_uniformity_sweep, bmo_experiment, sharpness_scan,
                        commutator_check, test_battery, band_limited_battery,

@@ -35,7 +35,8 @@ from .grid import (GridSpec, SampledField, bmo_norm, lp_exponent, lp_norm,
 from .decompose import (DecompositionIndex, default_ell_max, derived_symbol,
                         mollifier_lambda, theta_symbol, varphi)
 from .symbols import SymbolDescriptor, block_norms, builtin
-from .operators import adjoint_apply, apply, kernel_l1, quantize
+from .operators import (adjoint_apply, analyze, apply, kernel_l1, quantize,
+                        synthesize)
 
 # fixed start-vector seed for every Lanczos iteration (documented constant;
 # another start changes the iteration count and moves each reported Ritz
@@ -57,49 +58,62 @@ ORTHO_MIN_GAP = 2
 class LinearFieldMap:
     """A linear map on fields over one grid, with its adjoint.
 
-    ``multiplier`` is the map's lattice multiplier table (FFT layout) when it
-    is known to be the Fourier multiplier f -> ifft(m * fft(f)), else None.
+    ``matvec`` and ``rmatvec`` take and return arrays of ``grid.shape``: the
+    field values, or their DFT coefficients fftn(f) when ``dft`` is True.
+    Since fftn is sqrt(N^n) times a unitary map, both bases give the same norm
+    and the same Euclidean adjoint pair.  ``multiplier`` is the map's lattice
+    multiplier table (FFT layout) when it is known to be the Fourier
+    multiplier f -> ifft(m * fft(f)), else None.
     """
 
     grid: GridSpec
     matvec: object
     rmatvec: object
     multiplier: object = None
+    dft: bool = False
+
+
+def _multiplier(T):
+    """T's lattice multiplier table when every a-factor is constant, else None."""
+    factors = T._separable_factors()
+    if all(np.all(av == av.flat[0]) for av, _ in factors):
+        return sum(av.flat[0] * bv for av, bv in factors)
+    return None
 
 
 def _as_map(T) -> LinearFieldMap:
     if isinstance(T, LinearFieldMap):
         return T
-    multiplier = None
-    factors = T._separable_factors()
-    if all(np.all(av == av.flat[0]) for av, _ in factors):
-        multiplier = sum(av.flat[0] * bv for av, bv in factors)
-    return LinearFieldMap(T.grid,
-                          matvec=lambda f, _T=T: apply(_T, f),
-                          rmatvec=lambda g, _T=T: adjoint_apply(_T, g),
-                          multiplier=multiplier)
+    return LinearFieldMap(
+        T.grid,
+        matvec=lambda v, _T=T: apply(_T, SampledField(_T.grid, v)).values,
+        rmatvec=lambda u, _T=T: adjoint_apply(_T, SampledField(_T.grid, u)).values,
+        multiplier=_multiplier(T))
 
 
-def compose(outer, inner) -> LinearFieldMap:
-    """The map f -> outer(inner(f)); adjoint composes in reverse."""
-    A = _as_map(outer)
-    B = _as_map(inner)
-    if A.grid != B.grid:
+def adjoint_product(S, T) -> LinearFieldMap:
+    """The map S* T of two separable operators, on DFT coefficients.
+
+    matvec is v -> analyze(S, synthesize(T, v)) = fft(S* T ifft(v)) and
+    rmatvec is u -> analyze(T, synthesize(S, u)) = fft(T* S ifft(u)): the
+    ifft/fft pair that composing apply and adjoint_apply would put between
+    the two halves is skipped, so each costs K_S + K_T FFTs for K_S and K_T
+    terms.  When both are Fourier multipliers the map carries the table
+    conj(m_S) m_T.
+    """
+    if S.grid != T.grid:
         raise ValueError("composed maps must share a grid")
-    multiplier = None
-    if A.multiplier is not None and B.multiplier is not None:
-        multiplier = A.multiplier * B.multiplier
-    return LinearFieldMap(A.grid,
-                          matvec=lambda f: A.matvec(B.matvec(f)),
-                          rmatvec=lambda g: B.rmatvec(A.rmatvec(g)),
-                          multiplier=multiplier)
-
-
-def adjoint_of(T) -> LinearFieldMap:
-    A = _as_map(T)
-    multiplier = None if A.multiplier is None else np.conj(A.multiplier)
-    return LinearFieldMap(A.grid, matvec=A.rmatvec, rmatvec=A.matvec,
-                          multiplier=multiplier)
+    for op in (S, T):
+        if op.path != "separable":
+            raise ValueError(f"adjoint_product needs separable operators, "
+                             f"got path '{op.path}'")
+    mS, mT = _multiplier(S), _multiplier(T)
+    return LinearFieldMap(S.grid,
+                          matvec=lambda v: analyze(S, synthesize(T, v)),
+                          rmatvec=lambda u: analyze(T, synthesize(S, u)),
+                          multiplier=None if mS is None or mT is None
+                          else np.conj(mS) * mT,
+                          dft=True)
 
 
 @dataclass(frozen=True)
@@ -158,9 +172,12 @@ def l2_opnorm(T, tol: float = 1e-8, max_iter: int = 500) -> OpNormEstimate:
 
     A Fourier multiplier (a map carrying its lattice table m) has norm
     exactly max |m|, returned with 0 iterations.  Any other map runs
-    Lanczos on the positive map T*T from a fixed seeded random field,
-    without reorthogonalization: each step costs one application of T and
-    one of T*, and only the last two Lanczos vectors are kept.  The top
+    Lanczos on the positive map T*T from a fixed seeded random field (its
+    fftn for a map on DFT coefficients), without reorthogonalization: each
+    step costs one application of T and one of T*, and only the last two
+    Lanczos vectors are kept.  For a product map ``adjoint_product(S, T)``
+    that is 2 (K_S + K_T) FFTs per step for K_S and K_T terms.  A step whose
+    alpha, beta or |Tv|^2 is not finite raises ValueError.  The top
     eigenpair (theta, s) of the k x k tridiagonal gives the Ritz value
     theta <= |T|^2, so sqrt(theta) is a lower bound on the norm, and the
     residual beta_k |s_k| of its Ritz vector.  Iteration stops as converged
@@ -193,19 +210,24 @@ def l2_opnorm(T, tol: float = 1e-8, max_iter: int = 500) -> OpNormEstimate:
         return OpNormEstimate(float(np.max(np.abs(A.multiplier))), 0, True, 0.0)
     rng = np.random.default_rng(OPNORM_SEED)
     v = rng.standard_normal(A.grid.shape) + 1j * rng.standard_normal(A.grid.shape)
+    if A.dft:
+        v = np.fft.fftn(v)
     v /= np.linalg.norm(v)
     v_prev = np.zeros_like(v)
     alphas, betas = [], []
     beta = 0.0
     theta = residual = 0.0
     for it in range(1, max_iter + 1):
-        Tv = A.matvec(SampledField(A.grid, v)).values
-        w = A.rmatvec(SampledField(A.grid, Tv)).values
+        Tv = A.matvec(v)
+        w = A.rmatvec(Tv)
         alpha = float(np.vdot(v, w).real)
-        linearity_defect = abs(alpha - np.vdot(Tv, Tv).real)
+        tv2 = float(np.vdot(Tv, Tv).real)
+        linearity_defect = abs(alpha - tv2)
         w = w - alpha * v - beta * v_prev
         alphas.append(alpha)
         beta = float(np.linalg.norm(w))
+        if not (math.isfinite(alpha) and math.isfinite(tv2) and math.isfinite(beta)):
+            raise ValueError(f"the map gave non-finite values at Lanczos step {it}")
         # (theta, residual) is the previous step's pair, from eigh or the screen
         screen = None if it == 1 else _ritz_screen(
             alphas, betas,
@@ -254,8 +276,10 @@ def ortho_experiment(sigma: SymbolDescriptor, j_range, grid: GridSpec,
 
     The report's ``entries`` are [j, k, value] triples over every ordered
     pair, j major, where value is the ``l2_opnorm`` estimate of |T_j* T_k|
-    (symmetric by construction): a Lanczos Ritz value, or the exact
-    max |b_j b_k| over the lattice when both pieces are Fourier multipliers.
+    (symmetric by construction): a Lanczos Ritz value of
+    ``adjoint_product(T_j, T_k)``, which runs on DFT coefficients, or the
+    exact max |b_j b_k| over the lattice when both pieces are Fourier
+    multipliers.
     The fit models entries with |j - k| >= ``min_gap`` (``ORTHO_MIN_GAP``)
     as A 2^(-eps (j+k)); entries at or below ``zero_floor`` are treated as
     exact zeros and left out of the fit.
@@ -270,7 +294,7 @@ def ortho_experiment(sigma: SymbolDescriptor, j_range, grid: GridSpec,
     converged = True
     for a, j in enumerate(js):
         for k in js[a:]:
-            est = l2_opnorm(compose(adjoint_of(ops[j]), _as_map(ops[k])), tol, max_iter)
+            est = l2_opnorm(adjoint_product(ops[j], ops[k]), tol, max_iter)
             norms[(j, k)] = est.value
             norms[(k, j)] = est.value
             converged = converged and est.converged

@@ -6,16 +6,21 @@ The quantization rule is
 
 with fhat from ``dft_forward``.  The separable path, every operator's
 default, applies the symbol's terms sigma = sum_k a_k(x) b_k(xi) as
-multiplier sandwiches
+multiplier sandwiches at FFT speed.  It is built from two halves, each a sum
+over the terms:
 
-    T f = sum_k a_k * ifft(b_k * fft(f))
+    synthesize:  T ifft(fhat)  = sum_k a_k * ifft(b_k * fhat)
+    analyze:     fft(T* g)     = sum_k conj(b_k) * fft(conj(a_k) * g)
 
-at FFT speed.  The dense path, on request, is its oracle: it evaluates the
-lattice sum literally, with sigma summed from the same terms.  The dense apply
-and apply_at share one sweep, chunked over output points, which builds the
-phase e^{2 pi i x.xi} as a product of per-axis tables e^{2 pi i x_a k_a}.
-The path chooses only how T itself is evaluated: the adjoint for the
-quadrature inner product <u, v> = sum u conj(v) (L/N)^n is factor-wise on both.
+so that T f = synthesize(T, fft(f)) and T* g = ifft(analyze(T, g)), the
+adjoint for the quadrature inner product <u, v> = sum u conj(v) (L/N)^n.  A
+product of operators can chain the halves on DFT coefficients and skip the
+ifft/fft pair between them.  The dense path, on request, is the oracle of the
+separable apply: it evaluates the lattice sum literally, with sigma summed
+from the same terms.  The dense apply and apply_at share one sweep, chunked
+over output points, which builds the phase e^{2 pi i x.xi} as a product of
+per-axis tables e^{2 pi i x_a k_a}.  The path chooses only how T itself is
+evaluated: the adjoint is factor-wise on both.
 
 ``apply_at`` evaluates the same lattice sum at arbitrary (off-grid) points,
 which makes the dilation conjugation identity exact: with s = 2^(j rho),
@@ -96,11 +101,7 @@ def apply(T: QuantizedOperator, f: SampledField) -> SampledField:
     """Apply the operator; both paths realize the same lattice sum."""
     _check_grid(T, f)
     if T.path == "separable":
-        fhat = np.fft.fftn(f.values)
-        out = np.zeros(T.grid.shape, dtype=complex)
-        for av, bv in T._separable_factors():
-            out += av * np.fft.ifftn(bv * fhat)
-        return SampledField(T.grid, out)
+        return SampledField(T.grid, synthesize(T, np.fft.fftn(f.values)))
     fhat_flat = dft_forward(f).values.ravel()
     vals = _dense_rows(T.symbol, T.grid, T.grid.points(), fhat_flat)
     return SampledField(T.grid, vals.reshape(T.grid.shape))
@@ -153,13 +154,29 @@ def adjoint_apply(T: QuantizedOperator, g: SampledField) -> SampledField:
     """Apply the conjugate transpose with respect to the quadrature product.
 
     On either path this is the exact factor-wise adjoint
-    T* g = sum_k ifft(conj(b_k) fft(conj(a_k) g)) over the cached factor tables.
+    T* g = ifft(sum_k conj(b_k) fft(conj(a_k) g)) over the cached factor
+    tables: K + 1 FFTs for K terms.
     """
     _check_grid(T, g)
+    return SampledField(T.grid, np.fft.ifftn(analyze(T, g.values)))
+
+
+def synthesize(T: QuantizedOperator, fhat: np.ndarray) -> np.ndarray:
+    """T ifft(fhat) = sum_k a_k ifft(b_k fhat) on the point grid, from the DFT
+    coefficients ``fhat`` (FFT layout) of the field T is applied to."""
     out = np.zeros(T.grid.shape, dtype=complex)
     for av, bv in T._separable_factors():
-        out += np.fft.ifftn(np.conj(bv) * np.fft.fftn(np.conj(av) * g.values))
-    return SampledField(T.grid, out)
+        out += av * np.fft.ifftn(bv * fhat)
+    return out
+
+
+def analyze(T: QuantizedOperator, g: np.ndarray) -> np.ndarray:
+    """fft(T* g) = sum_k conj(b_k) fft(conj(a_k) g): the DFT coefficients of
+    the adjoint applied to the point values ``g``."""
+    out = np.zeros(T.grid.shape, dtype=complex)
+    for av, bv in T._separable_factors():
+        out += np.conj(bv) * np.fft.fftn(np.conj(av) * g)
+    return out
 
 
 def kernel_slice(T: QuantizedOperator, x) -> SampledField:

@@ -32,12 +32,27 @@ def rand_separable(seed, nterms=3, n1=1, n2=1):
 def dense_opnorm_oracle(T, grid):
     """Top singular value via explicit columns; independent of the iteration.
 
-    ``T`` is a quantized operator or a map with a ``matvec``."""
-    matvec = getattr(T, "matvec", None) or (lambda f: apply(T, f))
+    ``T`` is a quantized operator or a map with a ``matvec`` on arrays.  A map
+    on DFT coefficients is U P U* for its map P on fields and a unitary U, so
+    its singular values are P's."""
+    matvec = getattr(T, "matvec", None) or (
+        lambda v: apply(T, SampledField(grid, v)).values)
     cols = []
     for i in range(grid.size):
         e = np.zeros(grid.size, dtype=complex)
         e[i] = 1.0
-        cols.append(matvec(SampledField(grid, e.reshape(grid.shape))).values.ravel())
+        cols.append(matvec(e.reshape(grid.shape)).ravel())
     mat = np.stack(cols, axis=1)
     return float(np.linalg.svd(mat, compute_uv=False)[0])
+
+
+def count_ffts(monkeypatch):
+    """Count the calls of np.fft.fftn and np.fft.ifftn: the returned list
+    gets one name per call."""
+    calls = []
+    for name in ("fftn", "ifftn"):
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

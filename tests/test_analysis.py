@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import bipdo as bp
-from bipdo import (DecompositionIndex, SampledField, adjoint_of,
+from bipdo import (DecompositionIndex, SampledField, adjoint_product,
                    adversarial_battery, apply, band_limited_battery,
-                   bmo_experiment, builtin, commutator_check, compose,
+                   bmo_experiment, builtin, commutator_check,
                    derived_symbol, kernel_decay_experiment, l2_opnorm,
                    l2_uniformity_sweep, make_grid, make_symbol,
                    mollifier_lambda, ortho_experiment, quantize,
@@ -22,7 +22,7 @@ from bipdo import test_battery as standard_battery
 from bipdo.analysis import (OPNORM_SEED, LinearFieldMap, _as_map, _ritz_screen,
                             fit_line)
 from bipdo.cli import _sharpness_flips
-from helpers import dense_opnorm_oracle, ones, rand_separable
+from helpers import count_ffts, dense_opnorm_oracle, ones, rand_field, rand_separable
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +93,10 @@ def test_opnorm_nonconstant_coefficient_iterates():
 
 
 def ortho_cells(sym, grid, js):
-    """The compositions T_j* T_k (j <= k) of ``sym``'s annulus pieces."""
+    """The products T_j* T_k (j <= k) of ``sym``'s annulus pieces."""
     ops = {j: quantize(derived_symbol(sym, DecompositionIndex(j=j), "annulus_j"), grid)
            for j in js}
-    return {(j, k): compose(adjoint_of(ops[j]), ops[k])
+    return {(j, k): adjoint_product(ops[j], ops[k])
             for j in js for k in js if j <= k}
 
 
@@ -148,14 +148,16 @@ def per_step_opnorm(T, tol, max_iter):
         return bp.OpNormEstimate(float(np.max(np.abs(A.multiplier))), 0, True, 0.0)
     rng = np.random.default_rng(OPNORM_SEED)
     v = rng.standard_normal(A.grid.shape) + 1j * rng.standard_normal(A.grid.shape)
+    if A.dft:
+        v = np.fft.fftn(v)
     v /= np.linalg.norm(v)
     v_prev = np.zeros_like(v)
     alphas, betas = [], []
     beta = 0.0
     theta = residual = 0.0
     for it in range(1, max_iter + 1):
-        Tv = A.matvec(SampledField(A.grid, v)).values
-        w = A.rmatvec(SampledField(A.grid, Tv)).values
+        Tv = A.matvec(v)
+        w = A.rmatvec(Tv)
         alpha = np.vdot(v, w).real
         linearity_defect = abs(alpha - np.vdot(Tv, Tv).real)
         w = w - alpha * v - beta * v_prev
@@ -182,8 +184,7 @@ def test_opnorm_matches_a_literal_per_step_loop():
             cases += [(T, 1e-8, 2000), (T, 1e-12, 2000)]
     # capped at 7 steps, the last cell returns unconverged
     cases.append((cases[-1][0], 1e-8, 7))
-    zero = LinearFieldMap(grid32, matvec=lambda f: SampledField(f.grid, 0 * f.values),
-                          rmatvec=lambda g: SampledField(g.grid, 0 * g.values))
+    zero = LinearFieldMap(grid32, matvec=lambda v: 0 * v, rmatvec=lambda u: 0 * u)
     cases.append((zero, 1e-8, 2000))
     grid8 = make_grid(1, 1, 8, 1.0)
     for seed in range(6):
@@ -219,6 +220,46 @@ def test_opnorm_calls_eigh_on_few_steps(monkeypatch):
     assert est.converged and est.iterations > 40
     assert calls[0] == 1 and calls[-1] == est.iterations
     assert len(calls) <= est.iterations // 4, calls
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("side", ["matvec", "rmatvec"])
+def test_opnorm_rejects_non_finite_maps(side, bad):
+    # a map that leaves the finite numbers stops the loop with a ValueError,
+    # not a NaN estimate
+    grid = make_grid(1, 1, 8, 1.0)
+    maps = {"matvec": lambda v: v, "rmatvec": lambda u: u}
+    maps[side] = lambda v: np.full_like(v, bad)
+    with pytest.raises(ValueError, match="finite"):
+        l2_opnorm(LinearFieldMap(grid, **maps), tol=1e-8, max_iter=50)
+
+
+def test_product_map_step_costs_four_ffts(monkeypatch):
+    # one fftn for the start, then K_S + K_T FFTs each way per step: the
+    # composition of apply and adjoint_apply would make 8 per step
+    grid = make_grid(1, 1, 32, 1.0)
+    P = ortho_cells(EXOTIC, grid, (2, 3))[(2, 3)]
+    calls = count_ffts(monkeypatch)
+    est = l2_opnorm(P, tol=1e-8, max_iter=2000)
+    assert est.converged and est.iterations > 10
+    assert len(calls) == 1 + 4 * est.iterations
+
+
+def test_adjoint_product_is_an_adjoint_pair():
+    # the map is fft S* T ifft, and its rmatvec is its Euclidean adjoint
+    for grid in (make_grid(1, 1, 8, 1.0), make_grid(2, 1, 4, 1.0)):
+        for seed in range(4):
+            S = quantize(rand_separable(400 + seed, n1=grid.n1), grid)
+            T = quantize(rand_separable(500 + seed, n1=grid.n1), grid)
+            P = adjoint_product(S, T)
+            f, g = rand_field(grid, seed).values, rand_field(grid, 60 + seed).values
+            u, v = np.fft.fftn(g), np.fft.fftn(f)
+            lhs = np.vdot(u, P.matvec(v))
+            rhs = np.vdot(P.rmatvec(u), v)
+            assert abs(lhs - rhs) <= 1e-12 * abs(lhs), (grid.n, seed)
+            want = bp.adjoint_apply(S, apply(T, SampledField(grid, f))).values
+            got = np.fft.ifftn(P.matvec(v))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (grid.n, seed)
 
 
 def lanczos_tridiagonal(rng, k, n=400):

@@ -9,10 +9,10 @@ import pytest
 
 import bipdo as bp
 from bipdo import (DecompositionIndex, DyadicCube, SampledField, adjoint_apply,
-                   apply, apply_at, builtin, compose, derived_symbol, dft_forward,
-                   kernel_l1, kernel_slice, make_grid, make_symbol,
+                   adjoint_product, apply, apply_at, builtin, derived_symbol,
+                   dft_forward, kernel_l1, kernel_slice, make_grid, make_symbol,
                    mollifier_lambda, quantize, theta_symbol)
-from helpers import ones, rand_field, rand_separable
+from helpers import count_ffts, ones, rand_field, rand_separable
 
 
 def literal_sum(symbol, grid, f, xs):
@@ -196,10 +196,15 @@ def test_apply_validates_inputs():
      "points have 3 axes, grid has 2"),
     (lambda g: kernel_slice(quantize(builtin("constant", {"c": 1.0}), g), np.zeros(3)),
      r"x must be one point of shape \(2,\), got \(3,\)"),
-    (lambda g: compose(quantize(builtin("constant", {"c": 1.0}), g),
-                       quantize(builtin("constant", {"c": 1.0}), make_grid(1, 1, 16, 1.0))),
+    (lambda g: adjoint_product(
+        quantize(builtin("constant", {"c": 1.0}), g),
+        quantize(builtin("constant", {"c": 1.0}), make_grid(1, 1, 16, 1.0))),
      "composed maps must share a grid"),
-], ids=["quantize-axes", "apply_at-axes", "kernel_slice-shape", "compose-grids"])
+    (lambda g: adjoint_product(quantize(builtin("constant", {"c": 1.0}), g),
+                               quantize(builtin("constant", {"c": 1.0}), g, "dense")),
+     "adjoint_product needs separable operators, got path 'dense'"),
+], ids=["quantize-axes", "apply_at-axes", "kernel_slice-shape", "adjoint_product-grids",
+        "adjoint_product-dense"])
 def test_mismatched_axes_and_grids_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call(make_grid(1, 1, 8, 1.0))
@@ -257,6 +262,17 @@ def test_adjoint_inner_product_identity():
                 rhs = np.vdot(adj[path], f.values) * w
                 assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0), (grid.n, seed, path)
             assert np.array_equal(adj["dense"], adj["separable"]), (grid.n, seed)
+
+
+def test_adjoint_sums_terms_before_one_ifft(monkeypatch):
+    # K fftn (one per term) and one ifftn of their sum: 4 FFTs for 3 terms
+    grid = make_grid(1, 1, 8, 1.0)
+    T = quantize(rand_separable(3), grid)
+    assert len(T.symbol.separable_terms) == 3
+    g = rand_field(grid, 14)
+    calls = count_ffts(monkeypatch)
+    adjoint_apply(T, g)
+    assert sorted(calls) == ["fftn"] * 3 + ["ifftn"]
 
 
 def test_real_multiplier_self_adjoint():

@@ -35,8 +35,7 @@ from .grid import (GridSpec, SampledField, bmo_norm, lp_exponent, lp_norm,
 from .decompose import (DecompositionIndex, default_ell_max, derived_symbol,
                         mollifier_lambda, theta_symbol, varphi)
 from .symbols import SymbolDescriptor, block_norms, builtin
-from .operators import (adjoint_apply, analyze, apply, kernel_l1, quantize,
-                        synthesize)
+from .operators import analyze, apply, kernel_l1, quantize, synthesize
 
 # fixed start-vector seed for every Lanczos iteration (documented constant;
 # another start changes the iteration count and moves each reported Ritz
@@ -58,19 +57,18 @@ ORTHO_MIN_GAP = 2
 class LinearFieldMap:
     """A linear map on fields over one grid, with its adjoint.
 
-    ``matvec`` and ``rmatvec`` take and return arrays of ``grid.shape``: the
-    field values, or their DFT coefficients fftn(f) when ``dft`` is True.
-    Since fftn is sqrt(N^n) times a unitary map, both bases give the same norm
-    and the same Euclidean adjoint pair.  ``multiplier`` is the map's lattice
-    multiplier table (FFT layout) when it is known to be the Fourier
-    multiplier f -> ifft(m * fft(f)), else None.
+    ``matvec`` always takes the DFT coefficients fftn(f) of a field f and
+    returns an array of ``grid.shape``; ``rmatvec``, its Euclidean adjoint,
+    returns DFT coefficients.  fftn is sqrt(N^n) times a unitary map, so the
+    map has the norm of the map on fields it stands for.  ``multiplier`` is
+    the lattice multiplier table (FFT layout) when the map is known to be
+    the Fourier multiplier f -> ifft(m * fft(f)), else None.
     """
 
     grid: GridSpec
     matvec: object
     rmatvec: object
     multiplier: object = None
-    dft: bool = False
 
 
 def _multiplier(T):
@@ -82,17 +80,19 @@ def _multiplier(T):
 
 
 def _as_map(T) -> LinearFieldMap:
+    """T U* for the unitary DFT U = fftn / s, s = sqrt(N^n): K FFTs each
+    way for K terms, and |Tv|^2 = <v, T*Tv> as for T itself."""
     if isinstance(T, LinearFieldMap):
         return T
-    return LinearFieldMap(
-        T.grid,
-        matvec=lambda v, _T=T: apply(_T, SampledField(_T.grid, v)).values,
-        rmatvec=lambda u, _T=T: adjoint_apply(_T, SampledField(_T.grid, u)).values,
-        multiplier=_multiplier(T))
+    s = math.sqrt(T.grid.size)
+    return LinearFieldMap(T.grid,
+                          matvec=lambda v: s * synthesize(T, v),
+                          rmatvec=lambda g: analyze(T, g) / s,
+                          multiplier=_multiplier(T))
 
 
 def adjoint_product(S, T) -> LinearFieldMap:
-    """The map S* T of two separable operators, on DFT coefficients.
+    """The map S* T of two operators, on DFT coefficients.
 
     matvec is v -> analyze(S, synthesize(T, v)) = fft(S* T ifft(v)) and
     rmatvec is u -> analyze(T, synthesize(S, u)) = fft(T* S ifft(u)): the
@@ -103,17 +103,12 @@ def adjoint_product(S, T) -> LinearFieldMap:
     """
     if S.grid != T.grid:
         raise ValueError("composed maps must share a grid")
-    for op in (S, T):
-        if op.path != "separable":
-            raise ValueError(f"adjoint_product needs separable operators, "
-                             f"got path '{op.path}'")
     mS, mT = _multiplier(S), _multiplier(T)
     return LinearFieldMap(S.grid,
                           matvec=lambda v: analyze(S, synthesize(T, v)),
                           rmatvec=lambda u: analyze(T, synthesize(S, u)),
                           multiplier=None if mS is None or mT is None
-                          else np.conj(mS) * mT,
-                          dft=True)
+                          else np.conj(mS) * mT)
 
 
 @dataclass(frozen=True)
@@ -172,17 +167,18 @@ def l2_opnorm(T, tol: float = 1e-8, max_iter: int = 500) -> OpNormEstimate:
 
     A Fourier multiplier (a map carrying its lattice table m) has norm
     exactly max |m|, returned with 0 iterations.  Any other map runs
-    Lanczos on the positive map T*T from a fixed seeded random field (its
-    fftn for a map on DFT coefficients), without reorthogonalization: each
-    step costs one application of T and one of T*, and only the last two
-    Lanczos vectors are kept.  For a product map ``adjoint_product(S, T)``
-    that is 2 (K_S + K_T) FFTs per step for K_S and K_T terms.  A step whose
-    alpha, beta or |Tv|^2 is not finite raises ValueError.  The top
-    eigenpair (theta, s) of the k x k tridiagonal gives the Ritz value
-    theta <= |T|^2, so sqrt(theta) is a lower bound on the norm, and the
-    residual beta_k |s_k| of its Ritz vector.  Iteration stops as converged
-    when the residual is <= ``tol`` * theta; at ``max_iter`` steps the best
-    estimate is returned flagged unconverged.
+    Lanczos on the positive map T*T, on DFT coefficients, from the fftn of a
+    fixed seeded random field, without reorthogonalization: each step costs
+    one application of T and one of T*, and only the last two Lanczos
+    vectors are kept.  That is 2K FFTs per step for a lone operator of K
+    terms, and 2 (K_S + K_T) for a product map ``adjoint_product(S, T)`` of
+    K_S and K_T terms.  A step whose alpha, beta or |Tv|^2 is not finite
+    raises ValueError.  The top eigenpair (theta, s) of the k x k
+    tridiagonal gives the Ritz value theta <= |T|^2, so sqrt(theta) is a
+    lower bound on the norm, and the residual beta_k |s_k| of its Ritz
+    vector.  Iteration stops as converged when the residual is <= ``tol`` *
+    theta; at ``max_iter`` steps the best estimate is returned flagged
+    unconverged.
 
     In exact arithmetic <v, T*Tv> = |Tv|^2 for every Lanczos vector v.  When
     the two differ by more than ``tol`` * theta the map is not linear at the
@@ -210,8 +206,7 @@ def l2_opnorm(T, tol: float = 1e-8, max_iter: int = 500) -> OpNormEstimate:
         return OpNormEstimate(float(np.max(np.abs(A.multiplier))), 0, True, 0.0)
     rng = np.random.default_rng(OPNORM_SEED)
     v = rng.standard_normal(A.grid.shape) + 1j * rng.standard_normal(A.grid.shape)
-    if A.dft:
-        v = np.fft.fftn(v)
+    v = np.fft.fftn(v)
     v /= np.linalg.norm(v)
     v_prev = np.zeros_like(v)
     alphas, betas = [], []

@@ -19,8 +19,9 @@ ifft/fft pair between them.  The dense path, on request, is the oracle of the
 separable apply: it evaluates the lattice sum literally, with sigma summed
 from the same terms.  The dense apply and apply_at share one sweep, chunked
 over output points, which builds the phase e^{2 pi i x.xi} as a product of
-per-axis tables e^{2 pi i x_a k_a}.  The path chooses only how T itself is
-evaluated: the adjoint is factor-wise on both.
+per-axis tables e^{2 pi i x_a k_a}.  The path chooses only how apply and
+kernel_slice evaluate T: adjoint_apply and the maps ``analysis.l2_opnorm``
+iterates read the factor tables on either path.
 
 ``apply_at`` evaluates the same lattice sum at arbitrary (off-grid) points,
 which makes the dilation conjugation identity exact: with s = 2^(j rho),
@@ -43,10 +44,10 @@ class QuantizedOperator:
 
     ``path`` is "separable" (the default) or "dense"; it chooses how apply
     and kernel_slice evaluate T.  The factor tables a_k on the point grid and
-    b_k on the frequency lattice serve the separable apply and the adjoint on
-    either path; the transformed tables fftn(b_k) / L^n serve separable kernel
-    slices.  Each set is built on first use.  The dense apply sums the terms
-    afresh in every sweep.
+    b_k on the frequency lattice serve the separable apply, and the adjoint
+    and the norm iteration on either path; the transformed tables
+    fftn(b_k) / L^n serve separable kernel slices.  Each set is built on
+    first use.  The dense apply sums the terms afresh in every sweep.
     """
 
     def __init__(self, symbol: SymbolDescriptor, grid: GridSpec,

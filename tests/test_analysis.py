@@ -148,8 +148,7 @@ def per_step_opnorm(T, tol, max_iter):
         return bp.OpNormEstimate(float(np.max(np.abs(A.multiplier))), 0, True, 0.0)
     rng = np.random.default_rng(OPNORM_SEED)
     v = rng.standard_normal(A.grid.shape) + 1j * rng.standard_normal(A.grid.shape)
-    if A.dft:
-        v = np.fft.fftn(v)
+    v = np.fft.fftn(v)
     v /= np.linalg.norm(v)
     v_prev = np.zeros_like(v)
     alphas, betas = [], []
@@ -191,6 +190,13 @@ def test_opnorm_matches_a_literal_per_step_loop():
         T = quantize(rand_separable(seed), grid8)
         # tol 1e-16 is below roundoff: most of these stop on the defect
         cases += [(T, 1e-10, 2000), (T, 1e-16, 2000)]
+    # on three axes sqrt(N^n) is not a power of two, so the DFT scaling rounds
+    grid3 = make_grid(2, 1, 8, 1.0)
+    T3 = quantize(rand_separable(3, n1=2), grid3)
+    cases.append((T3, 1e-10, 2000))
+    est3 = l2_opnorm(T3, 1e-10, 2000)
+    assert est3.converged and est3.iterations > 0
+    assert est3.value == pytest.approx(dense_opnorm_oracle(T3, grid3), rel=1e-9)
     stops = {"cap": 0, "defect": 0}
     for T, tol, max_iter in cases:
         est = l2_opnorm(T, tol, max_iter)
@@ -243,6 +249,29 @@ def test_product_map_step_costs_four_ffts(monkeypatch):
     est = l2_opnorm(P, tol=1e-8, max_iter=2000)
     assert est.converged and est.iterations > 10
     assert len(calls) == 1 + 4 * est.iterations
+
+
+def test_lone_map_step_costs_two_ffts_per_term(monkeypatch):
+    # one fftn for the start, then K FFTs each way per step for K terms, and
+    # no field wraps: apply and adjoint_apply would make 2K + 2 and four
+    cases = [quantize(EXOTIC, make_grid(1, 1, 32, 1.0)),
+             quantize(rand_separable(0), make_grid(1, 1, 16, 1.0))]
+    calls = count_ffts(monkeypatch)
+    wraps = []
+    post_init = SampledField.__post_init__
+
+    def counted(self):
+        wraps.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(SampledField, "__post_init__", counted)
+    for T, K in zip(cases, (1, 3)):
+        assert len(T.symbol.separable_terms) == K
+        calls.clear()
+        est = l2_opnorm(T, tol=1e-8, max_iter=2000)
+        assert est.converged and est.iterations > 10, K
+        assert len(calls) == 1 + 2 * K * est.iterations, K
+    assert wraps == []
 
 
 def test_adjoint_product_is_an_adjoint_pair():

@@ -225,8 +225,8 @@ def _cube_sums(windows: np.ndarray, anchors) -> np.ndarray:
     return np.add.accumulate(dev, axis=1, out=dev)[:, -1]
 
 
-def bmo_norm(f: SampledField) -> float:
-    """Mean-oscillation norm over periodic dyadic cubes.
+def bmo_norm(f: SampledField, floor: float = 0.0) -> float:
+    """Mean-oscillation norm over periodic dyadic cubes, or ``floor`` if larger.
 
     The cube family contains every axis-aligned cube whose side is a power of
     two (2, 4, ..., N points), anchored at every lattice position and wrapping
@@ -254,13 +254,24 @@ def bmo_norm(f: SampledField) -> float:
     brute-force scan (see ``_cube_sums``), and a skipped cube cannot exceed
     the value already found, so the result equals the brute-force sup bit
     for bit.
+
+    ``floor`` (finite, >= 0, else ValueError) is a branch-and-bound start:
+    the scan begins with best = max(whole torus, floor), and a side whose
+    largest bound is below best is skipped whole.  The result is
+    max(bmo_norm(f), floor) bit for bit: a sup above the floor is reached by
+    a cube whose bound is at least its value, which is still evaluated, in
+    the same order; otherwise the floor is returned.  A caller that wants
+    only the maximum over several fields passes the best value so far.
     """
+    floor = float(floor)
+    if not 0.0 <= floor < np.inf:
+        raise ValueError(f"floor must be finite and >= 0, got {floor}")
     v = f.values
     n, N = v.ndim, f.grid.points_per_axis
     eps = float(np.finfo(float).eps)
     padded = np.pad(v, [(0, N - 1)] * n, mode="wrap")
     whole = float(_cube_sums(sliding_window_view(padded, v.shape), [0])[0]) / N ** n
-    best = whole
+    best = max(whole, floor)
     vmax = float(np.abs(v).max())
     c = v - v.mean()
     scale = float(np.abs(c).max()) or 1.0
@@ -280,6 +291,8 @@ def bmo_norm(f: SampledField) -> float:
         else:
             bound = np.full(v.shape, whole)
         reach = (bound + 4 * n * side * eps * vmax) * (1 + _BMO_MARGIN + 4 * vol * eps)
+        if not reach.max() >= best:
+            continue
         order = np.argsort(reach, axis=None)[::-1]
         reach = reach.ravel()[order]
         windows = sliding_window_view(padded, (side,) * n)[(slice(0, N),) * n]

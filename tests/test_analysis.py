@@ -19,8 +19,8 @@ from bipdo import (DecompositionIndex, SampledField, adjoint_product,
                    mollifier_lambda, ortho_experiment, quantize,
                    sharpness_scan, DyadicCube)
 from bipdo import test_battery as standard_battery
-from bipdo.analysis import (OPNORM_SEED, LinearFieldMap, _as_map, _ritz_screen,
-                            fit_line)
+from bipdo.analysis import (OPNORM_SEED, LinearFieldMap, _as_map, _battery_max,
+                            _ritz_screen, fit_line)
 from bipdo.cli import _sharpness_flips
 from helpers import count_ffts, dense_opnorm_oracle, ones, rand_field, rand_separable
 
@@ -470,6 +470,46 @@ def test_bmo_ratios_match_a_literal_loop():
     assert rep["ratios"] == expect
 
 
+def _literal_bmo_ratios(T, battery):
+    return [bp.bmo_norm(apply(T, f)) / bp.lp_norm(f, np.inf) for f in battery]
+
+
+@pytest.mark.parametrize("symbol", ["multiplier_bessel", "modulated_bessel"])
+def test_bmo_battery_max_is_floor_free_in_any_order(symbol):
+    # the winning field scanned first, so every later scan starts from the
+    # maximum, and scanned last, so it must beat every earlier floor
+    sym = builtin(symbol, {"m": -0.5})
+    for N in (16, 32):
+        grid = make_grid(1, 1, N, 1.0)
+        T = quantize(sym, grid)
+        battery = standard_battery(grid)
+        ratios = _literal_bmo_ratios(T, battery)
+        win = ratios.index(max(ratios))
+        rest = battery[:win] + battery[win + 1:]
+        for order in (battery, battery[::-1], [battery[win]] + rest,
+                      rest + [battery[win]]):
+            assert _battery_max(order, [math.inf])(T) == {math.inf: max(ratios)}
+
+
+@pytest.mark.parametrize("symbol", ["multiplier_bessel", "modulated_bessel"])
+def test_bmo_battery_max_prunes_with_the_running_best(monkeypatch, symbol):
+    # counts cubes, not seconds: the battery max must evaluate at most a
+    # quarter of the cubes that the floor-free loop evaluates
+    cube_sums, evaluated = bp.grid._cube_sums, [0]
+
+    def counted(windows, anchors):
+        evaluated[0] += len(anchors)
+        return cube_sums(windows, anchors)
+    monkeypatch.setattr(bp.grid, "_cube_sums", counted)
+    grid = make_grid(1, 1, 32, 1.0)
+    T = quantize(builtin(symbol, {"m": -0.5}), grid)
+    battery = standard_battery(grid)
+    expect = max(_literal_bmo_ratios(T, battery))
+    floor_free, evaluated[0] = evaluated[0], 0
+    assert _battery_max(battery, [math.inf])(T) == {math.inf: expect}
+    assert 0 < 4 * evaluated[0] <= floor_free, (evaluated[0], floor_free)
+
+
 def test_bmo_zero_symbol_and_constant_field():
     zero = builtin("constant", {"c": 0.0})
     rep = bmo_experiment(zero, [8, 16])
@@ -539,9 +579,8 @@ def test_sharpness_p2_column_flips_above_zero():
     assert _sharpness_flips(tab) == ({2.0: 0.5}, True)
 
 
-def test_sharpness_ratios_match_a_literal_loop():
-    ps, ms, Ns = [4 / 3, 2.0, np.inf], [-0.5, 0.0], [16, 32]
-    tab = sharpness_scan(0.5, ps, ms, Ns)
+def _literal_sharpness_ratios(ps, ms, Ns):
+    """{(m, p): [max battery ratio per N]}, one field and exponent at a time."""
     expect = {}
     for m in ms:
         sym = builtin("oscillatory_exotic", {"m": m, "rho": 0.5})
@@ -558,7 +597,23 @@ def test_sharpness_ratios_match_a_literal_loop():
                         ratios[p].append(bp.lp_norm(Tf, p) / bp.lp_norm(f, p))
             for p in ps:
                 expect.setdefault((m, p), []).append(max(ratios[p]))
-    assert {(c["m"], c["p"]): c["ratios"] for c in tab["cells"]} == expect
+    return expect
+
+
+def test_sharpness_ratios_match_a_literal_loop():
+    ps, ms, Ns = [4 / 3, 2.0, np.inf], [-0.5, 0.0], [16, 32]
+    tab = sharpness_scan(0.5, ps, ms, Ns)
+    assert ({(c["m"], c["p"]): c["ratios"] for c in tab["cells"]}
+            == _literal_sharpness_ratios(ps, ms, Ns))
+
+
+@pytest.mark.parametrize("ps", [[2.0, np.inf], [np.inf, 2.0]])
+def test_sharpness_mixed_p_matches_a_literal_loop(ps):
+    # the BMO floor of each image is read from the running best of its own p
+    ms, Ns = [-0.5, 0.5], [16, 32]
+    tab = sharpness_scan(0.5, ps, ms, Ns)
+    assert ({(c["m"], c["p"]): c["ratios"] for c in tab["cells"]}
+            == _literal_sharpness_ratios(ps, ms, Ns))
 
 
 def test_sharpness_large_p_ratios_are_finite():

@@ -311,6 +311,33 @@ def test_bmo_matches_bruteforce_bitwise_three_axes():
         assert bmo_norm(f) == bmo_bruteforce(f.values)
 
 
+def _floor_cases():
+    for N in (8, 16, 32):
+        g, fields = _stress_fields(N)
+        for name, vals in fields.items():
+            yield f"{name}@{N}", SampledField(g, vals)
+    g = make_grid(2, 1, 8, 1.0)
+    for seed in (1, 2):
+        yield f"three-axes{seed}", rand_field(g, seed)
+
+
+def test_bmo_floor_is_a_max_bitwise():
+    # a floor at, just around, and far from every level the scan meets
+    for name, f in _floor_cases():
+        v = bmo_norm(f)
+        whole = bmo_bruteforce_levels(f.values)[-1]
+        for t in (0.0, v / 2, whole, np.nextafter(v, 0), v,
+                  np.nextafter(v, np.inf), 2 * v):
+            assert bmo_norm(f, t) == max(v, t), (name, t)
+
+
+def test_bmo_rejects_bad_floor():
+    f = rand_field(make_grid(1, 1, 8, 1.0), 0)
+    for t in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            bmo_norm(f, t)
+
+
 @pytest.mark.parametrize("symbol", ["multiplier_bessel", "modulated_bessel"])
 def test_bmo_matches_bruteforce_on_c8_battery(symbol):
     # the outputs the c8 BMO ratio (and the bmo-sweep benchmark) measures

@@ -11,10 +11,11 @@ __version__ = "0.1.0"
 from .grid import (GridSpec, SampledField, DyadicCube, make_grid,
                    dft_forward, dft_inverse, lp_norm, bmo_norm,
                    read_field, write_field)
-from .decompose import (DecompositionIndex, Mollifier, smooth_step, varphi,
-                        phi_j, delta_ell, cube_partition, default_ell_max,
-                        derived_symbol, mollifier_lambda, theta_symbol)
-from .symbols import SymbolDescriptor, make_symbol, builtin, BUILTIN_PARAMS
+from .decompose import (DecompositionIndex, Mollifier, phi_j, delta_ell,
+                        cube_partition, default_ell_max, derived_symbol,
+                        mollifier_lambda, theta_symbol)
+from .symbols import (SymbolDescriptor, make_symbol, builtin, BUILTIN_PARAMS,
+                      smooth_step, varphi)
 from .operators import (QuantizedOperator, quantize, apply, apply_at,
                         adjoint_apply, kernel_slice, kernel_l1)
 from .analysis import (LinearFieldMap, OpNormEstimate,

@@ -36,8 +36,8 @@ import numpy as np
 from .grid import (GridSpec, SampledField, bmo_norm, lp_exponent, lp_norm,
                    make_grid)
 from .decompose import (DecompositionIndex, default_ell_max, derived_symbol,
-                        mollifier_lambda, theta_symbol, varphi)
-from .symbols import SymbolDescriptor, block_norms, builtin
+                        mollifier_lambda, theta_symbol)
+from .symbols import SymbolDescriptor, block_norms, builtin, sq_norm, varphi
 from .operators import analyze, apply, kernel_l1, quantize, synthesize
 
 # fixed start-vector seed for every Lanczos iteration (documented constant;
@@ -264,6 +264,12 @@ def fit_line(xs, ys):
     return float(coef[0]), float(coef[1]), r2
 
 
+def _log2_fit(xs, values):
+    """``fit_line`` of log2(value) against x over the positive values."""
+    pts = [(x, math.log2(v)) for x, v in zip(xs, values) if v > 0.0]
+    return fit_line([x for x, _ in pts], [y for _, y in pts])
+
+
 # ---------------------------------------------------------------------------
 # almost-orthogonality of annulus pieces
 
@@ -299,13 +305,13 @@ def ortho_experiment(sigma: SymbolDescriptor, j_range, grid: GridSpec,
 
     top = max(norms.values(), default=0.0)
     zero_floor = 1e-10 * max(1.0, top)
-    xs, ys = [], []
+    xs, values = [], []
     for a, j in enumerate(js):
         for k in js[a + 1:]:
             if abs(j - k) >= ORTHO_MIN_GAP and norms[(j, k)] > zero_floor:
                 xs.append(j + k)
-                ys.append(math.log2(norms[(j, k)]))
-    slope, intercept, r2 = fit_line(xs, ys)
+                values.append(norms[(j, k)])
+    slope, intercept, r2 = _log2_fit(xs, values)
     return {
         "js": js,
         "entries": [[j, k, norms[(j, k)]] for j in js for k in js],
@@ -343,13 +349,11 @@ def kernel_decay_experiment(sigma: SymbolDescriptor, j: int, ell_range,
         idx = DecompositionIndex(j=j, ell=ell, ell_max=ell_max)
         T = quantize(derived_symbol(sigma, idx, "cone_lj"), grid)
         values.append(max(kernel_l1(T, x) for x in xs))
-    fit_ells = [e for e, v in zip(ells[1:], values[1:]) if v > 0.0]
-    fit_vals = [math.log2(v) for v in values[1:] if v > 0.0]
-    slope, intercept, r2 = fit_line(fit_ells, fit_vals)
+    slope, intercept, r2 = _log2_fit(ells[1:], values[1:])
     return {"j": j, "ells": ells, "values": values, "slope": slope,
             "intercept": intercept, "r_squared": r2,
             "target_slope": -grid.n1 / 2.0,
-            "verdict": "ok" if len(fit_ells) >= 2 else "degenerate"}
+            "verdict": "ok" if sum(v > 0.0 for v in values[1:]) >= 2 else "degenerate"}
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +361,7 @@ def kernel_decay_experiment(sigma: SymbolDescriptor, j: int, ell_range,
 
 
 def _growth_exponent(n_values, ratios) -> float:
-    pts = [(math.log2(N), math.log2(r)) for N, r in zip(n_values, ratios) if r > 0.0]
-    if len(pts) < 2:
-        return math.nan
-    slope, _, _ = fit_line([p[0] for p in pts], [p[1] for p in pts])
-    return slope
+    return _log2_fit([math.log2(N) for N in n_values], ratios)[0]
 
 
 def _family_sweep(make, values, Ns, n1, n2, period, probe) -> dict:
@@ -581,11 +581,12 @@ def adversarial_battery(grid: GridSpec, rho: float, seed: int = 2026) -> list:
 
     frs = grid.freqs()
     pts = grid.points()
-    top = frs[int(np.argmax(np.sum(frs ** 2, axis=1)))]
+    sq = sq_norm(frs)
+    top = frs[int(np.argmax(sq))]
     fields.append(SampledField(grid,
                                np.exp(2j * np.pi * (pts @ top)).reshape(grid.shape)))
 
-    r = np.sqrt(np.sum(frs ** 2, axis=1))
+    r = np.sqrt(sq)
     R = float(np.max(r))
     env = varphi(2.0 * r / R) - varphi(16.0 * r / R)
     r1, r2 = block_norms(frs, grid.n1)

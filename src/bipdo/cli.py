@@ -33,8 +33,8 @@ from . import __version__
 from .grid import (DyadicCube, SampledField, dft_forward, dft_inverse,
                    lp_exponent, lp_norm, make_grid, read_field, write_field)
 from .decompose import (DecompositionIndex, cube_partition, delta_ell,
-                        default_ell_max, derived_symbol, phi_j, varphi)
-from .symbols import BUILTIN_PARAMS, builtin
+                        default_ell_max, derived_symbol, phi_j)
+from .symbols import BUILTIN_PARAMS, builtin, sq_norm, varphi
 from .operators import apply, kernel_l1, kernel_slice, quantize
 from . import analysis
 
@@ -235,7 +235,7 @@ def _sweep_result(report: dict, column: str):
     rows = list(zip(report["n_values"], report["ratios"]))
     line = (f"{report['experiment']}: "
             f"ratios={[round(r, 6) for r in report['ratios']]} "
-            f"variation={report['variation']:.4g} verdict={report['verdict']}")
+            f"variation={report['variation'] * 100:.2f}% verdict={report['verdict']}")
     return report, rows, ["N", column], line, report["verdict"] == "PASS"
 
 
@@ -372,7 +372,7 @@ def _identity_errors(N: int) -> dict:
     rng = np.random.default_rng(2)
     xi = rng.uniform(-40.0, 40.0, size=(1000, 2))
     gaps["dyadic"] = (sum(phi_j(xi, j) for j in range(8))
-                      - varphi(2.0 ** -7 * np.sqrt((xi ** 2).sum(axis=1))))
+                      - varphi(2.0 ** -7 * np.sqrt(sq_norm(xi))))
     xi = rng.uniform(-30.0, 30.0, size=(1000, 2))
     xi[:20, 0] = 0.0
     xi[20:40, 1] = 0.0

@@ -1,13 +1,7 @@
-"""Cutoff functions, dyadic/cone decompositions, and derived symbols.
+"""Dyadic/cone decompositions, partitions of unity, and derived symbols.
 
-Everything here is built from one frozen smooth step: the exponential splice
-
-    s(u) = g(1-u) / (g(u) + g(1-u)),   g(u) = exp(-1/u) for u > 0, else 0,
-
-which is 1 for u <= 0, 0 for u >= 1, and infinitely differentiable.  The
-radial profile ``varphi`` equals 1 on [-1,1], 0 outside (-2,2), and
-varphi(1.5) = 0.5 by the symmetry of s about u = 1/2.  All derived constants
-in the test suite assume this exact profile.
+Everything here is built from the cutoff profile ``varphi`` and the frequency
+norms, imported from ``bipdo.symbols``, which documents the frozen smooth step.
 
 The module provides dyadic annuli phi_j, cone cutoffs delta_ell on the ratio
 |xi2|/|xi1| (with tail-absorbing end indices so the family sums to 1 for every
@@ -23,31 +17,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .grid import DyadicCube, GridSpec, SampledField
-from .symbols import SymbolDescriptor, block_norms, transform_symbol
+from .symbols import (SymbolDescriptor, block_norms, sq_norm, transform_symbol,
+                      varphi)
 
 # the DecompositionIndex fields each derived kind reads; it reads no other
 _KIND_FIELDS = {"annulus_j": ("j",), "cone_lj": ("j", "ell", "ell_max"),
                 "high_r": ("r",)}
-
-
-def smooth_step(u):
-    """The frozen transition: 1 for u <= 0, 0 for u >= 1, strictly monotone between."""
-    u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
-    out = np.where(u <= 0.0, 1.0, 0.0)
-    mid = (u > 0.0) & (u < 1.0)
-    if np.any(mid):
-        um = u[mid]
-        ga = np.exp(-1.0 / um)
-        gb = np.exp(-1.0 / (1.0 - um))
-        out[mid] = gb / (ga + gb)
-    return float(out[0]) if scalar else out
-
-
-def varphi(t):
-    """Radial bump: 1 on |t| <= 1, 0 for |t| >= 2, smooth splice between."""
-    return smooth_step(np.abs(np.asarray(t, dtype=float)) - 1.0)
 
 
 def phi_j_radial(norm, j: int):
@@ -62,8 +37,7 @@ def phi_j_radial(norm, j: int):
 
 def phi_j(xi, j: int):
     """Dyadic annulus weight of a frequency vector (last axis = components)."""
-    xi = np.asarray(xi, dtype=float)
-    return phi_j_radial(np.sqrt(np.sum(xi ** 2, axis=-1)), j)
+    return phi_j_radial(np.sqrt(sq_norm(xi)), j)
 
 
 def _delta_from_norms(r1, r2, ell: int, ell_max: int):
@@ -102,11 +76,7 @@ def _delta_from_norms(r1, r2, ell: int, ell_max: int):
 
 def delta_ell(xi1, xi2, ell: int, ell_max: int):
     """Cone cutoff evaluated on frequency blocks (last axis = components)."""
-    xi1 = np.asarray(xi1, dtype=float)
-    xi2 = np.asarray(xi2, dtype=float)
-    r1 = np.sqrt(np.sum(xi1 ** 2, axis=-1))
-    r2 = np.sqrt(np.sum(xi2 ** 2, axis=-1))
-    return _delta_from_norms(r1, r2, ell, ell_max)
+    return _delta_from_norms(np.sqrt(sq_norm(xi1)), np.sqrt(sq_norm(xi2)), ell, ell_max)
 
 
 def default_ell_max(points_per_axis: int) -> int:
@@ -229,7 +199,6 @@ def derived_symbol(sigma: SymbolDescriptor, index: DecompositionIndex,
         jj, ell, em = int(index.j), index.ell, index.ell_max
 
         def cut(xi, _j=jj, _l=ell, _m=em):
-            xi = np.asarray(xi, dtype=float)
             r1, r2 = block_norms(xi, n1)
             return phi_j(xi, _j) * _delta_from_norms(r1, r2, _l, _m)
         return _cut_symbol(sigma, cut, f"cone[{jj},{ell}]")
@@ -238,8 +207,7 @@ def derived_symbol(sigma: SymbolDescriptor, index: DecompositionIndex,
     scale = float(index.r)
 
     def cut(xi, _s=scale):
-        xi = np.asarray(xi, dtype=float)
-        return 1.0 - varphi(_s * np.sqrt(np.sum(xi ** 2, axis=-1)))
+        return 1.0 - varphi(_s * np.sqrt(sq_norm(xi)))
     return _cut_symbol(sigma, cut, f"high[{scale:g}]")
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GridSpec, SampledField, dft_forward
-from .symbols import SymbolDescriptor
+from .symbols import SymbolDescriptor, sum_terms
 
 # elements per evaluator chunk in dense sweeps
 _CHUNK = 1 << 22
@@ -192,17 +192,10 @@ def kernel_slice(T: QuantizedOperator, x) -> SampledField:
     if x.shape != (grid.n,):
         raise ValueError(f"x must be one point of shape ({grid.n},), got {x.shape}")
     if T.path == "separable":
-        # start from the first term: adding to zeros would turn -0.0 into 0.0
-        vals = None
-        for (a, _), B in zip(T.symbol.separable_terms, T._kernel_tables()):
-            term = np.asarray(a(x[None, :]), dtype=complex)[0] * B
-            if vals is None:
-                vals = term
-            else:
-                vals += term
-        if vals is None:
-            vals = np.zeros(grid.shape, dtype=complex)
-        return SampledField(grid, vals)
+        return SampledField(grid, sum_terms(
+            (np.asarray(a(x[None, :]), dtype=complex)[0] * B
+             for (a, _), B in zip(T.symbol.separable_terms, T._kernel_tables())),
+            grid.shape))
     table = np.asarray(T.symbol.evaluator(x[None, :], grid.freqs()), dtype=complex)
     vals = np.fft.fftn(table.reshape(grid.shape)) / grid.period ** grid.n
     return SampledField(grid, vals)

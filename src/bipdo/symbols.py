@@ -17,6 +17,16 @@ A symbol is its separable terms sigma = sum_k a_k(x) b_k(xi).  The FFT path
 of the operators applies the terms, and ``make_symbol``, the one constructor,
 sets the evaluator to their sum, which the dense reference path reads.  A
 builtin or derived symbol is written as its terms only.
+
+The class geometry lives here, below every module that reads it: the
+frequency norms (``sq_norm``, ``block_norms``) and the frozen cutoff profile
+``varphi``, built from one smooth step, the exponential splice
+
+    s(u) = g(1-u) / (g(u) + g(1-u)),   g(u) = exp(-1/u) for u > 0, else 0,
+
+which is 1 for u <= 0, 0 for u >= 1, and infinitely differentiable.
+``varphi`` equals 1 on [-1,1], 0 outside (-2,2), and varphi(1.5) = 0.5 by the
+symmetry of s about u = 1/2; the test suite's derived constants assume it.
 """
 from __future__ import annotations
 
@@ -101,13 +111,8 @@ def make_symbol(terms, n1: int, n2: int, order=0.0, rho: float = 0.0,
         # summed as computed, real or complex: a complex copy slows dense sweeps
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
-        out = None
-        for a, b in terms:
-            contrib = np.asarray(a(x)) * np.asarray(b(xi))
-            out = contrib if out is None else out + contrib
-        if out is None:
-            out = np.zeros(np.broadcast(x[..., 0], xi[..., 0]).shape, dtype=complex)
-        return out
+        return sum_terms((np.asarray(a(x)) * np.asarray(b(xi)) for a, b in terms),
+                         np.broadcast(x[..., 0], xi[..., 0]).shape)
     return SymbolDescriptor(evaluator, n1, n2, order, float(rho), float(delta),
                             terms, name)
 
@@ -120,11 +125,49 @@ def transform_symbol(sym: SymbolDescriptor, term, name: str) -> SymbolDescriptor
                        delta=sym.delta, name=name)
 
 
+def sum_terms(contribs, shape):
+    """The sum of the arrays ``contribs`` from the first one on, out of place,
+    or complex zeros of ``shape`` when there are none.  Starting from the
+    first keeps its -0.0 entries (0.0 + -0.0 is 0.0) and a real sum real."""
+    out = None
+    for c in contribs:
+        out = c if out is None else out + c
+    return np.zeros(shape, dtype=complex) if out is None else out
+
+
+# ---------------------------------------------------------------------------
+# frequency norms and the cutoff profile
+
+
+def sq_norm(xi):
+    """|xi|^2 of frequencies: the sum of squares over the last axis."""
+    return np.sum(np.asarray(xi, dtype=float) ** 2, axis=-1)
+
+
 def block_norms(xi, n1: int):
     """The block norms |xi_1|, |xi_2| of frequencies (last axis = components)."""
     xi = np.asarray(xi, dtype=float)
-    return (np.sqrt(np.sum(xi[..., :n1] ** 2, axis=-1)),
-            np.sqrt(np.sum(xi[..., n1:] ** 2, axis=-1)))
+    return np.sqrt(sq_norm(xi[..., :n1])), np.sqrt(sq_norm(xi[..., n1:]))
+
+
+def smooth_step(u):
+    """The frozen transition: 1 for u <= 0, 0 for u >= 1, strictly monotone between."""
+    u = np.asarray(u, dtype=float)
+    scalar = u.ndim == 0
+    u = np.atleast_1d(u)
+    out = np.where(u <= 0.0, 1.0, 0.0)
+    mid = (u > 0.0) & (u < 1.0)
+    if np.any(mid):
+        um = u[mid]
+        ga = np.exp(-1.0 / um)
+        gb = np.exp(-1.0 / (1.0 - um))
+        out[mid] = gb / (ga + gb)
+    return float(out[0]) if scalar else out
+
+
+def varphi(t):
+    """Radial bump: 1 on |t| <= 1, 0 for |t| >= 2, smooth splice between."""
+    return smooth_step(np.abs(np.asarray(t, dtype=float)) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -132,22 +175,16 @@ def block_norms(xi, n1: int):
 
 
 def _bessel_value(xi, power):
-    return (1.0 + np.sum(np.asarray(xi, dtype=float) ** 2, axis=-1)) ** (power / 2.0)
+    return (1.0 + sq_norm(xi)) ** (power / 2.0)
 
 
-def _axis_cos_modulation(n: int, freq: int):
-    """mu(x) = mean over axes of cos(2 pi freq x_a); unit period, |mu| <= 1."""
-    def mu(x, _n=n, _f=freq):
+def _axis_cos_modulation(freq: int, depth: float):
+    """The a-factor 1 + depth * mu(x), mu(x) the mean over axes of
+    cos(2 pi freq x_a): unit period, |mu| <= 1."""
+    def a(x, _f=freq, _d=depth):
         x = np.asarray(x, dtype=float)
-        return np.mean(np.cos(2.0 * np.pi * _f * x), axis=-1)
-    return mu
-
-
-def _block_gauss_norms(xi, n1):
-    xi = np.asarray(xi, dtype=float)
-    g1 = 1.0 + np.sum(xi[..., :n1] ** 2, axis=-1)
-    g2 = 1.0 + np.sum(xi[..., n1:] ** 2, axis=-1)
-    return g1, g2
+        return 1.0 + _d * np.mean(np.cos(2.0 * np.pi * _f * x), axis=-1)
+    return a
 
 
 def _param(key: str, value, kind):
@@ -273,8 +310,9 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
 
         def b_factory(t1, t2):
             def b(xi, _t1=t1, _t2=t2, _n1=n1):
-                g1, g2 = _block_gauss_norms(xi, _n1)
-                return g1 ** (_t1 / 2.0) * g2 ** (_t2 / 2.0)
+                xi = np.asarray(xi, dtype=float)
+                return ((1.0 + sq_norm(xi[..., :_n1])) ** (_t1 / 2.0)
+                        * (1.0 + sq_norm(xi[..., _n1:])) ** (_t2 / 2.0))
             return b
 
         terms = tuple((a_factory(amp, xf, ph), b_factory(t1, t2))
@@ -284,23 +322,22 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
                            name=f"separable[{len(terms)}]")
 
     if name == "oscillatory_exotic":
-        from .decompose import varphi
         m = num("m")
         rho = num("rho")
         a = 1.0 - rho
         xmod = num("xmod")
         freq = num("mod_freq", int)
-        mu = _axis_cos_modulation(n, freq)
 
         def b_part(xi, _m=m, _a=a, _n1=n1):
             xi = np.asarray(xi, dtype=float)
-            g1, g2 = _block_gauss_norms(xi, _n1)
-            r = np.sqrt(np.sum(xi ** 2, axis=-1))
+            r = np.sqrt(sq_norm(xi))
             chi = 1.0 - varphi(r)
-            phase = g1 ** (_a / 2.0) + g2 ** (_a / 2.0)
+            phase = ((1.0 + sq_norm(xi[..., :_n1])) ** (_a / 2.0)
+                     + (1.0 + sq_norm(xi[..., _n1:])) ** (_a / 2.0))
+            # (1 + r^2)^(m/2), not _bessel_value: they differ in the last bit
             return chi * np.exp(1j * phase) * (1.0 + r ** 2) ** (_m / 2.0)
 
-        terms = (((lambda x, _mu=mu, _d=xmod: 1.0 + _d * _mu(x)), b_part),)
+        terms = ((_axis_cos_modulation(freq, xmod), b_part),)
         return make_symbol(terms, n1, n2, order=m, rho=rho, delta=0.0,
                            name=f"exotic[m={m:g},rho={rho:g}]")
 
@@ -308,8 +345,7 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
     m = num("m")
     strength = num("strength")
     freq = num("mod_freq", int)
-    mu = _axis_cos_modulation(n, freq)
-    terms = (((lambda x, _s=strength, _mu=mu: 1.0 + _s * _mu(x)),
+    terms = ((_axis_cos_modulation(freq, strength),
               (lambda xi, _m=m: _bessel_value(xi, _m))),)
     return make_symbol(terms, n1, n2, order=m, rho=1.0, delta=0.0,
                        name=f"modbessel[m={m:g},s={strength:g}]")

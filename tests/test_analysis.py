@@ -376,6 +376,14 @@ def test_ortho_multiplier_compositions_vanish():
     assert entries[(1, 1)] > 0.1
 
 
+def test_ortho_without_a_far_pair_has_no_fit():
+    # j_range [1, 2] holds no pair with gap >= 2, so nothing enters the fit
+    grid = make_grid(1, 1, 16, 1.0)
+    rep = ortho_experiment(builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5}),
+                           [1, 2], grid)
+    assert math.isnan(rep["fitted_epsilon"]) and math.isnan(rep["fitted_A"])
+
+
 def test_ortho_diagonal_matches_opnorm_squared():
     grid = make_grid(1, 1, 16, 1.0)
     sym = builtin("multiplier_bessel", {"m": 0.0})
@@ -443,6 +451,13 @@ def test_uniformity_contraction_multiplier():
     rep = l2_uniformity_sweep(sym, [8, 16, 32])
     assert all(v <= 1.0 + 1e-6 for v in rep["ratios"])
     assert rep["verdict"] == "PASS"
+
+
+def test_uniformity_zero_symbol_has_no_growth_fit():
+    rep = l2_uniformity_sweep(builtin("constant", {"c": 0.0}), [8, 16, 32])
+    assert rep["ratios"] == [0.0, 0.0, 0.0]
+    assert math.isnan(rep["growth_exponent"])
+    assert rep["variation"] == 0.0 and rep["verdict"] == "PASS"
 
 
 def test_uniformity_requires_increasing_n():

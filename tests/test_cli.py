@@ -102,6 +102,22 @@ def test_run_exit_one_when_experiment_fails(tmp_path, capsys):
     assert "verdict=FAIL" in capsys.readouterr().out
 
 
+def test_run_sweep_line_hides_roundoff_variation(tmp_path, capsys):
+    # the three norms are equal in exact arithmetic; their last-bit spread
+    # must not reach stdout
+    cfg = write_cfg(tmp_path / "flat.cfg", f"""\
+        experiment = "l2_uniformity"
+        symbol = "modulated_bessel"
+        params = {{"m": -0.5}}
+        factors = [1, 1]
+        period = 1.0
+        N_list = [16, 32, 64]
+        outdir = {json.dumps(str(tmp_path))}
+        """)
+    assert main(["run", cfg]) == 0
+    assert " variation=0.00% verdict=PASS" in capsys.readouterr().out
+
+
 # experiment -> (config body, sorted report keys)
 _REPORT_RUNS = {
     "ortho": ('symbol = "oscillatory_exotic"\ngrid = [1, 1, 16, 1.0]\nj_range = [1, 2, 3]',

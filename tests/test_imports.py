@@ -1,5 +1,6 @@
 """Every name a module imports is used: the package modules and the tests.
 Every private module-level name of the package is read inside the package.
+No package module imports inside a function or class body.
 
 ``bipdo/__init__.py`` is left out of the import check, since it imports
 names to re-export them.
@@ -65,3 +66,21 @@ def test_every_private_helper_is_read():
     dead = [f"{p.relative_to(ROOT)}:{line}: {name}" for p in paths
             for name, line in private_names(p).items() if name not in read]
     assert not dead, dead
+
+
+def nested_imports(path):
+    """``file:line`` of each import inside a function or class body."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.update(f"{path.relative_to(ROOT)}:{inner.lineno}"
+                       for inner in ast.walk(node)
+                       if isinstance(inner, (ast.Import, ast.ImportFrom)))
+    return out
+
+
+def test_no_import_inside_a_function_or_class():
+    # a deferred import can hide a module cycle
+    paths = sorted((ROOT / "src" / "bipdo").glob("*.py"))
+    nested = sorted(set().union(*(nested_imports(p) for p in paths)))
+    assert not nested, nested

@@ -22,6 +22,9 @@ Conventions shared by the experiments:
   L^p ratios one battery maximum: lower bounds on the operator norm, not
   certified upper bounds; growth verdicts compare the fitted exponent of the
   ratio as a function of N against a 0.05 threshold,
+* the battery maximum transforms each battery field once per grid, and
+  forms each symbol's image from that transform, so a sweep over many
+  symbols makes one forward FFT per field, not one per field and symbol,
 * the battery maximum of BMO ratios passes the best ratio so far to each
   image's cube scan as a floor, so an image that cannot raise the maximum
   is not scanned exactly; the maximum is the floor-free one bit for bit.
@@ -38,7 +41,8 @@ from .grid import (GridSpec, SampledField, bmo_norm, lp_exponent, lp_norm,
 from .decompose import (DecompositionIndex, default_ell_max, derived_symbol,
                         mollifier_lambda, theta_symbol)
 from .symbols import SymbolDescriptor, block_norms, builtin, sq_norm, varphi
-from .operators import analyze, apply, kernel_l1, quantize, synthesize
+from .operators import (_check_grid, analyze, apply, kernel_l1, quantize,
+                        synthesize)
 
 # fixed start-vector seed for every Lanczos iteration (documented constant;
 # another start changes the iteration count and moves each reported Ritz
@@ -423,17 +427,22 @@ def _bmo_floor(best: float, d: float) -> float:
 
 def _battery_max(battery, ps):
     """The measure T -> {p: max over the battery of |Tf|_p / |f|_p}, with
-    bmo(Tf) / |f|_inf at p = inf and 0 for a zero f.  The norms of each f are
-    taken once, and one image Tf is held at a time.  At p = inf each cube
-    scan starts from the best ratio so far times |f|_inf (``_bmo_floor``),
-    so only a field that can raise the maximum is scanned far, and the
-    maximum is the floor-free one bit for bit."""
+    bmo(Tf) / |f|_inf at p = inf and 0 for a zero f.  The norms and the
+    forward FFT of each f are taken once per battery, so once per grid, and
+    each image is Tf = synthesize(T, fftn(f)), the separable apply bit for
+    bit; T's grid is checked against f's as ``apply`` checks it.  One image
+    is held at a time.  At p = inf each cube scan starts from the best ratio
+    so far times |f|_inf (``_bmo_floor``), so only a field that can raise
+    the maximum is scanned far, and the maximum is the floor-free one bit
+    for bit."""
     denoms = [[lp_norm(f, p) for p in ps] for f in battery]
+    fhats = [(f.grid, np.fft.fftn(f.values)) for f in battery]
 
     def measure(T):
         best = [0.0] * len(ps)
-        for f, ds in zip(battery, denoms):
-            Tf = apply(T, f)
+        for (grid, fhat), ds in zip(fhats, denoms):
+            _check_grid(T, grid)
+            Tf = SampledField(grid, synthesize(T, fhat))
             rs = [(bmo_norm(Tf, _bmo_floor(b, d)) if math.isinf(p)
                    else lp_norm(Tf, p)) / d if d > 0 else 0.0
                   for p, d, b in zip(ps, ds, best)]

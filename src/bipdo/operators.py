@@ -93,14 +93,15 @@ def quantize(symbol: SymbolDescriptor, grid: GridSpec,
     return QuantizedOperator(symbol, grid, path)
 
 
-def _check_grid(T: QuantizedOperator, f: SampledField):
-    if f.grid != T.grid:
-        raise ValueError(f"field grid {f.grid} does not match operator grid {T.grid}")
+def _check_grid(T: QuantizedOperator, grid: GridSpec):
+    """Raise ValueError unless a field on ``grid`` can be applied to T."""
+    if grid != T.grid:
+        raise ValueError(f"field grid {grid} does not match operator grid {T.grid}")
 
 
 def apply(T: QuantizedOperator, f: SampledField) -> SampledField:
     """Apply the operator; both paths realize the same lattice sum."""
-    _check_grid(T, f)
+    _check_grid(T, f.grid)
     if T.path == "separable":
         return SampledField(T.grid, synthesize(T, np.fft.fftn(f.values)))
     fhat_flat = dft_forward(f).values.ravel()
@@ -138,7 +139,7 @@ def apply_at(T: QuantizedOperator, f: SampledField, x) -> complex:
     ``x`` is one point of shape (n,) or a stack (..., n); returns a complex
     scalar or the matching array.
     """
-    _check_grid(T, f)
+    _check_grid(T, f.grid)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     rows = np.atleast_2d(x)
@@ -158,7 +159,7 @@ def adjoint_apply(T: QuantizedOperator, g: SampledField) -> SampledField:
     T* g = ifft(sum_k conj(b_k) fft(conj(a_k) g)) over the cached factor
     tables: K + 1 FFTs for K terms.
     """
-    _check_grid(T, g)
+    _check_grid(T, g.grid)
     return SampledField(T.grid, np.fft.ifftn(analyze(T, g.values)))
 
 

@@ -139,9 +139,20 @@ def sum_terms(contribs, shape):
 # frequency norms and the cutoff profile
 
 
+def _component_sum(f, v):
+    """np.sum(f(v), axis=-1) for an elementwise f, bit for bit, summed one
+    component at a time: below 8 components numpy's reduction adds them in
+    that order too, but slowly over so short an axis.  From 8 on numpy sums
+    in pairwise blocks, so np.sum runs there."""
+    if not 0 < v.shape[-1] < 8:
+        return np.sum(f(v), axis=-1)
+    return sum_terms((f(v[..., a]) for a in range(v.shape[-1])), v.shape[:-1])
+
+
 def sq_norm(xi):
-    """|xi|^2 of frequencies: the sum of squares over the last axis."""
-    return np.sum(np.asarray(xi, dtype=float) ** 2, axis=-1)
+    """|xi|^2 of frequencies: the sum of squares over the last axis, with
+    the bits of np.sum."""
+    return _component_sum(np.square, np.asarray(xi, dtype=float))
 
 
 def block_norms(xi, n1: int):
@@ -183,7 +194,9 @@ def _axis_cos_modulation(freq: int, depth: float):
     cos(2 pi freq x_a): unit period, |mu| <= 1."""
     def a(x, _f=freq, _d=depth):
         x = np.asarray(x, dtype=float)
-        return 1.0 + _d * np.mean(np.cos(2.0 * np.pi * _f * x), axis=-1)
+        # np.mean is the sum over the axes divided by their count
+        return 1.0 + _d * (_component_sum(lambda c: np.cos(2.0 * np.pi * _f * c), x)
+                           / x.shape[-1])
     return a
 
 

@@ -525,6 +525,15 @@ def test_bmo_battery_max_prunes_with_the_running_best(monkeypatch, symbol):
     assert 0 < 4 * evaluated[0] <= floor_free, (evaluated[0], floor_free)
 
 
+def test_battery_max_rejects_an_operator_on_another_grid():
+    # same N, another period: the images would be formed from the battery's
+    # transforms on the wrong lattice and give wrong ratios without a word
+    battery = standard_battery(make_grid(1, 1, 16, 1.0))
+    T = quantize(builtin("modulated_bessel", {"m": -0.5}), make_grid(1, 1, 16, 2.0))
+    with pytest.raises(ValueError, match="does not match"):
+        _battery_max(battery, [2.0])(T)
+
+
 def test_bmo_zero_symbol_and_constant_field():
     zero = builtin("constant", {"c": 0.0})
     rep = bmo_experiment(zero, [8, 16])
@@ -629,6 +638,20 @@ def test_sharpness_mixed_p_matches_a_literal_loop(ps):
     tab = sharpness_scan(0.5, ps, ms, Ns)
     assert ({(c["m"], c["p"]): c["ratios"] for c in tab["cells"]}
             == _literal_sharpness_ratios(ps, ms, Ns))
+
+
+def test_sharpness_transforms_each_battery_field_once_per_grid(monkeypatch):
+    # per grid: one fftn per battery field, and one ifftn per (field, m) plus
+    # the two of the battery's chirps; an apply per image would make an
+    # fftn per (field, m) as well
+    ms, Ns = [-0.5, 0.0, 0.5], [16, 32]
+    calls = count_ffts(monkeypatch)
+    fields = len(adversarial_battery(make_grid(1, 1, 16, 1.0), 0.5))
+    assert fields == 7 and calls == ["ifftn", "ifftn"]
+    calls.clear()
+    sharpness_scan(0.5, [2.0], ms, Ns)
+    assert calls.count("fftn") == len(Ns) * fields
+    assert calls.count("ifftn") == len(Ns) * (2 + fields * len(ms))
 
 
 def test_sharpness_large_p_ratios_are_finite():

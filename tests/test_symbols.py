@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bipdo import builtin, make_symbol, varphi
-from bipdo.symbols import BUILTIN_PARAMS
+from bipdo.symbols import BUILTIN_PARAMS, _axis_cos_modulation, sq_norm
 from helpers import ones
 
 
@@ -178,3 +178,38 @@ def test_separable_product_bessel_biparameter():
     x, xi = rng.uniform(0, 1, (20, 2)), rng.uniform(-30, 30, (20, 2))
     ref = 1.0 / np.sqrt((1.0 + xi[:, 0] ** 2) * (1.0 + xi[:, 1] ** 2))
     assert np.abs(sig.evaluator(x, xi) - ref).max() <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# frequency norms and the x-modulation: numpy's reductions, bit for bit
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.int64)
+
+
+def _seeded_components(seed):
+    """Seeded (M, n) and (a, b, n) arrays for n = 1..9, entries spread over
+    six decades, with the column views xi[..., :n1] and xi[..., n1:] that
+    ``block_norms`` passes."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 10):
+        for shape in ((257, n), (5, 7, n)):
+            xi = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+            yield n, xi
+            for n1 in range(1, n):
+                yield n1, xi[..., :n1]
+                yield n - n1, xi[..., n1:]
+
+
+def test_sq_norm_has_the_bits_of_np_sum():
+    for n, xi in _seeded_components(11):
+        assert np.array_equal(_bits(sq_norm(xi)),
+                              _bits(np.sum(xi ** 2, axis=-1))), (n, xi.shape)
+
+
+def test_axis_cos_modulation_has_the_bits_of_np_mean():
+    a = _axis_cos_modulation(2, 0.75)
+    for n, x in _seeded_components(12):
+        want = 1 + 0.75 * np.mean(np.cos(2.0 * np.pi * 2 * x), axis=-1)
+        assert np.array_equal(_bits(a(x)), _bits(want)), (n, x.shape)

@@ -40,7 +40,8 @@ from .grid import (GridSpec, SampledField, bmo_norm, lp_exponent, lp_norm,
                    make_grid)
 from .decompose import (DecompositionIndex, default_ell_max, derived_symbol,
                         mollifier_lambda, theta_symbol)
-from .symbols import SymbolDescriptor, block_norms, builtin, sq_norm, varphi
+from .symbols import (SymbolDescriptor, _bracket, block_norms, builtin, sq_norm,
+                      sum_terms, varphi)
 from .operators import (_check_grid, analyze, apply, kernel_l1, quantize,
                         synthesize)
 
@@ -82,7 +83,7 @@ def _multiplier(T):
     """T's lattice multiplier table when every a-factor is constant, else None."""
     factors = T._separable_factors()
     if all(np.all(av == av.flat[0]) for av, _ in factors):
-        return sum(av.flat[0] * bv for av, bv in factors)
+        return sum_terms((av.flat[0] * bv for av, bv in factors), T.grid.shape)
     return None
 
 
@@ -529,13 +530,8 @@ def band_limited_battery(grid: GridSpec, kmax: int, count: int = 8,
         raise ValueError(f"count must be >= 2 (the constant and the extreme "
                          f"mode), got {count}")
     rng = np.random.default_rng(seed)
-    idx = np.rint(np.fft.fftfreq(N) * N).astype(int)
-    mask1 = np.abs(idx) <= kmax
-    mask = np.ones(grid.shape, dtype=bool)
-    for a in range(grid.n):
-        shape = [1] * grid.n
-        shape[a] = N
-        mask = mask & mask1.reshape(shape)
+    mask = (np.abs(np.rint(grid.freqs() * grid.period)).max(axis=-1)
+            <= kmax).reshape(grid.shape)
 
     def normalize(vals):
         f = SampledField(grid, vals)
@@ -600,7 +596,8 @@ def adversarial_battery(grid: GridSpec, rho: float, seed: int = 2026) -> list:
     env = varphi(2.0 * r / R) - varphi(16.0 * r / R)
     r1, r2 = block_norms(frs, grid.n1)
     a = 1.0 - rho
-    phase = (1.0 + r1 ** 2) ** (a / 2.0) + (1.0 + r2 ** 2) ** (a / 2.0)
+    # r ** 2 keeps the battery's bits; sq_norm differs in the last place
+    phase = _bracket(r1 ** 2, a) + _bracket(r2 ** 2, a)
     for sgn in (-1.0, 1.0):
         spec = (env * np.exp(1j * sgn * phase)).reshape(grid.shape)
         fields.append(SampledField(grid, np.fft.ifftn(spec)))

@@ -219,7 +219,7 @@ def _run_kernel_decay(cfg: dict, seed: int):
     ell_max = default_ell_max(grid.points_per_axis) if cfg.get("ell_max") is None \
         else _num(cfg, "ell_max", int)
     with _checked("'j', 'ell_range' or 'ell_max'"):
-        for ell in [0, *ells]:
+        for ell in ells:
             DecompositionIndex(j=j, ell=ell, ell_max=ell_max)
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, grid.period, size=(count, grid.n))
@@ -269,17 +269,16 @@ def _sharpness_flips(report: dict):
 def _run_sharpness(cfg: dict, seed: int):
     n1, n2, period, Ns = _sweep_from_cfg(cfg)
     rho = _num(cfg, "rho", float)
-    with _checked("'rho'"):
-        builtin("oscillatory_exotic", {"rho": rho}, n1=n1, n2=n2)
     with _checked("'p_list'"):
         ps = _increasing("p_list",
                          [lp_exponent(p) for p in _nums(cfg, "p_list", float)])
     ms = _increasing("m_grid", _nums(cfg, "m_grid", float))
-    with _checked("'m_grid'"):
-        for m in ms:
-            builtin("oscillatory_exotic", {"rho": rho, "m": m}, n1=n1, n2=n2)
-    report = analysis.sharpness_scan(rho, ps, ms, Ns, period, seed=seed,
-                                     n1=n1, n2=n2)
+    # factors, period, N_list and p_list are checked above, and the scan builds
+    # every member of the family before any grid work, so a ValueError from it
+    # comes from rho or an order: a bad value, or one whose symbol overflows
+    with _checked("'rho' or 'm_grid'"):
+        report = analysis.sharpness_scan(rho, ps, ms, Ns, period, seed=seed,
+                                         n1=n1, n2=n2)
     rows = [[c["m"], c["p"], N, r, c["exponent"], int(c["growing"])]
             for c in report["cells"] for N, r in zip(report["n_values"], c["ratios"])]
     flips, monotone = _sharpness_flips(report)

@@ -337,7 +337,7 @@ def mollifier_lambda(grid: GridSpec, Q: DyadicCube, rho: float) -> Mollifier:
             f"mollifier cap 10 unattainable for side {r_phys:g}, rho {rho:g}; "
             f"use a larger cube or smaller rho")
 
-    coords = np.arange(N) * step
+    coords = grid.axis_coords()
     axis_vals = [_axis_profile(c_d, coords - q, L) for q in center]
     vals = np.full((), scale, dtype=float)
     for av in axis_vals:

@@ -55,6 +55,9 @@ class QuantizedOperator:
         if symbol.n != grid.n:
             raise ValueError(
                 f"symbol has {symbol.n} axes, grid has {grid.n}")
+        if symbol.n1 != grid.n1:
+            raise ValueError(f"symbol has factors ({symbol.n1}, {symbol.n2}), "
+                             f"grid has ({grid.n1}, {grid.n2})")
         if path not in ("dense", "separable"):
             raise ValueError(f"unknown path '{path}'")
         self.symbol = symbol
@@ -166,19 +169,15 @@ def adjoint_apply(T: QuantizedOperator, g: SampledField) -> SampledField:
 def synthesize(T: QuantizedOperator, fhat: np.ndarray) -> np.ndarray:
     """T ifft(fhat) = sum_k a_k ifft(b_k fhat) on the point grid, from the DFT
     coefficients ``fhat`` (FFT layout) of the field T is applied to."""
-    out = np.zeros(T.grid.shape, dtype=complex)
-    for av, bv in T._separable_factors():
-        out += av * np.fft.ifftn(bv * fhat)
-    return out
+    return sum_terms((av * np.fft.ifftn(bv * fhat)
+                      for av, bv in T._separable_factors()), T.grid.shape)
 
 
 def analyze(T: QuantizedOperator, g: np.ndarray) -> np.ndarray:
     """fft(T* g) = sum_k conj(b_k) fft(conj(a_k) g): the DFT coefficients of
     the adjoint applied to the point values ``g``."""
-    out = np.zeros(T.grid.shape, dtype=complex)
-    for av, bv in T._separable_factors():
-        out += np.conj(bv) * np.fft.fftn(np.conj(av) * g)
-    return out
+    return sum_terms((np.conj(bv) * np.fft.fftn(np.conj(av) * g)
+                      for av, bv in T._separable_factors()), T.grid.shape)
 
 
 def kernel_slice(T: QuantizedOperator, x) -> SampledField:

@@ -185,8 +185,9 @@ def varphi(t):
 # built-in families
 
 
-def _bessel_value(xi, power):
-    return (1.0 + sq_norm(xi)) ** (power / 2.0)
+def _bracket(sq, s):
+    """The weight <.>^s = (1 + |.|^2)^(s/2) from the squared norm ``sq``."""
+    return (1.0 + sq) ** (s / 2.0)
 
 
 def _axis_cos_modulation(freq: int, depth: float):
@@ -292,7 +293,7 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
     if name == "multiplier_bessel":
         m = num("m")
         terms = (((lambda x: np.ones(np.asarray(x).shape[:-1])),
-                  (lambda xi, _m=m: _bessel_value(xi, _m))),)
+                  (lambda xi, _m=m: _bracket(sq_norm(xi), _m))),)
         return make_symbol(terms, n1, n2, order=m, rho=1.0, delta=0.0,
                            name=f"bessel[{m:g}]")
 
@@ -324,8 +325,8 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
         def b_factory(t1, t2):
             def b(xi, _t1=t1, _t2=t2, _n1=n1):
                 xi = np.asarray(xi, dtype=float)
-                return ((1.0 + sq_norm(xi[..., :_n1])) ** (_t1 / 2.0)
-                        * (1.0 + sq_norm(xi[..., _n1:])) ** (_t2 / 2.0))
+                return (_bracket(sq_norm(xi[..., :_n1]), _t1)
+                        * _bracket(sq_norm(xi[..., _n1:]), _t2))
             return b
 
         terms = tuple((a_factory(amp, xf, ph), b_factory(t1, t2))
@@ -345,10 +346,10 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
             xi = np.asarray(xi, dtype=float)
             r = np.sqrt(sq_norm(xi))
             chi = 1.0 - varphi(r)
-            phase = ((1.0 + sq_norm(xi[..., :_n1])) ** (_a / 2.0)
-                     + (1.0 + sq_norm(xi[..., _n1:])) ** (_a / 2.0))
-            # (1 + r^2)^(m/2), not _bessel_value: they differ in the last bit
-            return chi * np.exp(1j * phase) * (1.0 + r ** 2) ** (_m / 2.0)
+            phase = (_bracket(sq_norm(xi[..., :_n1]), _a)
+                     + _bracket(sq_norm(xi[..., _n1:]), _a))
+            # r ** 2 keeps the bits of every report; sq_norm(xi) differs in the last place
+            return chi * np.exp(1j * phase) * _bracket(r ** 2, _m)
 
         terms = ((_axis_cos_modulation(freq, xmod), b_part),)
         return make_symbol(terms, n1, n2, order=m, rho=rho, delta=0.0,
@@ -359,6 +360,6 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
     strength = num("strength")
     freq = num("mod_freq", int)
     terms = ((_axis_cos_modulation(freq, strength),
-              (lambda xi, _m=m: _bessel_value(xi, _m))),)
+              (lambda xi, _m=m: _bracket(sq_norm(xi), _m))),)
     return make_symbol(terms, n1, n2, order=m, rho=1.0, delta=0.0,
                        name=f"modbessel[m={m:g},s={strength:g}]")

@@ -568,18 +568,20 @@ def test_battery_is_resolution_stable():
 
 
 def test_band_limited_battery_spectrum_and_norms():
-    grid = make_grid(1, 1, 32, 1.0)
-    kmax = 5
-    fields = band_limited_battery(grid, kmax)
-    idx = np.rint(np.fft.fftfreq(32) * 32).astype(int)
-    k1, k2 = np.meshgrid(idx, idx, indexing="ij")
-    outside = np.maximum(np.abs(k1), np.abs(k2)) > kmax
-    for f in fields:
-        spec = np.fft.fftn(f.values)
-        assert np.abs(spec[outside]).max() <= 1e-10 * np.abs(spec).max()
-        assert bp.lp_norm(f, 2) == pytest.approx(1.0, rel=1e-10)
-    with pytest.raises(ValueError):
-        band_limited_battery(grid, 16)     # beyond the lattice
+    # (2, 1, 16, 1.3): the mask on three axes and a non-dyadic period
+    for n1, n2, N, period in ((1, 1, 32, 1.0), (2, 1, 16, 1.3)):
+        grid = make_grid(n1, n2, N, period)
+        kmax = 5
+        fields = band_limited_battery(grid, kmax)
+        idx = np.rint(np.fft.fftfreq(N) * N).astype(int)
+        ks = np.meshgrid(*([idx] * grid.n), indexing="ij")
+        outside = np.max(np.abs(ks), axis=0) > kmax
+        for f in fields:
+            spec = np.fft.fftn(f.values)
+            assert np.abs(spec[outside]).max() <= 1e-10 * np.abs(spec).max()
+            assert bp.lp_norm(f, 2) == pytest.approx(1.0, rel=1e-10)
+        with pytest.raises(ValueError):
+            band_limited_battery(grid, N // 2)     # beyond the lattice
 
 
 def test_adversarial_battery_deterministic():

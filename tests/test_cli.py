@@ -327,6 +327,7 @@ _SHARP = ('experiment = "sharpness"\nrho = 0.5\nN_list = [8, 16]\n'
     ("run", f'{_SHARP}p_list = [2.0]\nm_grid = [0.0, -1.0]', "'m_grid'"),
     ("run", f'{_SHARP}p_list = [2.0]\nm_grid = [0.0, 0.0]', "'m_grid'"),
     ("run", f'{_SHARP}p_list = [2.0, 2.0]\nm_grid = [0.0]', "'p_list'"),
+    ("run", f'{_SHARP}p_list = [2.0]\nm_grid = [0.0, 1000.0]', "'m_grid'"),
     ("apply", ["--j", "-1"], "--j"),
     ("apply", ["--j", "2", "--ell", "9"], "--ell"),
     ("apply", ["--split-scale", "-1"], "--split-scale"),
@@ -359,7 +360,8 @@ _SHARP = ('experiment = "sharpness"\nrho = 0.5\nN_list = [8, 16]\n'
         "battery_count", "j_range-empty", "p_list-empty", "ell_range-empty",
         "bmo-j_range", "commutator-max_iter", "N_list-single", "N_list-repeated",
         "j_range-repeated", "ell_range-repeated", "m_grid-nan", "m_grid-inf",
-        "m_grid-decreasing", "m_grid-repeated", "p_list-repeated", "apply-j",
+        "m_grid-decreasing", "m_grid-repeated", "p_list-repeated", "m_grid-overflow",
+        "apply-j",
         "apply-ell", "apply-split-scale", "kernel-x", "bmo-seed", "commutator-seed",
         "ortho-seed", "apply-ellmax", "kernel-ellmax", "outdir-number",
         "outdir-null", "outdir-list", "outdir-empty", "symbol-list", "symbol-map",

@@ -191,6 +191,9 @@ def test_apply_validates_inputs():
 @pytest.mark.parametrize("call,message", [
     (lambda g: quantize(builtin("constant", {"c": 1.0}, n1=2, n2=1), g),
      "symbol has 3 axes, grid has 2"),
+    (lambda g: quantize(builtin("constant", {"c": 1.0}, n1=2, n2=1),
+                        make_grid(1, 2, 8, 1.0)),
+     r"symbol has factors \(2, 1\), grid has \(1, 2\)"),
     (lambda g: apply_at(quantize(builtin("constant", {"c": 1.0}), g),
                         rand_field(g, 0), np.zeros((4, 3))),
      "points have 3 axes, grid has 2"),
@@ -200,7 +203,7 @@ def test_apply_validates_inputs():
         quantize(builtin("constant", {"c": 1.0}), g),
         quantize(builtin("constant", {"c": 1.0}), make_grid(1, 1, 16, 1.0))),
      "composed maps must share a grid"),
-], ids=["quantize-axes", "apply_at-axes", "kernel_slice-shape", "adjoint_product-grids"])
+], ids=["quantize-axes", "quantize-factors", "apply_at-axes", "kernel_slice-shape", "adjoint_product-grids"])
 def test_mismatched_axes_and_grids_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call(make_grid(1, 1, 8, 1.0))

@@ -40,8 +40,8 @@ from .grid import (GridSpec, SampledField, bmo_norm, lp_exponent, lp_norm,
                    make_grid)
 from .decompose import (DecompositionIndex, default_ell_max, derived_symbol,
                         mollifier_lambda, theta_symbol)
-from .symbols import (SymbolDescriptor, _bracket, block_norms, builtin, sq_norm,
-                      sum_terms, varphi)
+from .symbols import (SymbolDescriptor, _bracket, block_norms, builtin, read_numbers,
+                      sq_norm, sum_terms, varphi)
 from .operators import (_check_grid, analyze, apply, kernel_l1, quantize,
                         synthesize)
 
@@ -55,6 +55,11 @@ GROWTH_EXPONENT_THRESHOLD = 0.05
 
 # the almost-orthogonality fit uses only pairs (j, k) with |j - k| >= this
 ORTHO_MIN_GAP = 2
+
+# defaults: Lanczos stop tolerance and step cap, commutator battery size
+TOL = 1e-8
+MAX_ITER = 500
+BATTERY_COUNT = 8
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +175,16 @@ def _ritz_screen(alphas, betas, x):
     return best
 
 
-def l2_opnorm(T, tol: float = 1e-8, max_iter: int = 500) -> OpNormEstimate:
+def solver_settings(tol: float = TOL, max_iter: int = MAX_ITER) -> tuple:
+    """(tol, max_iter) if tol is finite and > 0 and max_iter >= 1, else ValueError."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+    return tol, max_iter
+
+
+def l2_opnorm(T, tol: float = TOL, max_iter: int = MAX_ITER) -> OpNormEstimate:
     """L2 operator norm by Lanczos iteration on T*T, or in closed form.
 
     A Fourier multiplier (a map carrying its lattice table m) has norm
@@ -205,10 +219,7 @@ def l2_opnorm(T, tol: float = 1e-8, max_iter: int = 500) -> OpNormEstimate:
     factor 2 to spare for rounding, so no step that would stop is skipped
     and every estimate equals the one from an eigh at every step.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+    solver_settings(tol, max_iter)
     A = _as_map(T)
     if A.multiplier is not None:
         return OpNormEstimate(float(np.max(np.abs(A.multiplier))), 0, True, 0.0)
@@ -280,7 +291,7 @@ def _log2_fit(xs, values):
 
 
 def ortho_experiment(sigma: SymbolDescriptor, j_range, grid: GridSpec,
-                     tol: float = 1e-8, max_iter: int = 500) -> dict:
+                     tol: float = TOL, max_iter: int = MAX_ITER) -> dict:
     """Measure |T_j* T_k| for annulus pieces of sigma and fit the decay.
 
     The report's ``entries`` are [j, k, value] triples over every ordered
@@ -349,6 +360,10 @@ def kernel_decay_experiment(sigma: SymbolDescriptor, j: int, ell_range,
     xs = np.atleast_2d(np.asarray(x_samples, dtype=float))
     if xs.shape[1] != grid.n or len(xs) == 0:
         raise ValueError(f"x_samples must be one or more rows of {grid.n} columns")
+    # a slice at x sums a_k(x) times a table of its cone piece, which keeps
+    # sigma's a_k: samples with equal a-values share every slice, bit for bit
+    xs = {b"".join(np.asarray(a(x[None, :]), dtype=complex).tobytes()
+                   for a, _ in sigma.separable_terms): x for x in xs}.values()
     values = []
     for ell in ells:
         idx = DecompositionIndex(j=j, ell=ell, ell_max=ell_max)
@@ -369,12 +384,18 @@ def _growth_exponent(n_values, ratios) -> float:
     return _log2_fit([math.log2(N) for N in n_values], ratios)[0]
 
 
+def sweep_sizes(N_list) -> list:
+    """The grid sizes of a sweep as ints: at least two, strictly increasing."""
+    Ns = read_numbers("N_list", [int(N) for N in N_list], int, increasing=True)
+    if len(Ns) < 2:
+        raise ValueError(f"N_list needs at least two sizes, got {Ns}")
+    return Ns
+
+
 def _family_sweep(make, values, Ns, n1, n2, period, probe) -> dict:
     """{(v, key): [ratio per N]} over the symbols ``make(v)``, v in ``values``,
-    each built once.  Per size in ``Ns`` (at least two, strictly increasing),
-    one grid's measure T -> {key: ratio}, ``probe(grid)``, is held at a time."""
-    if len(Ns) < 2 or any(b <= a for a, b in zip(Ns, Ns[1:])):
-        raise ValueError("N_list must hold at least 2 strictly increasing sizes")
+    each built once.  Per size in ``Ns`` (``sweep_sizes``), one grid's measure
+    T -> {key: ratio}, ``probe(grid)``, is held at a time."""
     syms = {v: make(v) for v in values}
     out = {}
     for N in Ns:
@@ -392,7 +413,7 @@ def _sweep(experiment: str, sigma: SymbolDescriptor, N_list, period: float,
     returns one ratio per grid; PASS when the last three values vary <= 20%,
     where the variation is their relative spread (max-min)/max.  The
     report's params are sigma's class parameters and the exponent ``p``."""
-    Ns = [int(N) for N in N_list]
+    Ns = sweep_sizes(N_list)
     (ratios,) = _family_sweep(lambda _: sigma, [None], Ns, sigma.n1, sigma.n2,
                               period, probe).values()
     tail = ratios[-3:]
@@ -409,7 +430,7 @@ def _sweep(experiment: str, sigma: SymbolDescriptor, N_list, period: float,
 
 
 def l2_uniformity_sweep(sigma: SymbolDescriptor, N_list, period: float = 1.0,
-                        tol: float = 1e-8, max_iter: int = 500) -> dict:
+                        tol: float = TOL, max_iter: int = MAX_ITER) -> dict:
     """l2_opnorm across grids; PASS when the last three values vary <= 20%."""
     return _sweep("l2_uniformity", sigma, N_list, period,
                   lambda grid: lambda T: {2.0: l2_opnorm(T, tol, max_iter).value},
@@ -517,7 +538,7 @@ def test_battery(grid: GridSpec, seed: int = 2026) -> list:
     return fields
 
 
-def band_limited_battery(grid: GridSpec, kmax: int, count: int = 8,
+def band_limited_battery(grid: GridSpec, kmax: int, count: int = BATTERY_COUNT,
                          seed: int = 7) -> list:
     """Unit-L2 fields with spectrum confined to |k|_inf <= kmax.
 
@@ -621,7 +642,7 @@ def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
     """
     ps = [lp_exponent(p) for p in p_list]
     ms = [float(m) for m in m_grid]
-    Ns = [int(N) for N in N_list]
+    Ns = sweep_sizes(N_list)
     ratios = _family_sweep(
         lambda m: builtin("oscillatory_exotic", {"m": m, "rho": rho}, n1=n1, n2=n2),
         ms, Ns, n1, n2, period,
@@ -641,7 +662,7 @@ def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
 
 
 def commutator_check(sigma: SymbolDescriptor, grid: GridSpec, Q, rho: float,
-                     kmax: int, count: int = 8, seed: int = 7) -> float:
+                     kmax: int, count: int = BATTERY_COUNT, seed: int = 7) -> float:
     """Max relative L2 error of lam*T1(f) - T1(lam*f) = T_theta(f) over the
     fields f of ``band_limited_battery(grid, kmax, count, seed)``.
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -34,7 +33,7 @@ from .grid import (DyadicCube, SampledField, dft_forward, dft_inverse,
                    lp_exponent, lp_norm, make_grid, read_field, write_field)
 from .decompose import (DecompositionIndex, cube_partition, delta_ell,
                         default_ell_max, derived_symbol, phi_j)
-from .symbols import BUILTIN_PARAMS, builtin, sq_norm, varphi
+from .symbols import BUILTIN_PARAMS, builtin, read_number, read_numbers, sq_norm, varphi
 from .operators import apply, kernel_l1, kernel_slice, quantize
 from . import analysis
 
@@ -45,7 +44,7 @@ class ConfigError(Exception):
 
 @contextmanager
 def _checked(what: str):
-    """Report a ValueError of objects built from the keys or flags ``what``."""
+    """Report a ValueError from reading the keys or flags ``what`` as a ConfigError."""
     try:
         yield
     except ValueError as exc:
@@ -126,56 +125,20 @@ def _build_symbol(cfg: dict, n1: int, n2: int):
         return builtin(name, cfg.get("params", {}), n1=n1, n2=n2)
 
 
-def _number(key: str, value, kind):
-    """A config value read as ``kind``: a JSON integer for int, any JSON
-    number for float.  Anything else (a string, a bool, 2.5 for an int key)
-    is a ConfigError naming the key."""
-    types = (int,) if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, types):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"'{key}' must be {what}, got {value!r}")
-    return kind(value)
-
-
-def _num(cfg: dict, key: str, kind, default=None):
-    return _number(key, cfg.get(key, default), kind)
-
-
-def _nums(cfg: dict, key: str, kind, length: int | None = None) -> list:
-    """A config list of numbers, each read by ``_number``."""
-    values = cfg.get(key)
-    if not isinstance(values, list) or not values or (
-            length is not None and len(values) != length):
-        size = "a non-empty JSON list of" if length is None \
-            else f"a JSON list of {length}"
-        raise ConfigError(f"'{key}' must be {size} numbers, got {values!r}")
-    return [_number(key, v, kind) for v in values]
-
-
-def _increasing(key: str, values: list) -> list:
-    """``values`` if they are strictly increasing."""
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigError(f"'{key}' must be strictly increasing, got {values}")
-    return values
-
-
 def _grid_from_cfg(cfg: dict):
     g = cfg.get("grid")
     if not (isinstance(g, list) and len(g) == 4):
         raise ConfigError("'grid' must be a JSON list [n1, n2, N, period]")
-    n1, n2, N = (_number("grid", v, int) for v in g[:3])
     with _checked("'grid'"):
-        return make_grid(n1, n2, N, _number("grid", g[3], float))
+        return make_grid(*read_numbers("grid", g[:3], int), read_number("grid", g[3]))
 
 
 def _sweep_from_cfg(cfg: dict):
-    """(n1, n2, period, N_list) of a sweep over at least two strictly
-    increasing, checked grids."""
-    n1, n2 = _nums(cfg, "factors", int, length=2)
-    period = _num(cfg, "period", float)
-    Ns = _increasing("N_list", _nums(cfg, "N_list", int))
-    if len(Ns) < 2:
-        raise ConfigError(f"'N_list' needs at least two sizes, got {Ns}")
+    """(n1, n2, period, N_list) of a sweep over checked grids."""
+    with _checked("'factors', 'period' or 'N_list'"):
+        n1, n2 = read_numbers("factors", cfg["factors"], int, length=2)
+        period = read_number("period", cfg["period"])
+        Ns = analysis.sweep_sizes(read_numbers("N_list", cfg["N_list"], int))
     for N in Ns:
         with _checked(f"'factors', 'period' or 'N_list' entry {N}"):
             make_grid(n1, n2, N, period)
@@ -183,22 +146,19 @@ def _sweep_from_cfg(cfg: dict):
 
 
 def _solver_settings(cfg: dict):
-    """(tol, max_iter) of a run: tol finite and > 0, max_iter an integer >= 1."""
-    tol = _num(cfg, "tol", float, 1e-8)
-    max_iter = _num(cfg, "max_iter", int, 500)
-    if not math.isfinite(tol) or tol <= 0:
-        raise ConfigError(f"'tol' must be a finite positive number, got {tol!r}")
-    if max_iter < 1:
-        raise ConfigError(f"'max_iter' must be an integer >= 1, got {max_iter!r}")
-    return tol, max_iter
+    """(tol, max_iter) of a run, by the library's defaults and range rule."""
+    with _checked("'tol' or 'max_iter'"):
+        return analysis.solver_settings(
+            read_number("tol", cfg.get("tol", analysis.TOL)),
+            read_number("max_iter", cfg.get("max_iter", analysis.MAX_ITER), int))
 
 
 def _run_ortho(cfg: dict, seed: int):
     grid = _grid_from_cfg(cfg)
     sym = _build_symbol(cfg, grid.n1, grid.n2)
     tol, max_iter = _solver_settings(cfg)
-    js = _increasing("j_range", _nums(cfg, "j_range", int))
     with _checked("'j_range'"):
+        js = read_numbers("j_range", cfg["j_range"], int, increasing=True)
         for j in js:
             DecompositionIndex(j=j)
     report = analysis.ortho_experiment(sym, js, grid, tol=tol, max_iter=max_iter)
@@ -211,14 +171,14 @@ def _run_ortho(cfg: dict, seed: int):
 def _run_kernel_decay(cfg: dict, seed: int):
     grid = _grid_from_cfg(cfg)
     sym = _build_symbol(cfg, grid.n1, grid.n2)
-    count = _num(cfg, "x_count", int, 5)
-    if count < 1:
-        raise ConfigError(f"'x_count' must be an integer >= 1, got {count}")
-    j = _num(cfg, "j", int)
-    ells = _increasing("ell_range", _nums(cfg, "ell_range", int))
     ell_max = default_ell_max(grid.points_per_axis) if cfg.get("ell_max") is None \
-        else _num(cfg, "ell_max", int)
-    with _checked("'j', 'ell_range' or 'ell_max'"):
+        else cfg["ell_max"]
+    j = cfg["j"]
+    with _checked("'x_count', 'j', 'ell_range' or 'ell_max'"):
+        count = read_number("x_count", cfg.get("x_count", 5), int)
+        if count < 1:
+            raise ValueError(f"x_count must be an integer >= 1, got {count}")
+        ells = read_numbers("ell_range", cfg["ell_range"], int, increasing=True)
         for ell in ells:
             DecompositionIndex(j=j, ell=ell, ell_max=ell_max)
     rng = np.random.default_rng(seed)
@@ -268,11 +228,11 @@ def _sharpness_flips(report: dict):
 
 def _run_sharpness(cfg: dict, seed: int):
     n1, n2, period, Ns = _sweep_from_cfg(cfg)
-    rho = _num(cfg, "rho", float)
-    with _checked("'p_list'"):
-        ps = _increasing("p_list",
-                         [lp_exponent(p) for p in _nums(cfg, "p_list", float)])
-    ms = _increasing("m_grid", _nums(cfg, "m_grid", float))
+    with _checked("'rho', 'p_list' or 'm_grid'"):
+        rho = read_number("rho", cfg["rho"])
+        ps = [lp_exponent(p) for p in read_numbers(
+            "p_list", cfg["p_list"], finite=False, increasing=True)]
+        ms = read_numbers("m_grid", cfg["m_grid"], increasing=True)
     # factors, period, N_list and p_list are checked above, and the scan builds
     # every member of the family before any grid work, so a ValueError from it
     # comes from rho or an order: a bad value, or one whose symbol overflows
@@ -290,14 +250,17 @@ def _run_sharpness(cfg: dict, seed: int):
 def _run_commutator(cfg: dict, seed: int):
     grid = _grid_from_cfg(cfg)
     sym = _build_symbol(cfg, grid.n1, grid.n2)
-    tol, _ = _solver_settings(cfg)
-    rho = _num(cfg, "rho", float)
-    kmax = _num(cfg, "battery_kmax", int, grid.points_per_axis // 4)
-    count = _num(cfg, "battery_count", int, 8)
-    with _checked("'cube_anchor', 'cube_side', 'rho', 'battery_kmax' or "
+    with _checked("'tol', 'cube_anchor', 'cube_side', 'rho', 'battery_kmax' or "
                   "'battery_count'"):
-        Q = DyadicCube(tuple(_nums(cfg, "cube_anchor", int)),
-                       _num(cfg, "cube_side", int))
+        tol = read_number("tol", cfg.get("tol", analysis.TOL))
+        analysis.solver_settings(tol)
+        rho = read_number("rho", cfg["rho"])
+        kmax = read_number("battery_kmax",
+                           cfg.get("battery_kmax", grid.points_per_axis // 4), int)
+        count = read_number("battery_count",
+                            cfg.get("battery_count", analysis.BATTERY_COUNT), int)
+        Q = DyadicCube(tuple(read_numbers("cube_anchor", cfg["cube_anchor"], int)),
+                       read_number("cube_side", cfg["cube_side"], int))
         err = analysis.commutator_check(sym, grid, Q, rho, kmax, count, seed)
     passed = err <= tol
     report = {"max_relative_error": err, "tol": tol,
@@ -331,14 +294,13 @@ _KNOWN_KEYS = frozenset(_COMMON_KEYS).union(
 def cmd_run(args) -> int:
     cfg = parse_config(args.config)
     name = cfg["experiment"]
-    seed = _num(cfg, "seed", int, 2026)
-    if seed < 0:
-        raise ConfigError(f"'seed' must be an integer >= 0, got {seed}")
+    with _checked("'seed'"):
+        seed = read_number("seed", cfg.get("seed", 2026), int)
+        if seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed}")
     outdir = cfg.get("outdir", ".")
     if not isinstance(outdir, str) or not outdir:
         raise ConfigError(f"'outdir' must be a non-empty string, got {outdir!r}")
-    if not isinstance(cfg.get("symbol", ""), str):
-        raise ConfigError(f"'symbol' must be a string, got {cfg['symbol']!r}")
     report, rows, header, line, passed = _EXPERIMENTS[name][0](cfg, seed)
     _write_report(outdir, name, cfg, seed, report, rows, header)
     print(line)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .grid import DyadicCube, GridSpec, SampledField
-from .symbols import (SymbolDescriptor, block_norms, sq_norm, transform_symbol,
-                      varphi)
+from .symbols import (SymbolDescriptor, block_norms, read_number, sq_norm,
+                      transform_symbol, varphi)
 
 # the DecompositionIndex fields each derived kind reads; it reads no other
 _KIND_FIELDS = {"annulus_j": ("j",), "cone_lj": ("j", "ell", "ell_max"),
@@ -116,7 +116,7 @@ class DecompositionIndex:
     annuli), ``ell`` the cone index, ``ell_max`` the cone truncation, and
     ``r`` the split scale of the high-frequency part.  Each derived kind
     takes exactly the fields it reads; ``j``, ``ell`` and ``ell_max`` are
-    integers.
+    integers, read by :func:`~bipdo.symbols.read_number`.
     """
 
     j: object = None
@@ -127,14 +127,16 @@ class DecompositionIndex:
     def __post_init__(self):
         if self.j is not None:
             js = self.j if isinstance(self.j, tuple) else (self.j,)
-            if any(not float(v).is_integer() or v < 0 for v in js):
+            try:
+                valid = all(read_number("j", v, int) >= 0 for v in js)
+            except ValueError:
+                valid = False
+            if not valid:
                 raise ValueError(f"j must be nonnegative integer(s), got {self.j}")
-        if self.ell_max is not None and (not float(self.ell_max).is_integer()
-                                         or self.ell_max < 1):
+        if self.ell_max is not None and read_number("ell_max", self.ell_max, int) < 1:
             raise ValueError(f"ell_max must be an integer >= 1, got {self.ell_max}")
         if self.ell is not None:
-            if not float(self.ell).is_integer():
-                raise ValueError(f"ell must be an integer, got {self.ell}")
+            read_number("ell", self.ell, int)
             if self.ell_max is None:
                 raise ValueError("ell requires ell_max")
             if abs(self.ell) > self.ell_max:

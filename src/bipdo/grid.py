@@ -88,13 +88,17 @@ def make_grid(n1: int, n2: int, points_per_axis: int, period: float = 1.0) -> Gr
     Raises
     ------
     ValueError
-        If a block is empty, N is odd or below 4, or the period is not positive.
+        If a block is empty, N is odd or below 4, the N^n points do not fit
+        an array index, or the period is not positive.
     """
     if not (isinstance(n1, int) and isinstance(n2, int)) or n1 < 1 or n2 < 1:
         raise ValueError(f"block dimensions must be positive integers, got ({n1}, {n2})")
     N = points_per_axis
     if not isinstance(N, int) or N < 4 or N % 2 != 0:
         raise ValueError(f"points_per_axis must be an even integer >= 4, got {N}")
+    # N >= 4, so from n = 32 on N^n >= 2^64: the power is not formed there
+    if n1 + n2 >= 32 or N ** (n1 + n2) > np.iinfo(np.intp).max:
+        raise ValueError(f"a grid of {N}^{n1 + n2} points does not fit an array index")
     if not (np.isfinite(period) and period > 0):
         raise ValueError(f"period must be positive and finite, got {period}")
     return GridSpec(n1, n2, N, float(period))

@@ -201,31 +201,40 @@ def _axis_cos_modulation(freq: int, depth: float):
     return a
 
 
-def _param(key: str, value, kind):
-    """Builtin parameter ``key`` read as ``kind`` (int, float or complex).
+def read_number(name: str, value, kind=float, finite: bool = True):
+    """An outside number (a config value, a builtin parameter, a flag or a
+    decomposition index) read as ``kind``: int, float or complex.
 
-    A bool, a non-number, NaN, an infinity or, for int, a fractional value is
-    a ValueError naming the key; nothing is coerced.
+    A bool, a non-number, an integer beyond the float range, for int a
+    non-integral value and, when ``finite``, NaN or an infinity is a
+    ValueError that names the value as ``name``; nothing is coerced.
     """
     abc = {int: numbers.Integral, float: numbers.Real, complex: numbers.Number}[kind]
     if not isinstance(value, bool) and isinstance(value, abc):
         try:
             out = kind(value)
-        except OverflowError:       # an integer beyond the float range
+            z = complex(out)        # OverflowError beyond the float range
+        except OverflowError:
             pass
         else:
-            if kind is int or cmath.isfinite(out):
+            if kind is int or not finite or cmath.isfinite(z):
                 return out
-    what = "an integer" if kind is int else "a finite number"
-    raise ValueError(f"parameter '{key}' must be {what}, got {value!r}")
+    what = "an integer" if kind is int else "a finite number" if finite else "a number"
+    raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
-def _param_list(key: str, value, kind, length: int) -> tuple:
-    """A list of ``length`` builtin parameters ``key``, each read by ``_param``."""
-    if not isinstance(value, (list, tuple)) or len(value) != length:
-        raise ValueError(
-            f"parameter '{key}' must be a list of {length} numbers, got {value!r}")
-    return tuple(_param(key, v, kind) for v in value)
+def read_numbers(name: str, values, kind=float, length: int | None = None,
+                 finite: bool = True, increasing: bool = False) -> list:
+    """A non-empty list of outside numbers, of ``length`` entries when given,
+    each read by :func:`read_number`, and strictly increasing if ``increasing``."""
+    if not isinstance(values, (list, tuple)) or not values or (
+            length is not None and len(values) != length):
+        size = "a non-empty list of" if length is None else f"a list of {length}"
+        raise ValueError(f"{name} must be {size} numbers, got {values!r}")
+    out = [read_number(name, v, kind, finite) for v in values]
+    if increasing and any(b <= a for a, b in zip(out, out[1:])):
+        raise ValueError(f"{name} must be strictly increasing, got {out}")
+    return out
 
 
 BUILTIN_PARAMS = {
@@ -263,12 +272,12 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
     so that their terms are total and infinitely differentiable on the axes.
     Each family is written as its separable terms only.
     Each family declares its class parameters analytically.  Numeric
-    parameters must be finite numbers (``mod_freq`` and ``xfreq`` entries
-    integers); anything else is a ValueError naming the parameter.
+    parameters are finite numbers (``mod_freq`` and ``xfreq`` entries
+    integers) read by :func:`read_number`; anything else is a ValueError.
     """
-    if name not in BUILTIN_PARAMS:
+    if not isinstance(name, str) or name not in BUILTIN_PARAMS:
         raise ValueError(
-            f"unknown builtin '{name}'; available: {sorted(BUILTIN_PARAMS)}")
+            f"unknown builtin {name!r}; available: {sorted(BUILTIN_PARAMS)}")
     defaults = BUILTIN_PARAMS[name]
     if params is not None and not isinstance(params, dict):
         raise ValueError(f"parameters must be a mapping of names to values, "
@@ -281,7 +290,7 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
     n = n1 + n2
 
     def num(key, kind=float):
-        return _param(key, p[key], kind)
+        return read_number(f"parameter '{key}'", p[key], kind)
 
     if name == "constant":
         c = num("c", complex)
@@ -309,12 +318,12 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
             unknown = set(t) - {"amp", "xfreq", "phase", "orders"}
             if unknown:
                 raise ValueError(f"unknown separable term key(s) {sorted(unknown)}")
-            key = f"terms[{i}]."
+            key = f"parameter 'terms[{i}]."
             spec_terms.append((
-                _param(key + "amp", t.get("amp", 1.0), float),
-                _param_list(key + "xfreq", t.get("xfreq", (0,) * n), int, n),
-                _param(key + "phase", t.get("phase", 0.0), float),
-                *_param_list(key + "orders", t.get("orders", (0.0, 0.0)), float, 2)))
+                read_number(key + "amp'", t.get("amp", 1.0)),
+                read_numbers(key + "xfreq'", t.get("xfreq", (0,) * n), int, n),
+                read_number(key + "phase'", t.get("phase", 0.0)),
+                *read_numbers(key + "orders'", t.get("orders", (0.0, 0.0)), float, 2)))
 
         def a_factory(amp, xfreq, phase):
             def a(x, _a=amp, _f=np.asarray(xfreq, dtype=float), _p=phase):

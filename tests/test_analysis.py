@@ -432,6 +432,32 @@ def test_kernel_decay_rejects_empty_or_misshapen_x_samples(monkeypatch):
             kernel_decay_experiment(sym, 3, range(0, 3), xs, grid)
 
 
+@pytest.mark.parametrize("name,params,per_ell", [
+    ("multiplier_bessel", {"m": -0.5}, 1),
+    ("oscillatory_exotic", {"m": 0.0, "rho": 0.5, "xmod": 0.75}, 5),
+])
+def test_kernel_decay_slices_each_distinct_sample_once(monkeypatch, name, params,
+                                                       per_ell):
+    # samples with equal a-factor values give one slice: one per ell for a
+    # multiplier, one per sample and ell when the symbol varies in x; the
+    # values are the sup over every sample, bit for bit
+    grid = make_grid(1, 1, 16, 1.0)
+    sym = builtin(name, params)
+    xs = np.random.default_rng(4).uniform(0.0, 1.0, size=(5, 2))
+    want = []
+    for ell in range(3):
+        T = quantize(derived_symbol(sym, DecompositionIndex(j=3, ell=ell, ell_max=4),
+                                    "cone_lj"), grid)
+        want.append(max(bp.kernel_l1(T, x) for x in xs))
+    calls = []
+    slice_ = bp.operators.kernel_slice
+    monkeypatch.setattr(bp.operators, "kernel_slice",
+                        lambda T, x: calls.append(x) or slice_(T, x))
+    rep = kernel_decay_experiment(sym, 3, range(3), xs, grid, ell_max=4)
+    assert len(calls) == 3 * per_ell
+    assert rep["values"] == want
+
+
 def test_kernel_decay_monotone_for_product_symbol():
     grid = make_grid(1, 1, 32, 1.0)
     sym = builtin("multiplier_bessel", {"m": -0.5})

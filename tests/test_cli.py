@@ -280,6 +280,8 @@ _COMM = ('experiment = "commutator"\nsymbol = "multiplier_bessel"\n'
 _BMO = f'experiment = "bmo"\n{_SWEEP}period = 1.0\nN_list = [8, 16]\n'
 _SHARP = ('experiment = "sharpness"\nrho = 0.5\nN_list = [8, 16]\n'
           'factors = [1, 1]\nperiod = 1.0\n')
+# an integer beyond the float range
+_BIG = "1" + "0" * 400
 
 
 @pytest.mark.parametrize("command,body,needle", [
@@ -354,6 +356,34 @@ _SHARP = ('experiment = "sharpness"\nrho = 0.5\nN_list = [8, 16]\n'
     ("kernel", ["--x", "a,b"], "--x expects comma-separated reals"),
     ("run", 'experiment = "ortho"\nsymbol = "multiplier_bessel"\n'
             'grid = [1, 1, 8]\nj_range = [1, 2]', "'grid' must be a JSON list"),
+    ("run", f'experiment = "bmo"\n{_SWEEP}period = {_BIG}\nN_list = [8, 16]',
+     "'period'"),
+    ("run", 'experiment = "ortho"\nsymbol = "multiplier_bessel"\n'
+            f'grid = [1, 1, 8, {_BIG}]\nj_range = [1, 2]', "'grid'"),
+    ("run", f'experiment = "sharpness"\nrho = {_BIG}\np_list = [2.0]\nm_grid = [0.0]\n'
+            'N_list = [8, 16]\nfactors = [1, 1]\nperiod = 1.0', "'rho'"),
+    ("run", f'{_COMM}cube_anchor = [4, 4]\ncube_side = 4\nrho = {_BIG}', "'rho'"),
+    ("run", 'experiment = "ortho"\nsymbol = "multiplier_bessel"\n'
+            f'grid = [1, 1, 8, 1.0]\nj_range = [1, 2]\ntol = {_BIG}', "'tol'"),
+    ("run", f'{_SHARP}p_list = [{_BIG}]\nm_grid = [0.0]', "'p_list'"),
+    ("run", f'{_SHARP}p_list = [2.0]\nm_grid = [{_BIG}]', "'m_grid'"),
+    ("run", 'experiment = "ortho"\nsymbol = "multiplier_bessel"\n'
+            f'grid = [1, 1, 8, 1.0]\nj_range = [1, {_BIG}]', "'j_range'"),
+    ("run", 'experiment = "kernel_decay"\nsymbol = "multiplier_bessel"\n'
+            f'grid = [1, 1, 16, 1.0]\nj = {_BIG}\nell_range = [0, 1]', "'j'"),
+    ("run", f'{_KERNEL}ell_range = [0, {_BIG}]', "'ell_range'"),
+    ("run", f'{_KERNEL}ell_range = [0, 1]\nell_max = {_BIG}', "'ell_max'"),
+    ("apply", ["--j", _BIG], "--j"),
+    ("kernel", ["--j", "2", "--ell", _BIG], "--ell"),
+    ("apply", ["--j", "2", "--ell", "1", "--ellmax", _BIG], "--ellmax"),
+    ("run", f'experiment = "bmo"\nsymbol = "multiplier_bessel"\nfactors = [1, {_BIG}]\n'
+            'period = 1.0\nN_list = [8, 16]', "'factors'"),
+    ("run", f'experiment = "bmo"\n{_SWEEP}period = 1.0\nN_list = [8, {_BIG}]',
+     "'N_list'"),
+    ("run", 'experiment = "bmo"\nsymbol = "multiplier_bessel"\nfactors = [1, 100]\n'
+            'period = 1.0\nN_list = [8, 16]', "'factors'"),
+    ("run", f'experiment = "bmo"\n{_SWEEP}period = 1.0\nN_list = [8, {2 ** 62}]',
+     "'N_list' entry"),
 ], ids=["period", "N_list-odd", "N_list-decreasing", "j_range", "ell_range",
         "ell_max", "x_count", "sharpness-rho", "cube_side", "cube_anchor",
         "battery_kmax", "mollifier-radius", "p_list", "battery-spectrum",
@@ -366,7 +396,11 @@ _SHARP = ('experiment = "sharpness"\nrho = 0.5\nN_list = [8, 16]\n'
         "ortho-seed", "apply-ellmax", "kernel-ellmax", "outdir-number",
         "outdir-null", "outdir-list", "outdir-empty", "symbol-list", "symbol-map",
         "apply-grid", "apply-params", "apply-ell-without-j", "kernel-x-text",
-        "grid-short"])
+        "grid-short", "period-big", "grid-period-big", "sharpness-rho-big",
+        "commutator-rho-big", "tol-big", "p_list-big", "m_grid-big", "j_range-big",
+        "j-big", "ell_range-big", "ell_max-big", "apply-j-big", "kernel-ell-big",
+        "apply-ellmax-big", "factors-big", "N_list-big", "factors-grid-size",
+        "N_list-grid-size"])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, body,
                                                needle):
     out = tmp_path / "out"

@@ -97,6 +97,14 @@ def test_make_grid_rejects_bad_inputs():
         make_grid(0, 1, 8, 1.0)
 
 
+def test_make_grid_rejects_grids_beyond_an_array_index():
+    # N^n points must fit np.intp; a huge n is refused without forming N^n
+    for n2, N in ((100, 8), (10 ** 400, 8), (1, 2 ** 62)):
+        with pytest.raises(ValueError, match="does not fit an array index"):
+            make_grid(1, n2, N, 1.0)
+    assert make_grid(1, 1, 2 ** 31, 1.0).size == 2 ** 62
+
+
 def test_lattice_layout():
     g = make_grid(1, 1, 8, 2.0)
     # points x = i L / N, frequencies k / L with k in [-N/2, N/2)

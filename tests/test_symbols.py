@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from bipdo import builtin, make_symbol, varphi
-from bipdo.symbols import BUILTIN_PARAMS, _axis_cos_modulation, sq_norm
+from bipdo.symbols import (BUILTIN_PARAMS, _axis_cos_modulation, read_number,
+                           read_numbers, sq_norm)
 from helpers import ones
 
 
@@ -79,6 +80,27 @@ def test_builtin_unknown_names_and_params():
             builtin(name, params)
     sig = builtin("modulated_bessel", {"m": np.float64(-0.5), "mod_freq": np.int64(2)})
     assert sig.order == -0.5
+
+
+def test_builtin_rejects_a_name_that_is_not_a_string():
+    for name in (["x"], {"a": 1}, None):
+        with pytest.raises(ValueError, match="unknown builtin"):
+            builtin(name)
+
+
+def test_read_number_rules():
+    # one reader for config keys, builtin parameters, flags and indices
+    assert read_number("k", 3, int) == 3 and read_number("k", 2) == 2.0
+    assert read_number("p", float("inf"), finite=False) == float("inf")
+    assert read_numbers("k", [1, 2], int, length=2) == [1, 2]
+    for value, kind in ((True, int), (2.5, int), ("1", float), (10 ** 400, int),
+                        (10 ** 400, float), (float("nan"), float),
+                        (float("inf"), float), (None, float)):
+        with pytest.raises(ValueError, match="'k' must be"):
+            read_number("'k'", value, kind)
+    for values, length in (([], None), (5, 2), ([1, 2, 3], 2), ([2, 2], None)):
+        with pytest.raises(ValueError, match="'k' must be"):
+            read_numbers("'k'", values, int, length=length, increasing=True)
 
 
 def test_builtin_constant():

@@ -40,10 +40,10 @@ from .grid import (GridSpec, SampledField, bmo_norm, lp_exponent, lp_norm,
                    make_grid)
 from .decompose import (DecompositionIndex, default_ell_max, derived_symbol,
                         mollifier_lambda, theta_symbol)
-from .symbols import (SymbolDescriptor, _bracket, block_norms, builtin, read_numbers,
-                      sq_norm, sum_terms, varphi)
-from .operators import (_check_grid, analyze, apply, kernel_l1, quantize,
-                        synthesize)
+from .symbols import (SymbolDescriptor, block_norms, bracket, builtin, read_numbers,
+                      sq_norm, varphi)
+from .operators import (analyze, apply, check_grid, kernel_l1, multiplier_table,
+                        quantize, synthesize)
 
 # fixed start-vector seed for every Lanczos iteration (documented constant;
 # another start changes the iteration count and moves each reported Ritz
@@ -56,10 +56,12 @@ GROWTH_EXPONENT_THRESHOLD = 0.05
 # the almost-orthogonality fit uses only pairs (j, k) with |j - k| >= this
 ORTHO_MIN_GAP = 2
 
-# defaults: Lanczos stop tolerance and step cap, commutator battery size
+# defaults: Lanczos stop tolerance and step cap, commutator battery size, and
+# the run seed, which draws the test batteries and the kernel x-samples
 TOL = 1e-8
 MAX_ITER = 500
 BATTERY_COUNT = 8
+SEED = 2026
 
 
 # ---------------------------------------------------------------------------
@@ -84,14 +86,6 @@ class LinearFieldMap:
     multiplier: object = None
 
 
-def _multiplier(T):
-    """T's lattice multiplier table when every a-factor is constant, else None."""
-    factors = T._separable_factors()
-    if all(np.all(av == av.flat[0]) for av, _ in factors):
-        return sum_terms((av.flat[0] * bv for av, bv in factors), T.grid.shape)
-    return None
-
-
 def _as_map(T) -> LinearFieldMap:
     """T U* for the unitary DFT U = fftn / s, s = sqrt(N^n): K FFTs each
     way for K terms, and |Tv|^2 = <v, T*Tv> as for T itself."""
@@ -101,7 +95,7 @@ def _as_map(T) -> LinearFieldMap:
     return LinearFieldMap(T.grid,
                           matvec=lambda v: s * synthesize(T, v),
                           rmatvec=lambda g: analyze(T, g) / s,
-                          multiplier=_multiplier(T))
+                          multiplier=multiplier_table(T))
 
 
 def adjoint_product(S, T) -> LinearFieldMap:
@@ -116,7 +110,7 @@ def adjoint_product(S, T) -> LinearFieldMap:
     """
     if S.grid != T.grid:
         raise ValueError("composed maps must share a grid")
-    mS, mT = _multiplier(S), _multiplier(T)
+    mS, mT = multiplier_table(S), multiplier_table(T)
     return LinearFieldMap(S.grid,
                           matvec=lambda v: analyze(S, synthesize(T, v)),
                           rmatvec=lambda u: analyze(T, synthesize(S, u)),
@@ -304,7 +298,7 @@ def ortho_experiment(sigma: SymbolDescriptor, j_range, grid: GridSpec,
     as A 2^(-eps (j+k)); entries at or below ``zero_floor`` are treated as
     exact zeros and left out of the fit.
     """
-    js = [int(j) for j in j_range]
+    js = read_numbers("j_range", j_range, int)
     ops = {}
     for j in js:
         piece = derived_symbol(sigma, DecompositionIndex(j=j), "annulus_j")
@@ -354,14 +348,15 @@ def kernel_decay_experiment(sigma: SymbolDescriptor, j: int, ell_range,
     transient, and so are values of exactly zero.  Fewer than two values
     left to fit give verdict "degenerate" and a NaN slope.
     """
-    ells = [int(e) for e in ell_range]
+    ells = read_numbers("ell_range", ell_range, int)
     if ell_max is None:
         ell_max = default_ell_max(grid.points_per_axis)
     xs = np.atleast_2d(np.asarray(x_samples, dtype=float))
     if xs.shape[1] != grid.n or len(xs) == 0:
         raise ValueError(f"x_samples must be one or more rows of {grid.n} columns")
-    # a slice at x sums a_k(x) times a table of its cone piece, which keeps
-    # sigma's a_k: samples with equal a-values share every slice, bit for bit
+    # a slice at x transforms sum_k a_k(x) b_k over the cone piece's terms,
+    # which keep sigma's a_k: samples with equal a-values share every slice,
+    # bit for bit
     xs = {b"".join(np.asarray(a(x[None, :]), dtype=complex).tobytes()
                    for a, _ in sigma.separable_terms): x for x in xs}.values()
     values = []
@@ -386,7 +381,7 @@ def _growth_exponent(n_values, ratios) -> float:
 
 def sweep_sizes(N_list) -> list:
     """The grid sizes of a sweep as ints: at least two, strictly increasing."""
-    Ns = read_numbers("N_list", [int(N) for N in N_list], int, increasing=True)
+    Ns = read_numbers("N_list", N_list, int, increasing=True)
     if len(Ns) < 2:
         raise ValueError(f"N_list needs at least two sizes, got {Ns}")
     return Ns
@@ -463,7 +458,7 @@ def _battery_max(battery, ps):
     def measure(T):
         best = [0.0] * len(ps)
         for (grid, fhat), ds in zip(fhats, denoms):
-            _check_grid(T, grid)
+            check_grid(T, grid)
             Tf = SampledField(grid, synthesize(T, fhat))
             rs = [(bmo_norm(Tf, _bmo_floor(b, d)) if math.isinf(p)
                    else lp_norm(Tf, p)) / d if d > 0 else 0.0
@@ -477,7 +472,7 @@ def _battery_max(battery, ps):
 # test batteries
 
 
-def test_battery(grid: GridSpec, seed: int = 2026) -> list:
+def test_battery(grid: GridSpec, seed: int = SEED) -> list:
     """The frozen L-inf-normalized battery: 8 random sign fields, 4 lacunary
     sums, 4 translated bump trains.
 
@@ -574,7 +569,7 @@ def band_limited_battery(grid: GridSpec, kmax: int, count: int = BATTERY_COUNT,
 
 
 def bmo_experiment(sigma: SymbolDescriptor, N_list, period: float = 1.0,
-                   seed: int = 2026) -> dict:
+                   seed: int = SEED) -> dict:
     """Max of bmo(Tf)/linf(f) over ``test_battery(grid, seed)``, per grid size."""
     return _sweep("bmo", sigma, N_list, period,
                   lambda grid: _battery_max(test_battery(grid, seed), [math.inf]),
@@ -585,7 +580,7 @@ def bmo_experiment(sigma: SymbolDescriptor, N_list, period: float = 1.0,
 # sharpness scan around the boundedness threshold
 
 
-def adversarial_battery(grid: GridSpec, rho: float, seed: int = 2026) -> list:
+def adversarial_battery(grid: GridSpec, rho: float, seed: int = SEED) -> list:
     """Fields chosen to stress an oscillating symbol of parameter rho.
 
     Composition (7 fields): a lattice spike, a spike train, the extreme
@@ -618,7 +613,7 @@ def adversarial_battery(grid: GridSpec, rho: float, seed: int = 2026) -> list:
     r1, r2 = block_norms(frs, grid.n1)
     a = 1.0 - rho
     # r ** 2 keeps the battery's bits; sq_norm differs in the last place
-    phase = _bracket(r1 ** 2, a) + _bracket(r2 ** 2, a)
+    phase = bracket(r1 ** 2, a) + bracket(r2 ** 2, a)
     for sgn in (-1.0, 1.0):
         spec = (env * np.exp(1j * sgn * phase)).reshape(grid.shape)
         fields.append(SampledField(grid, np.fft.ifftn(spec)))
@@ -630,7 +625,7 @@ def adversarial_battery(grid: GridSpec, rho: float, seed: int = 2026) -> list:
 
 
 def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
-                   seed: int = 2026, n1: int = 1, n2: int = 1) -> dict:
+                   seed: int = SEED, n1: int = 1, n2: int = 1) -> dict:
     """Battery L^p ratios for the oscillating symbol across (m, p, N).
 
     For each order m the symbol is the built-in oscillatory family at the
@@ -641,7 +636,7 @@ def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
     whether it exceeds ``GROWTH_EXPONENT_THRESHOLD``.
     """
     ps = [lp_exponent(p) for p in p_list]
-    ms = [float(m) for m in m_grid]
+    ms = read_numbers("m_grid", m_grid)
     Ns = sweep_sizes(N_list)
     ratios = _family_sweep(
         lambda m: builtin("oscillatory_exotic", {"m": m, "rho": rho}, n1=n1, n2=n2),

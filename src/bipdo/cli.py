@@ -34,7 +34,7 @@ from .grid import (DyadicCube, SampledField, dft_forward, dft_inverse,
 from .decompose import (DecompositionIndex, cube_partition, delta_ell,
                         default_ell_max, derived_symbol, phi_j)
 from .symbols import BUILTIN_PARAMS, builtin, read_number, read_numbers, sq_norm, varphi
-from .operators import apply, kernel_l1, kernel_slice, quantize
+from .operators import apply, kernel_slice, quantize
 from . import analysis
 
 
@@ -295,7 +295,7 @@ def cmd_run(args) -> int:
     cfg = parse_config(args.config)
     name = cfg["experiment"]
     with _checked("'seed'"):
-        seed = read_number("seed", cfg.get("seed", 2026), int)
+        seed = read_number("seed", cfg.get("seed", analysis.SEED), int)
         if seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {seed}")
     outdir = cfg.get("outdir", ".")
@@ -427,8 +427,7 @@ def cmd_kernel(args) -> int:
         raise ConfigError(f"--x expects finite coordinates, got '{args.x}'")
     if x.shape != (grid.n,):
         raise ConfigError(f"--x needs {grid.n} coordinates")
-    T = quantize(sym, grid)
-    sl = kernel_slice(T, x)
+    sl = kernel_slice(quantize(sym, grid), x)
     pts = grid.points()
     vals = sl.values.ravel()
     with open(args.outfile, "w", encoding="utf-8", newline="") as fh:
@@ -437,7 +436,7 @@ def cmd_kernel(args) -> int:
         for row, v in zip(pts, vals):
             writer.writerow([repr(float(c)) for c in row]
                             + [repr(float(v.real)), repr(float(v.imag))])
-    print(f"kernel: wrote {args.outfile} (l1={kernel_l1(T, x):.6g})")
+    print(f"kernel: wrote {args.outfile} (l1={lp_norm(sl, 1):.6g})")
     return 0
 
 

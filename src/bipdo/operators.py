@@ -19,9 +19,11 @@ ifft/fft pair between them.  The dense path, on request, is the oracle of the
 separable apply: it evaluates the lattice sum literally, with sigma summed
 from the same terms.  The dense apply and apply_at share one sweep, chunked
 over output points, which builds the phase e^{2 pi i x.xi} as a product of
-per-axis tables e^{2 pi i x_a k_a}.  The path chooses only how apply and
-kernel_slice evaluate T: adjoint_apply and the maps ``analysis.l2_opnorm``
-iterates read the factor tables on either path.
+per-axis tables e^{2 pi i x_a k_a}.  The path chooses only how apply
+evaluates T: adjoint_apply and the maps ``analysis.l2_opnorm`` iterates read
+the factor tables on either path, and ``multiplier_table`` reads them to spot
+a Fourier multiplier.  A kernel slice transforms sigma(x, .) on the lattice
+on either path.
 
 ``apply_at`` evaluates the same lattice sum at arbitrary (off-grid) points,
 which makes the dilation conjugation identity exact: with s = 2^(j rho),
@@ -43,11 +45,10 @@ class QuantizedOperator:
     """A symbol bound to a grid with a chosen application path.
 
     ``path`` is "separable" (the default) or "dense"; it chooses how apply
-    and kernel_slice evaluate T.  The factor tables a_k on the point grid and
-    b_k on the frequency lattice serve the separable apply, and the adjoint
-    and the norm iteration on either path; the transformed tables
-    fftn(b_k) / L^n serve separable kernel slices.  Each set is built on
-    first use.  The dense apply sums the terms afresh in every sweep.
+    evaluates T.  The factor tables a_k on the point grid and b_k on the
+    frequency lattice, the operator's one cache, are built on first use and
+    serve the separable apply, and the adjoint and the norm iteration on
+    either path.  The dense apply sums the terms afresh in every sweep.
     """
 
     def __init__(self, symbol: SymbolDescriptor, grid: GridSpec,
@@ -64,31 +65,25 @@ class QuantizedOperator:
         self.grid = grid
         self.path = path
         self._factors = None
-        self._kernels = None
 
     def _separable_factors(self):
+        """The (a_k, b_k) tables; a term not finite on the grid, e.g. an
+        order that overflows, is a ValueError naming the symbol."""
         if self._factors is None:
             pts = self.grid.points()
             frs = self.grid.freqs()
             shape = self.grid.shape
             factors = []
             for a, b in self.symbol.separable_terms:
-                av = np.asarray(a(pts), dtype=complex).reshape(shape)
-                bv = np.asarray(b(frs), dtype=complex).reshape(shape)
+                with np.errstate(all="ignore"):
+                    av = np.asarray(a(pts), dtype=complex).reshape(shape)
+                    bv = np.asarray(b(frs), dtype=complex).reshape(shape)
+                if not (np.isfinite(av).all() and np.isfinite(bv).all()):
+                    raise ValueError(f"symbol {self.symbol.name} is not finite on "
+                                     f"the {self.grid.points_per_axis}^{self.grid.n} grid")
                 factors.append((av, bv))
             self._factors = factors
         return self._factors
-
-    def _kernel_tables(self):
-        if self._kernels is None:
-            frs = self.grid.freqs()
-            scale = self.grid.period ** self.grid.n
-            kernels = []
-            for _, b in self.symbol.separable_terms:
-                bv = np.asarray(b(frs), dtype=complex).reshape(self.grid.shape)
-                kernels.append(np.fft.fftn(bv) / scale)
-            self._kernels = kernels
-        return self._kernels
 
 
 def quantize(symbol: SymbolDescriptor, grid: GridSpec,
@@ -96,7 +91,7 @@ def quantize(symbol: SymbolDescriptor, grid: GridSpec,
     return QuantizedOperator(symbol, grid, path)
 
 
-def _check_grid(T: QuantizedOperator, grid: GridSpec):
+def check_grid(T: QuantizedOperator, grid: GridSpec):
     """Raise ValueError unless a field on ``grid`` can be applied to T."""
     if grid != T.grid:
         raise ValueError(f"field grid {grid} does not match operator grid {T.grid}")
@@ -104,7 +99,7 @@ def _check_grid(T: QuantizedOperator, grid: GridSpec):
 
 def apply(T: QuantizedOperator, f: SampledField) -> SampledField:
     """Apply the operator; both paths realize the same lattice sum."""
-    _check_grid(T, f.grid)
+    check_grid(T, f.grid)
     if T.path == "separable":
         return SampledField(T.grid, synthesize(T, np.fft.fftn(f.values)))
     fhat_flat = dft_forward(f).values.ravel()
@@ -142,7 +137,7 @@ def apply_at(T: QuantizedOperator, f: SampledField, x) -> complex:
     ``x`` is one point of shape (n,) or a stack (..., n); returns a complex
     scalar or the matching array.
     """
-    _check_grid(T, f.grid)
+    check_grid(T, f.grid)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     rows = np.atleast_2d(x)
@@ -162,7 +157,7 @@ def adjoint_apply(T: QuantizedOperator, g: SampledField) -> SampledField:
     T* g = ifft(sum_k conj(b_k) fft(conj(a_k) g)) over the cached factor
     tables: K + 1 FFTs for K terms.
     """
-    _check_grid(T, g.grid)
+    check_grid(T, g.grid)
     return SampledField(T.grid, np.fft.ifftn(analyze(T, g.values)))
 
 
@@ -180,28 +175,29 @@ def analyze(T: QuantizedOperator, g: np.ndarray) -> np.ndarray:
                       for av, bv in T._separable_factors()), T.grid.shape)
 
 
-def kernel_slice(T: QuantizedOperator, x) -> SampledField:
-    """The x-slice of the kernel: y -> sum_xi sigma(x, xi) e^{-2 pi i y.xi} / L^n.
+def multiplier_table(T: QuantizedOperator):
+    """T's lattice multiplier table (FFT layout) when every a-factor is
+    constant, so that T is the Fourier multiplier f -> ifft(m fft(f)), else None."""
+    factors = T._separable_factors()
+    if all(np.all(av == av.flat[0]) for av, _ in factors):
+        return sum_terms((av.flat[0] * bv for av, bv in factors), T.grid.shape)
+    return None
 
-    The separable path sums a_k(x) fftn(b_k) / L^n over the cached transformed
-    tables, with each a_k evaluated at x alone; the dense path transforms the
-    terms summed over the whole lattice, sigma(x, .), and is the reference.
-    """
+
+def kernel_slice(T: QuantizedOperator, x) -> SampledField:
+    """The x-slice of the kernel: y -> sum_xi sigma(x, xi) e^{-2 pi i y.xi} / L^n,
+    the fftn of sigma(x, .) on the lattice over L^n, on either path."""
     grid = T.grid
     x = np.asarray(x, dtype=float)
     if x.shape != (grid.n,):
         raise ValueError(f"x must be one point of shape ({grid.n},), got {x.shape}")
-    if T.path == "separable":
-        return SampledField(grid, sum_terms(
-            (np.asarray(a(x[None, :]), dtype=complex)[0] * B
-             for (a, _), B in zip(T.symbol.separable_terms, T._kernel_tables())),
-            grid.shape))
     table = np.asarray(T.symbol.evaluator(x[None, :], grid.freqs()), dtype=complex)
     vals = np.fft.fftn(table.reshape(grid.shape)) / grid.period ** grid.n
     return SampledField(grid, vals)
 
 
 def kernel_l1(T: QuantizedOperator, x) -> float:
-    """Quadrature L1 norm of the kernel slice at x."""
+    """Quadrature L1 norm of the kernel slice at x: ``lp_norm(slice, 1)`` bit
+    for bit, without its power and rescaling."""
     sl = kernel_slice(T, x)
     return float(np.sum(np.abs(sl.values)) * T.grid.cell_volume)

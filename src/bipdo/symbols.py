@@ -185,7 +185,7 @@ def varphi(t):
 # built-in families
 
 
-def _bracket(sq, s):
+def bracket(sq, s):
     """The weight <.>^s = (1 + |.|^2)^(s/2) from the squared norm ``sq``."""
     return (1.0 + sq) ** (s / 2.0)
 
@@ -227,7 +227,7 @@ def read_numbers(name: str, values, kind=float, length: int | None = None,
                  finite: bool = True, increasing: bool = False) -> list:
     """A non-empty list of outside numbers, of ``length`` entries when given,
     each read by :func:`read_number`, and strictly increasing if ``increasing``."""
-    if not isinstance(values, (list, tuple)) or not values or (
+    if not isinstance(values, (list, tuple, range)) or not values or (
             length is not None and len(values) != length):
         size = "a non-empty list of" if length is None else f"a list of {length}"
         raise ValueError(f"{name} must be {size} numbers, got {values!r}")
@@ -302,7 +302,7 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
     if name == "multiplier_bessel":
         m = num("m")
         terms = (((lambda x: np.ones(np.asarray(x).shape[:-1])),
-                  (lambda xi, _m=m: _bracket(sq_norm(xi), _m))),)
+                  (lambda xi, _m=m: bracket(sq_norm(xi), _m))),)
         return make_symbol(terms, n1, n2, order=m, rho=1.0, delta=0.0,
                            name=f"bessel[{m:g}]")
 
@@ -334,8 +334,8 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
         def b_factory(t1, t2):
             def b(xi, _t1=t1, _t2=t2, _n1=n1):
                 xi = np.asarray(xi, dtype=float)
-                return (_bracket(sq_norm(xi[..., :_n1]), _t1)
-                        * _bracket(sq_norm(xi[..., _n1:]), _t2))
+                return (bracket(sq_norm(xi[..., :_n1]), _t1)
+                        * bracket(sq_norm(xi[..., _n1:]), _t2))
             return b
 
         terms = tuple((a_factory(amp, xf, ph), b_factory(t1, t2))
@@ -355,10 +355,10 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
             xi = np.asarray(xi, dtype=float)
             r = np.sqrt(sq_norm(xi))
             chi = 1.0 - varphi(r)
-            phase = (_bracket(sq_norm(xi[..., :_n1]), _a)
-                     + _bracket(sq_norm(xi[..., _n1:]), _a))
+            phase = (bracket(sq_norm(xi[..., :_n1]), _a)
+                     + bracket(sq_norm(xi[..., _n1:]), _a))
             # r ** 2 keeps the bits of every report; sq_norm(xi) differs in the last place
-            return chi * np.exp(1j * phase) * _bracket(r ** 2, _m)
+            return chi * np.exp(1j * phase) * bracket(r ** 2, _m)
 
         terms = ((_axis_cos_modulation(freq, xmod), b_part),)
         return make_symbol(terms, n1, n2, order=m, rho=rho, delta=0.0,
@@ -369,6 +369,6 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
     strength = num("strength")
     freq = num("mod_freq", int)
     terms = ((_axis_cos_modulation(freq, strength),
-              (lambda xi, _m=m: _bracket(sq_norm(xi), _m))),)
+              (lambda xi, _m=m: bracket(sq_norm(xi), _m))),)
     return make_symbol(terms, n1, n2, order=m, rho=1.0, delta=0.0,
                        name=f"modbessel[m={m:g},s={strength:g}]")

@@ -497,6 +497,29 @@ def test_uniformity_requires_increasing_n():
                 sweep(Ns)
 
 
+def test_library_ranges_are_read_not_coerced():
+    # a fractional size or index, or a non-number order, is an error naming
+    # its key; ranges, tuples and numpy numbers are read as they are
+    sym = builtin("multiplier_bessel", {"m": -1.0})
+    grid = make_grid(1, 1, 16, 1.0)
+    bad = [(lambda: l2_uniformity_sweep(sym, [8.7, 16.2]), "N_list"),
+           (lambda: bmo_experiment(sym, [8.7, 16.2]), "N_list"),
+           (lambda: ortho_experiment(sym, [1.5, 2.9], grid), "j_range"),
+           (lambda: kernel_decay_experiment(sym, 3, [0.5, 1.5], [np.zeros(2)], grid),
+            "ell_range"),
+           (lambda: sharpness_scan(0.5, [2.0], ["0.5"], [8, 16]), "m_grid")]
+    for call, key in bad:
+        with pytest.raises(ValueError, match=key):
+            call()
+    assert ortho_experiment(sym, range(1, 3), grid)["js"] == [1, 2]
+    assert ortho_experiment(sym, (np.int64(1), np.int64(2)), grid)["js"] == [1, 2]
+    assert l2_uniformity_sweep(sym, (np.int64(8), 16))["n_values"] == [8, 16]
+    assert kernel_decay_experiment(sym, 3, range(2), [np.zeros(2)], grid)["ells"] == [0, 1]
+    tab = sharpness_scan(0.5, [2.0], (np.float64(0.0),), range(8, 24, 8))
+    assert tab["ms"] == [0.0] and tab["n_values"] == [8, 16]
+    assert all(type(v) is int for v in tab["n_values"])
+
+
 def test_bmo_ratios_match_a_literal_loop():
     sym = builtin("modulated_bessel", {"m": -0.5})
     rep = bmo_experiment(sym, [16, 32])

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -419,6 +420,22 @@ def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, body,
                 *body, "--out", str(out)]
     assert main(argv) == 2
     assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflowing_order_leaves_no_warning_on_stderr(tmp_path, capsys):
+    # the factor tables of the order-1000 symbol are not finite: that is a
+    # config error naming the key, and numpy's overflow stays silent
+    out = tmp_path / "out"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f'{_SHARP}p_list = [2.0]\nm_grid = [0.0, 1000.0]\n'
+                   f'outdir = {json.dumps(str(out))}\n', encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "'m_grid'" in err and "exotic[m=1000," in err and "Warning" not in err
+    assert [str(w.message) for w in caught] == []
     assert not out.exists()
 
 

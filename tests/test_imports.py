@@ -1,5 +1,6 @@
 """Every name a module imports is used: the package modules and the tests.
-Every private module-level name of the package is read inside the package.
+Every private module-level name of the package is read inside the package,
+and no package module reads a private name another package module defines.
 No package module imports inside a function or class body.
 
 ``bipdo/__init__.py`` is left out of the import check, since it imports
@@ -84,3 +85,45 @@ def test_no_import_inside_a_function_or_class():
     paths = sorted((ROOT / "src" / "bipdo").glob("*.py"))
     nested = sorted(set().union(*(nested_imports(p) for p in paths)))
     assert not nested, nested
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def defined_private_names(path):
+    """Each ``_name`` the module defines: a function, method or class
+    anywhere, a module-level variable, or an attribute it assigns."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set(private_names(path))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return {n for n in names if _private(n)}
+
+
+def private_reads(path):
+    """``(name, line)`` of each ``_name`` the module reads or imports."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            out.update((alias.name, node.lineno) for alias in node.names)
+    return {(n, line) for n, line in out if _private(n)}
+
+
+def test_no_module_reads_another_modules_private_names():
+    paths = [p for p in sorted((ROOT / "src" / "bipdo").glob("*.py"))
+             if p.name != "__init__.py"]
+    defined = {p: defined_private_names(p) for p in paths}
+    foreign = sorted(
+        f"{p.relative_to(ROOT)}:{line}: {name} (defined in {q.name})"
+        for p in paths for name, line in private_reads(p)
+        if name not in defined[p]
+        for q in paths if q != p and name in defined[q])
+    assert not foreign, foreign

@@ -40,8 +40,8 @@ from .grid import (GridSpec, SampledField, bmo_norm, lp_exponent, lp_norm,
                    make_grid)
 from .decompose import (DecompositionIndex, default_ell_max, derived_symbol,
                         mollifier_lambda, theta_symbol)
-from .symbols import (SymbolDescriptor, block_norms, bracket, builtin, read_numbers,
-                      sq_norm, varphi)
+from .symbols import (SymbolDescriptor, block_norms, bracket, builtin, read_number,
+                      read_numbers, sq_norm, varphi)
 from .operators import (analyze, apply, check_grid, kernel_l1, multiplier_table,
                         quantize, synthesize)
 
@@ -170,8 +170,11 @@ def _ritz_screen(alphas, betas, x):
 
 
 def solver_settings(tol: float = TOL, max_iter: int = MAX_ITER) -> tuple:
-    """(tol, max_iter) if tol is finite and > 0 and max_iter >= 1, else ValueError."""
-    if not (math.isfinite(tol) and tol > 0):
+    """(tol, max_iter) read by ``read_number``: a finite tol > 0 and an
+    integer max_iter >= 1, else a ValueError naming the key."""
+    tol = read_number("tol", tol)
+    max_iter = read_number("max_iter", max_iter, int)
+    if not tol > 0:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
@@ -213,7 +216,7 @@ def l2_opnorm(T, tol: float = TOL, max_iter: int = MAX_ITER) -> OpNormEstimate:
     factor 2 to spare for rounding, so no step that would stop is skipped
     and every estimate equals the one from an eigh at every step.
     """
-    solver_settings(tol, max_iter)
+    tol, max_iter = solver_settings(tol, max_iter)
     A = _as_map(T)
     if A.multiplier is not None:
         return OpNormEstimate(float(np.max(np.abs(A.multiplier))), 0, True, 0.0)
@@ -296,9 +299,9 @@ def ortho_experiment(sigma: SymbolDescriptor, j_range, grid: GridSpec,
     multipliers.
     The fit models entries with |j - k| >= ``min_gap`` (``ORTHO_MIN_GAP``)
     as A 2^(-eps (j+k)); entries at or below ``zero_floor`` are treated as
-    exact zeros and left out of the fit.
+    exact zeros and left out of the fit.  ``j_range`` is strictly increasing.
     """
-    js = read_numbers("j_range", j_range, int)
+    js = read_numbers("j_range", j_range, int, increasing=True)
     ops = {}
     for j in js:
         piece = derived_symbol(sigma, DecompositionIndex(j=j), "annulus_j")
@@ -346,11 +349,14 @@ def kernel_decay_experiment(sigma: SymbolDescriptor, j: int, ell_range,
     The fitted slope of log2(value) against ell is compared to the
     theoretical -n1/2; the first point is dropped from the fit as a
     transient, and so are values of exactly zero.  Fewer than two values
-    left to fit give verdict "degenerate" and a NaN slope.
+    left to fit give verdict "degenerate" and a NaN slope.  ``ell_range`` is
+    strictly increasing, and every cone index is checked before any slice.
     """
-    ells = read_numbers("ell_range", ell_range, int)
+    j = read_number("j", j, int)
+    ells = read_numbers("ell_range", ell_range, int, increasing=True)
     if ell_max is None:
         ell_max = default_ell_max(grid.points_per_axis)
+    idxs = [DecompositionIndex(j=j, ell=ell, ell_max=ell_max) for ell in ells]
     xs = np.atleast_2d(np.asarray(x_samples, dtype=float))
     if xs.shape[1] != grid.n or len(xs) == 0:
         raise ValueError(f"x_samples must be one or more rows of {grid.n} columns")
@@ -360,8 +366,7 @@ def kernel_decay_experiment(sigma: SymbolDescriptor, j: int, ell_range,
     xs = {b"".join(np.asarray(a(x[None, :]), dtype=complex).tobytes()
                    for a, _ in sigma.separable_terms): x for x in xs}.values()
     values = []
-    for ell in ells:
-        idx = DecompositionIndex(j=j, ell=ell, ell_max=ell_max)
+    for idx in idxs:
         T = quantize(derived_symbol(sigma, idx, "cone_lj"), grid)
         values.append(max(kernel_l1(T, x) for x in xs))
     slope, intercept, r2 = _log2_fit(ells[1:], values[1:])
@@ -539,6 +544,8 @@ def band_limited_battery(grid: GridSpec, kmax: int, count: int = BATTERY_COUNT,
 
     Contains a constant, one pure extreme mode, and seeded random fields.
     """
+    kmax = read_number("kmax", kmax, int)
+    count = read_number("count", count, int)
     N = grid.points_per_axis
     if not 0 <= kmax <= N // 2 - 1:
         raise ValueError(f"kmax must lie in [0, {N // 2 - 1}], got {kmax}")
@@ -633,10 +640,12 @@ def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
     exponent is the fitted slope of log2(ratio) against log2(N).  p = inf is
     measured through the BMO/L-inf proxy ratio.  The report's ``cells`` hold
     one entry per (m, p), m major, with the ratios per N, the exponent, and
-    whether it exceeds ``GROWTH_EXPONENT_THRESHOLD``.
+    whether it exceeds ``GROWTH_EXPONENT_THRESHOLD``.  ``m_grid`` is
+    strictly increasing; ``p_list`` may hold the exponents in any order.
     """
-    ps = [lp_exponent(p) for p in p_list]
-    ms = read_numbers("m_grid", m_grid)
+    rho = read_number("rho", rho)
+    ps = [lp_exponent(p) for p in read_numbers("p_list", p_list, finite=False)]
+    ms = read_numbers("m_grid", m_grid, increasing=True)
     Ns = sweep_sizes(N_list)
     ratios = _family_sweep(
         lambda m: builtin("oscillatory_exotic", {"m": m, "rho": rho}, n1=n1, n2=n2),

@@ -29,8 +29,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .grid import (DyadicCube, SampledField, dft_forward, dft_inverse,
-                   lp_exponent, lp_norm, make_grid, read_field, write_field)
+from .grid import (DyadicCube, SampledField, dft_forward, dft_inverse, lp_norm,
+                   make_grid, read_field, write_field)
 from .decompose import (DecompositionIndex, cube_partition, delta_ell,
                         default_ell_max, derived_symbol, phi_j)
 from .symbols import BUILTIN_PARAMS, builtin, read_number, read_numbers, sq_norm, varphi
@@ -130,38 +130,27 @@ def _grid_from_cfg(cfg: dict):
     if not (isinstance(g, list) and len(g) == 4):
         raise ConfigError("'grid' must be a JSON list [n1, n2, N, period]")
     with _checked("'grid'"):
-        return make_grid(*read_numbers("grid", g[:3], int), read_number("grid", g[3]))
+        return make_grid(*g)
 
 
 def _sweep_from_cfg(cfg: dict):
     """(n1, n2, period, N_list) of a sweep over checked grids."""
     with _checked("'factors', 'period' or 'N_list'"):
         n1, n2 = read_numbers("factors", cfg["factors"], int, length=2)
-        period = read_number("period", cfg["period"])
-        Ns = analysis.sweep_sizes(read_numbers("N_list", cfg["N_list"], int))
+        Ns = analysis.sweep_sizes(cfg["N_list"])
     for N in Ns:
         with _checked(f"'factors', 'period' or 'N_list' entry {N}"):
-            make_grid(n1, n2, N, period)
-    return n1, n2, period, Ns
-
-
-def _solver_settings(cfg: dict):
-    """(tol, max_iter) of a run, by the library's defaults and range rule."""
-    with _checked("'tol' or 'max_iter'"):
-        return analysis.solver_settings(
-            read_number("tol", cfg.get("tol", analysis.TOL)),
-            read_number("max_iter", cfg.get("max_iter", analysis.MAX_ITER), int))
+            grid = make_grid(n1, n2, N, cfg["period"])
+    return n1, n2, grid.period, Ns
 
 
 def _run_ortho(cfg: dict, seed: int):
     grid = _grid_from_cfg(cfg)
     sym = _build_symbol(cfg, grid.n1, grid.n2)
-    tol, max_iter = _solver_settings(cfg)
-    with _checked("'j_range'"):
-        js = read_numbers("j_range", cfg["j_range"], int, increasing=True)
-        for j in js:
-            DecompositionIndex(j=j)
-    report = analysis.ortho_experiment(sym, js, grid, tol=tol, max_iter=max_iter)
+    with _checked("'params', 'j_range', 'tol' or 'max_iter'"):
+        report = analysis.ortho_experiment(sym, cfg["j_range"], grid,
+                                           cfg.get("tol", analysis.TOL),
+                                           cfg.get("max_iter", analysis.MAX_ITER))
     line = (f"ortho: epsilon={report['fitted_epsilon']:.4g} "
             f"A={report['fitted_A']:.4g} R2={report['r_squared']:.4g} "
             f"converged={report['converged']}")
@@ -171,19 +160,15 @@ def _run_ortho(cfg: dict, seed: int):
 def _run_kernel_decay(cfg: dict, seed: int):
     grid = _grid_from_cfg(cfg)
     sym = _build_symbol(cfg, grid.n1, grid.n2)
-    ell_max = default_ell_max(grid.points_per_axis) if cfg.get("ell_max") is None \
-        else cfg["ell_max"]
-    j = cfg["j"]
-    with _checked("'x_count', 'j', 'ell_range' or 'ell_max'"):
+    with _checked("'x_count'"):
         count = read_number("x_count", cfg.get("x_count", 5), int)
         if count < 1:
             raise ValueError(f"x_count must be an integer >= 1, got {count}")
-        ells = read_numbers("ell_range", cfg["ell_range"], int, increasing=True)
-        for ell in ells:
-            DecompositionIndex(j=j, ell=ell, ell_max=ell_max)
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, grid.period, size=(count, grid.n))
-    report = analysis.kernel_decay_experiment(sym, j, ells, xs, grid, ell_max=ell_max)
+    with _checked("'params', 'j', 'ell_range' or 'ell_max'"):
+        report = analysis.kernel_decay_experiment(sym, cfg["j"], cfg["ell_range"], xs,
+                                                  grid, ell_max=cfg.get("ell_max"))
     rows = list(zip(report["ells"], report["values"]))
     line = (f"kernel_decay: slope={report['slope']:.4g} "
             f"target={report['target_slope']:.4g} verdict={report['verdict']}")
@@ -202,17 +187,18 @@ def _sweep_result(report: dict, column: str):
 def _run_l2_uniformity(cfg: dict, seed: int):
     n1, n2, period, Ns = _sweep_from_cfg(cfg)
     sym = _build_symbol(cfg, n1, n2)
-    tol, max_iter = _solver_settings(cfg)
-    return _sweep_result(
-        analysis.l2_uniformity_sweep(sym, Ns, period, tol=tol, max_iter=max_iter),
-        "opnorm")
+    with _checked("'params', 'tol' or 'max_iter'"):
+        return _sweep_result(analysis.l2_uniformity_sweep(
+            sym, Ns, period, cfg.get("tol", analysis.TOL),
+            cfg.get("max_iter", analysis.MAX_ITER)), "opnorm")
 
 
 def _run_bmo(cfg: dict, seed: int):
     n1, n2, period, Ns = _sweep_from_cfg(cfg)
     sym = _build_symbol(cfg, n1, n2)
-    return _sweep_result(analysis.bmo_experiment(sym, Ns, period, seed=seed),
-                         "bmo_ratio")
+    with _checked("'params'"):
+        return _sweep_result(analysis.bmo_experiment(sym, Ns, period, seed=seed),
+                             "bmo_ratio")
 
 
 def _sharpness_flips(report: dict):
@@ -229,16 +215,11 @@ def _sharpness_flips(report: dict):
 def _run_sharpness(cfg: dict, seed: int):
     n1, n2, period, Ns = _sweep_from_cfg(cfg)
     with _checked("'rho', 'p_list' or 'm_grid'"):
-        rho = read_number("rho", cfg["rho"])
-        ps = [lp_exponent(p) for p in read_numbers(
-            "p_list", cfg["p_list"], finite=False, increasing=True)]
-        ms = read_numbers("m_grid", cfg["m_grid"], increasing=True)
-    # factors, period, N_list and p_list are checked above, and the scan builds
-    # every member of the family before any grid work, so a ValueError from it
-    # comes from rho or an order: a bad value, or one whose symbol overflows
-    with _checked("'rho' or 'm_grid'"):
-        report = analysis.sharpness_scan(rho, ps, ms, Ns, period, seed=seed,
-                                         n1=n1, n2=n2)
+        # the run's flips read p in increasing order; the library scans any
+        # order (test_sharpness_mixed_p_matches_a_literal_loop passes [inf, 2.0])
+        read_numbers("p_list", cfg["p_list"], finite=False, increasing=True)
+        report = analysis.sharpness_scan(cfg["rho"], cfg["p_list"], cfg["m_grid"], Ns,
+                                         period, seed=seed, n1=n1, n2=n2)
     rows = [[c["m"], c["p"], N, r, c["exponent"], int(c["growing"])]
             for c in report["cells"] for N, r in zip(report["n_values"], c["ratios"])]
     flips, monotone = _sharpness_flips(report)
@@ -250,18 +231,14 @@ def _run_sharpness(cfg: dict, seed: int):
 def _run_commutator(cfg: dict, seed: int):
     grid = _grid_from_cfg(cfg)
     sym = _build_symbol(cfg, grid.n1, grid.n2)
-    with _checked("'tol', 'cube_anchor', 'cube_side', 'rho', 'battery_kmax' or "
-                  "'battery_count'"):
-        tol = read_number("tol", cfg.get("tol", analysis.TOL))
-        analysis.solver_settings(tol)
-        rho = read_number("rho", cfg["rho"])
-        kmax = read_number("battery_kmax",
-                           cfg.get("battery_kmax", grid.points_per_axis // 4), int)
-        count = read_number("battery_count",
-                            cfg.get("battery_count", analysis.BATTERY_COUNT), int)
+    kmax = cfg.get("battery_kmax", grid.points_per_axis // 4)
+    count = cfg.get("battery_count", analysis.BATTERY_COUNT)
+    with _checked("'params', 'tol', 'cube_anchor', 'cube_side', 'rho', 'battery_kmax' "
+                  "or 'battery_count'"):
+        tol, _ = analysis.solver_settings(cfg.get("tol", analysis.TOL))
         Q = DyadicCube(tuple(read_numbers("cube_anchor", cfg["cube_anchor"], int)),
                        read_number("cube_side", cfg["cube_side"], int))
-        err = analysis.commutator_check(sym, grid, Q, rho, kmax, count, seed)
+        err = analysis.commutator_check(sym, grid, Q, cfg["rho"], kmax, count, seed)
     passed = err <= tol
     report = {"max_relative_error": err, "tol": tol,
               "battery_kmax": kmax, "battery_count": count,
@@ -409,8 +386,8 @@ def cmd_apply(args) -> int:
     if f.grid != grid:
         raise ConfigError(
             f"field grid {f.grid} does not match --grid {grid}")
-    T = quantize(sym, grid, path=args.path)
-    g = apply(T, f)
+    with _checked("--params"):
+        g = apply(quantize(sym, grid, path=args.path), f)
     write_field(g, args.outfile)
     print(f"apply: wrote {args.outfile} (l2={lp_norm(g, 2):.6g})")
     return 0
@@ -427,7 +404,8 @@ def cmd_kernel(args) -> int:
         raise ConfigError(f"--x expects finite coordinates, got '{args.x}'")
     if x.shape != (grid.n,):
         raise ConfigError(f"--x needs {grid.n} coordinates")
-    sl = kernel_slice(quantize(sym, grid), x)
+    with _checked("--params"):
+        sl = kernel_slice(quantize(sym, grid), x)
     pts = grid.points()
     vals = sl.values.ravel()
     with open(args.outfile, "w", encoding="utf-8", newline="") as fh:

@@ -294,6 +294,7 @@ def mollifier_lambda(grid: GridSpec, Q: DyadicCube, rho: float) -> Mollifier:
     2/L) is rejected unless the cube is the whole torus.
     """
     Q.check(grid)
+    rho = read_number("rho", rho)
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     N, L, n = grid.points_per_axis, grid.period, grid.n

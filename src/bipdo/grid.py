@@ -23,6 +23,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .symbols import read_number
+
 FIELD_MAGIC = b"BPDOFLD1"
 # magic, n1, n2, N, L, padded to 32 bytes
 _FIELD_HEADER = struct.Struct("<8sIIId4x")
@@ -88,20 +90,24 @@ def make_grid(n1: int, n2: int, points_per_axis: int, period: float = 1.0) -> Gr
     Raises
     ------
     ValueError
-        If a block is empty, N is odd or below 4, the N^n points do not fit
-        an array index, or the period is not positive.
+        If ``read_number`` rejects an argument (n1, n2 and N are integers),
+        a block is empty, N is odd or below 4, the N^n points do not fit an
+        array index, or the period is not positive.
     """
-    if not (isinstance(n1, int) and isinstance(n2, int)) or n1 < 1 or n2 < 1:
+    n1 = read_number("n1", n1, int, finite=False)
+    n2 = read_number("n2", n2, int, finite=False)
+    N = read_number("points_per_axis", points_per_axis, int, finite=False)
+    period = read_number("period", period, finite=False)
+    if n1 < 1 or n2 < 1:
         raise ValueError(f"block dimensions must be positive integers, got ({n1}, {n2})")
-    N = points_per_axis
-    if not isinstance(N, int) or N < 4 or N % 2 != 0:
+    if N < 4 or N % 2 != 0:
         raise ValueError(f"points_per_axis must be an even integer >= 4, got {N}")
     # N >= 4, so from n = 32 on N^n >= 2^64: the power is not formed there
     if n1 + n2 >= 32 or N ** (n1 + n2) > np.iinfo(np.intp).max:
         raise ValueError(f"a grid of {N}^{n1 + n2} points does not fit an array index")
     if not (np.isfinite(period) and period > 0):
         raise ValueError(f"period must be positive and finite, got {period}")
-    return GridSpec(n1, n2, N, float(period))
+    return GridSpec(n1, n2, N, period)
 
 
 @lru_cache(maxsize=64)

@@ -67,23 +67,27 @@ class QuantizedOperator:
         self._factors = None
 
     def _separable_factors(self):
-        """The (a_k, b_k) tables; a term not finite on the grid, e.g. an
-        order that overflows, is a ValueError naming the symbol."""
+        """The (a_k, b_k) tables, each checked by ``_finite``."""
         if self._factors is None:
             pts = self.grid.points()
             frs = self.grid.freqs()
             shape = self.grid.shape
-            factors = []
-            for a, b in self.symbol.separable_terms:
-                with np.errstate(all="ignore"):
-                    av = np.asarray(a(pts), dtype=complex).reshape(shape)
-                    bv = np.asarray(b(frs), dtype=complex).reshape(shape)
-                if not (np.isfinite(av).all() and np.isfinite(bv).all()):
-                    raise ValueError(f"symbol {self.symbol.name} is not finite on "
-                                     f"the {self.grid.points_per_axis}^{self.grid.n} grid")
-                factors.append((av, bv))
-            self._factors = factors
+            self._factors = [(_finite(self, a, pts).reshape(shape),
+                              _finite(self, b, frs).reshape(shape))
+                             for a, b in self.symbol.separable_terms]
         return self._factors
+
+
+def _finite(T: QuantizedOperator, fn, *args) -> np.ndarray:
+    """fn(*args) as a complex array, computed with numpy's warnings off; a
+    value that is not finite, e.g. from an order that overflows, is a
+    ValueError naming T's symbol."""
+    with np.errstate(all="ignore"):
+        out = np.asarray(fn(*args), dtype=complex)
+    if not np.isfinite(out).all():
+        raise ValueError(f"symbol {T.symbol.name} is not finite on "
+                         f"the {T.grid.points_per_axis}^{T.grid.n} grid")
+    return out
 
 
 def quantize(symbol: SymbolDescriptor, grid: GridSpec,
@@ -102,20 +106,21 @@ def apply(T: QuantizedOperator, f: SampledField) -> SampledField:
     check_grid(T, f.grid)
     if T.path == "separable":
         return SampledField(T.grid, synthesize(T, np.fft.fftn(f.values)))
-    fhat_flat = dft_forward(f).values.ravel()
-    vals = _dense_rows(T.symbol, T.grid, T.grid.points(), fhat_flat)
+    vals = _finite(T, _dense_rows, T, T.grid.points(), f)
     return SampledField(T.grid, vals.reshape(T.grid.shape))
 
 
-def _dense_rows(symbol: SymbolDescriptor, grid: GridSpec, xs: np.ndarray,
-                fhat_flat: np.ndarray) -> np.ndarray:
-    """The lattice sum at the points ``xs``, chunked over points, with
+def _dense_rows(T: QuantizedOperator, xs: np.ndarray, f: SampledField) -> np.ndarray:
+    """The lattice sum of T f at the points ``xs``, chunked over points, with
     K = sigma(x, xi) e^{2 pi i x.xi} over (point, frequency) per chunk.
 
     The phase factors over the axes, e^{2 pi i x.xi} = prod_a e^{2 pi i x_a k_a},
     so each chunk builds n tables of shape (chunk, N) and multiplies them out
-    in the lattice's row-major order.
+    in the lattice's row-major order.  A value of sigma that is not finite
+    makes the sum non-finite, so callers check the sum once by ``_finite``.
     """
+    grid = T.grid
+    fhat_flat = dft_forward(f).values.ravel()
     frs = grid.freqs()
     k = grid.axis_freqs()
     step = max(1, _CHUNK // max(1, frs.shape[0]))
@@ -126,7 +131,7 @@ def _dense_rows(symbol: SymbolDescriptor, grid: GridSpec, xs: np.ndarray,
         for a in range(1, grid.n):
             E = np.exp(2j * np.pi * np.multiply.outer(xc[:, a], k))
             K = (K[:, :, None] * E[:, None, :]).reshape(len(xc), -1)
-        K *= symbol.evaluator(xc[:, None, :], frs[None, :, :])
+        K *= T.symbol.evaluator(xc[:, None, :], frs[None, :, :])
         out[i:i + step] = K @ fhat_flat
     return out / grid.period ** grid.n
 
@@ -143,8 +148,7 @@ def apply_at(T: QuantizedOperator, f: SampledField, x) -> complex:
     rows = np.atleast_2d(x)
     if rows.shape[-1] != T.grid.n:
         raise ValueError(f"points have {rows.shape[-1]} axes, grid has {T.grid.n}")
-    fhat_flat = dft_forward(f).values.ravel()
-    vals = _dense_rows(T.symbol, T.grid, rows.reshape(-1, T.grid.n), fhat_flat)
+    vals = _finite(T, _dense_rows, T, rows.reshape(-1, T.grid.n), f)
     if single:
         return complex(vals[0])
     return vals.reshape(x.shape[:-1])
@@ -191,7 +195,7 @@ def kernel_slice(T: QuantizedOperator, x) -> SampledField:
     x = np.asarray(x, dtype=float)
     if x.shape != (grid.n,):
         raise ValueError(f"x must be one point of shape ({grid.n},), got {x.shape}")
-    table = np.asarray(T.symbol.evaluator(x[None, :], grid.freqs()), dtype=complex)
+    table = _finite(T, T.symbol.evaluator, x[None, :], grid.freqs())
     vals = np.fft.fftn(table.reshape(grid.shape)) / grid.period ** grid.n
     return SampledField(grid, vals)
 

@@ -202,22 +202,23 @@ def _axis_cos_modulation(freq: int, depth: float):
 
 
 def read_number(name: str, value, kind=float, finite: bool = True):
-    """An outside number (a config value, a builtin parameter, a flag or a
-    decomposition index) read as ``kind``: int, float or complex.
+    """An outside number (a config value, a builtin parameter, a flag, a
+    grid size or a decomposition index) read as ``kind``: int, float or complex.
 
-    A bool, a non-number, an integer beyond the float range, for int a
-    non-integral value and, when ``finite``, NaN or an infinity is a
-    ValueError that names the value as ``name``; nothing is coerced.
+    A bool, a non-number, for int a non-integral value, for float and
+    complex an integer beyond the float range and, when ``finite``, NaN, an
+    infinity or an integer beyond the float range is a ValueError that
+    names the value as ``name``; nothing is coerced.
     """
     abc = {int: numbers.Integral, float: numbers.Real, complex: numbers.Number}[kind]
     if not isinstance(value, bool) and isinstance(value, abc):
         try:
             out = kind(value)
-            z = complex(out)        # OverflowError beyond the float range
+            z = complex(out) if finite else 0j  # OverflowError beyond the float range
         except OverflowError:
             pass
         else:
-            if kind is int or not finite or cmath.isfinite(z):
+            if cmath.isfinite(z):
                 return out
     what = "an integer" if kind is int else "a finite number" if finite else "a number"
     raise ValueError(f"{name} must be {what}, got {value!r}")

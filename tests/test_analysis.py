@@ -507,7 +507,22 @@ def test_library_ranges_are_read_not_coerced():
            (lambda: ortho_experiment(sym, [1.5, 2.9], grid), "j_range"),
            (lambda: kernel_decay_experiment(sym, 3, [0.5, 1.5], [np.zeros(2)], grid),
             "ell_range"),
-           (lambda: sharpness_scan(0.5, [2.0], ["0.5"], [8, 16]), "m_grid")]
+           (lambda: sharpness_scan(0.5, [2.0], ["0.5"], [8, 16]), "m_grid"),
+           # repeated or decreasing ranges
+           (lambda: ortho_experiment(sym, [2, 1, 2], grid), "j_range"),
+           (lambda: ortho_experiment(sym, [2, 1], grid), "j_range"),
+           (lambda: kernel_decay_experiment(sym, 3, [1, 1], [np.zeros(2)], grid),
+            "ell_range"),
+           (lambda: kernel_decay_experiment(sym, 3, [2, 1], [np.zeros(2)], grid),
+            "ell_range"),
+           (lambda: sharpness_scan(0.5, [2.0], [0.0, 0.0, -0.5], [8, 16]), "m_grid"),
+           (lambda: sharpness_scan(0.5, [2.0], [0.5, 0.0], [8, 16]), "m_grid"),
+           # solver settings and grid arguments that are not numbers of their kind
+           (lambda: l2_opnorm(quantize(sym, grid), tol="x"), "tol"),
+           (lambda: l2_opnorm(quantize(sym, grid), max_iter=2.5), "max_iter"),
+           (lambda: make_grid(True, 1, 8, 1.0), "n1"),
+           (lambda: make_grid(1, 1, 8, True), "period"),
+           (lambda: make_grid(1, 1, 8, 10 ** 400), "period")]
     for call, key in bad:
         with pytest.raises(ValueError, match=key):
             call()
@@ -518,6 +533,21 @@ def test_library_ranges_are_read_not_coerced():
     tab = sharpness_scan(0.5, [2.0], (np.float64(0.0),), range(8, 24, 8))
     assert tab["ms"] == [0.0] and tab["n_values"] == [8, 16]
     assert all(type(v) is int for v in tab["n_values"])
+
+
+def test_kernel_decay_checks_every_cone_index_before_slicing(monkeypatch):
+    # ell = 5 exceeds ell_max = 4: refused before ell = 0 and 1 are sliced
+    calls = []
+    kernel_slice = bp.operators.kernel_slice
+    monkeypatch.setattr(bp.operators, "kernel_slice",
+                        lambda T, x: calls.append(x) or kernel_slice(T, x))
+    sym = builtin("multiplier_bessel", {"m": -1.0})
+    grid = make_grid(1, 1, 16, 1.0)
+    with pytest.raises(ValueError, match="exceeds ell_max"):
+        kernel_decay_experiment(sym, 3, [0, 1, 5], [np.zeros(2)], grid, ell_max=4)
+    assert calls == []
+    kernel_decay_experiment(sym, 3, [0, 1], [np.zeros(2)], grid, ell_max=4)
+    assert len(calls) == 2
 
 
 def test_bmo_ratios_match_a_literal_loop():

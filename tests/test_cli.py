@@ -423,18 +423,49 @@ def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, body,
     assert not out.exists()
 
 
-def test_overflowing_order_leaves_no_warning_on_stderr(tmp_path, capsys):
-    # the factor tables of the order-1000 symbol are not finite: that is a
-    # config error naming the key, and numpy's overflow stays silent
+_M1000 = 'symbol = "multiplier_bessel"\nparams = {"m": 1000}\n'
+
+
+@pytest.mark.parametrize("command,body,key,name", [
+    ("run", f'{_SHARP}p_list = [2.0]\nm_grid = [0.0, 1000.0]', "'m_grid'",
+     "exotic[m=1000,"),
+    ("run", f'experiment = "ortho"\n{_M1000}grid = [1, 1, 8, 1.0]\nj_range = [1, 2]',
+     "'params'", "bessel[1000]"),
+    ("run", f'experiment = "kernel_decay"\n{_M1000}grid = [1, 1, 16, 1.0]\nj = 2\n'
+            'ell_range = [0, 1, 2]', "'params'", "bessel[1000]"),
+    ("run", f'experiment = "l2_uniformity"\n{_M1000}factors = [1, 1]\nperiod = 1.0\n'
+            'N_list = [8, 16]', "'params'", "bessel[1000]"),
+    ("run", f'experiment = "bmo"\n{_M1000}factors = [1, 1]\nperiod = 1.0\n'
+            'N_list = [8, 16]', "'params'", "bessel[1000]"),
+    ("run", f'experiment = "commutator"\n{_M1000}grid = [1, 1, 16, 1.0]\n'
+            'cube_anchor = [4, 4]\ncube_side = 4\nrho = 0.5', "'params'", "bessel[1000]"),
+    ("apply", ["--path", "dense"], "--params", "bessel[1000]"),
+    ("apply", ["--path", "separable"], "--params", "bessel[1000]"),
+    ("kernel", [], "--params", "bessel[1000]"),
+], ids=["sharpness", "ortho", "kernel_decay", "l2_uniformity", "bmo", "commutator",
+        "apply-dense", "apply-separable", "kernel"])
+def test_overflowing_order_leaves_no_warning_on_stderr(tmp_path, capsys, command, body,
+                                                       key, name):
+    # the factor tables, dense sums or kernel slices of an order-1000 symbol
+    # are not finite: that is a config error naming the key, and numpy's
+    # overflow stays silent
     out = tmp_path / "out"
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f'{_SHARP}p_list = [2.0]\nm_grid = [0.0, 1000.0]\n'
-                   f'outdir = {json.dumps(str(out))}\n', encoding="utf-8")
+    if command == "run":
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{body}\noutdir = {json.dumps(str(out))}\n", encoding="utf-8")
+        argv = ["run", str(cfg)]
+    else:
+        grid = make_grid(1, 1, 8, 1.0)
+        src = tmp_path / "in.fld"
+        write_field(SampledField(grid, np.ones(grid.shape, dtype=complex)), str(src))
+        where = ["--in", str(src)] if command == "apply" else ["--x", "0.25,0.5"]
+        argv = [command, "--symbol", "multiplier_bessel", "--params", '{"m": 1000}',
+                "--grid", "1,1,8,1.0", *where, *body, "--out", str(out)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["run", str(cfg)]) == 2
+        assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "'m_grid'" in err and "exotic[m=1000," in err and "Warning" not in err
+    assert key in err and name in err and "Warning" not in err
     assert [str(w.message) for w in caught] == []
     assert not out.exists()
 

@@ -1,7 +1,8 @@
 """Every name a module imports is used: the package modules and the tests.
 Every private module-level name of the package is read inside the package,
 and no package module reads a private name another package module defines.
-No package module imports inside a function or class body.
+No package module imports inside a function or class body.  Every label
+of a ``cli._checked`` block names config keys or parser flags it declares.
 
 ``bipdo/__init__.py`` is left out of the import check, since it imports
 names to re-export them.
@@ -9,6 +10,9 @@ names to re-export them.
 
 import ast
 import pathlib
+import re
+
+from bipdo.cli import _KNOWN_KEYS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -127,3 +131,44 @@ def test_no_module_reads_another_modules_private_names():
         if name not in defined[p]
         for q in paths if q != p and name in defined[q])
     assert not foreign, foreign
+
+
+def checked_labels(tree):
+    """``(line, text)`` of each ``_checked(label)`` call, with the constant
+    parts of an f-string label joined."""
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_checked"):
+            label = node.args[0]
+            parts = label.values if isinstance(label, ast.JoinedStr) else [label]
+            out.append((node.lineno, "".join(p.value for p in parts
+                                             if isinstance(p, ast.Constant))))
+    return out
+
+
+def parser_flags(tree):
+    """Every ``--flag`` an ``add_argument`` call declares."""
+    return {a.value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"
+            for a in node.args
+            if isinstance(a, ast.Constant) and str(a.value).startswith("--")}
+
+
+def test_checked_labels_name_config_keys_or_flags():
+    # a label names what the user wrote: each quoted name a config key, each
+    # --name a flag, and at least one of them
+    path = ROOT / "src" / "bipdo" / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    flags = parser_flags(tree)
+    labels = checked_labels(tree)
+    assert labels and flags
+    bad = []
+    for line, text in labels:
+        keys = re.findall(r"'(\w+)'", text)
+        dashed = re.findall(r"--[\w-]+", text)
+        if (not keys and not dashed) or not set(keys) <= _KNOWN_KEYS \
+                or not set(dashed) <= flags:
+            bad.append(f"{path.relative_to(ROOT)}:{line}: {text!r}")
+    assert not bad, bad

@@ -350,16 +350,18 @@ def kernel_decay_experiment(sigma: SymbolDescriptor, j: int, ell_range,
     theoretical -n1/2; the first point is dropped from the fit as a
     transient, and so are values of exactly zero.  Fewer than two values
     left to fit give verdict "degenerate" and a NaN slope.  ``ell_range`` is
-    strictly increasing, and every cone index is checked before any slice.
+    strictly increasing, each x-sample is a row of n finite numbers, and
+    every cone index and sample is checked before any slice.
     """
     j = read_number("j", j, int)
     ells = read_numbers("ell_range", ell_range, int, increasing=True)
     if ell_max is None:
         ell_max = default_ell_max(grid.points_per_axis)
     idxs = [DecompositionIndex(j=j, ell=ell, ell_max=ell_max) for ell in ells]
-    xs = np.atleast_2d(np.asarray(x_samples, dtype=float))
-    if xs.shape[1] != grid.n or len(xs) == 0:
+    rows = np.atleast_2d(np.asarray(x_samples, dtype=object))
+    if rows.ndim != 2 or rows.shape[1] != grid.n or len(rows) == 0:
         raise ValueError(f"x_samples must be one or more rows of {grid.n} columns")
+    xs = np.array([read_numbers("x_samples", list(x)) for x in rows])
     # a slice at x transforms sum_k a_k(x) b_k over the cone piece's terms,
     # which keep sigma's a_k: samples with equal a-values share every slice,
     # bit for bit

@@ -116,7 +116,8 @@ class DecompositionIndex:
     annuli), ``ell`` the cone index, ``ell_max`` the cone truncation, and
     ``r`` the split scale of the high-frequency part.  Each derived kind
     takes exactly the fields it reads; ``j``, ``ell`` and ``ell_max`` are
-    integers, read by :func:`~bipdo.symbols.read_number`.
+    integers and ``r`` a finite number, read by
+    :func:`~bipdo.symbols.read_number`.
     """
 
     j: object = None
@@ -141,7 +142,7 @@ class DecompositionIndex:
                 raise ValueError("ell requires ell_max")
             if abs(self.ell) > self.ell_max:
                 raise ValueError(f"|ell| = {abs(self.ell)} exceeds ell_max = {self.ell_max}")
-        if self.r is not None and not (np.isfinite(self.r) and self.r > 0):
+        if self.r is not None and not read_number("r", self.r) > 0:
             raise ValueError(f"split scale must be positive, got {self.r}")
 
 

@@ -182,8 +182,9 @@ def dft_inverse(fhat: SampledField) -> SampledField:
 
 
 def lp_exponent(p) -> float:
-    """``p`` as a float L^p exponent: at least 1, or +inf."""
-    p = float(p)
+    """``p`` as a float L^p exponent, read by ``read_number``: at least 1,
+    or +inf."""
+    p = read_number("p", p, finite=False)
     if not p >= 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     return p

@@ -17,9 +17,12 @@ adjoint for the quadrature inner product <u, v> = sum u conj(v) (L/N)^n.  A
 product of operators can chain the halves on DFT coefficients and skip the
 ifft/fft pair between them.  The dense path, on request, is the oracle of the
 separable apply: it evaluates the lattice sum literally, with sigma summed
-from the same terms.  The dense apply and apply_at share one sweep, chunked
-over output points, which builds the phase e^{2 pi i x.xi} as a product of
-per-axis tables e^{2 pi i x_a k_a}.  The path chooses only how apply
+from the same terms, each b_k evaluated on the lattice once per sweep.  The
+dense apply and apply_at share one sweep over blocks of output points, which
+builds the phase e^{2 pi i x.xi} as a product of per-axis tables
+e^{2 pi i x_a k_a} and writes every block into the same few buffers of about
+``_CHUNK`` elements, so its working set does not grow with N (about 1.5 MiB
+at 32^2 and 64^2).  The path chooses only how apply
 evaluates T: adjoint_apply and the maps ``analysis.l2_opnorm`` iterates read
 the factor tables on either path, and ``multiplier_table`` reads them to spot
 a Fourier multiplier.  A kernel slice transforms sigma(x, .) on the lattice
@@ -37,8 +40,8 @@ import numpy as np
 from .grid import GridSpec, SampledField, dft_forward
 from .symbols import SymbolDescriptor, sum_terms
 
-# elements per evaluator chunk in dense sweeps
-_CHUNK = 1 << 22
+# elements per block buffer of the dense sweep (512 KiB as complex)
+_CHUNK = 1 << 15
 
 
 class QuantizedOperator:
@@ -48,7 +51,9 @@ class QuantizedOperator:
     evaluates T.  The factor tables a_k on the point grid and b_k on the
     frequency lattice, the operator's one cache, are built on first use and
     serve the separable apply, and the adjoint and the norm iteration on
-    either path.  The dense apply sums the terms afresh in every sweep.
+    either path.  The dense apply does not read them: every sweep evaluates
+    the terms afresh, each b_k once on the lattice and each a_k per block of
+    points.
     """
 
     def __init__(self, symbol: SymbolDescriptor, grid: GridSpec,
@@ -111,28 +116,63 @@ def apply(T: QuantizedOperator, f: SampledField) -> SampledField:
 
 
 def _dense_rows(T: QuantizedOperator, xs: np.ndarray, f: SampledField) -> np.ndarray:
-    """The lattice sum of T f at the points ``xs``, chunked over points, with
-    K = sigma(x, xi) e^{2 pi i x.xi} over (point, frequency) per chunk.
+    """The lattice sum of T f at the points ``xs``, swept over blocks of rows,
+    with K = sigma(x, xi) e^{2 pi i x.xi} over (point, frequency) per block.
 
-    The phase factors over the axes, e^{2 pi i x.xi} = prod_a e^{2 pi i x_a k_a},
-    so each chunk builds n tables of shape (chunk, N) and multiplies them out
-    in the lattice's row-major order.  A value of sigma that is not finite
-    makes the sum non-finite, so callers check the sum once by ``_finite``.
+    sigma is summed from the symbol's terms in their order: each b_k is
+    evaluated on the lattice once per sweep and each a_k at the block's
+    points.  The phase factors over the axes, e^{2 pi i x.xi} = prod_a
+    e^{2 pi i x_a k_a}, so each block builds n tables of shape (rows, N) and
+    multiplies them out in the lattice's row-major order.  Every block is
+    written into buffers allocated once per sweep, so the working set is a
+    few blocks of about ``_CHUNK`` elements at any N.  A value of sigma that
+    is not finite makes the sum non-finite, so callers check the sum once by
+    ``_finite``.
     """
     grid = T.grid
     fhat_flat = dft_forward(f).values.ravel()
     frs = grid.freqs()
     k = grid.axis_freqs()
-    step = max(1, _CHUNK // max(1, frs.shape[0]))
+    n, size = grid.n, frs.shape[0]
+    terms = [(a, np.asarray(b(frs))) for a, b in T.symbol.separable_terms]
+    rows = max(3, _CHUNK // size)
+    angles = np.empty((rows, len(k)))
+    tables = np.empty((n, rows, len(k)), dtype=complex)
+    # the phase is multiplied out axis by axis, alternating between two
+    # buffers from three axes on so that the last product lands in the first
+    phases = [np.empty(rows * size, dtype=complex),
+              np.empty(rows * size // len(k) if n > 2 else 0, dtype=complex)]
+    sigma = np.empty((rows, size), dtype=complex)
+    term = np.empty((rows, size) if len(terms) > 1 else 0, dtype=complex)
     out = np.empty(len(xs), dtype=complex)
-    for i in range(0, len(xs), step):
-        xc = xs[i:i + step]
-        K = np.exp(2j * np.pi * np.multiply.outer(xc[:, 0], k))
-        for a in range(1, grid.n):
-            E = np.exp(2j * np.pi * np.multiply.outer(xc[:, a], k))
-            K = (K[:, :, None] * E[:, None, :]).reshape(len(xc), -1)
-        K *= T.symbol.evaluator(xc[:, None, :], frs[None, :, :])
-        out[i:i + step] = K @ fhat_flat
+    # BLAS sums a lone row by another kernel than a row of a block, so a
+    # last block of one row takes a row from the block before it, which
+    # keeps two or more since rows >= 3
+    bounds = [*range(0, len(xs), rows), len(xs)]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        bounds[-2] -= 1
+    for i, j in zip(bounds, bounds[1:]):
+        xc, r = xs[i:j], j - i
+        for a in range(n):
+            np.multiply.outer(xc[:, a], k, out=angles[:r])
+            np.multiply(2j * np.pi, angles[:r], out=tables[a, :r])
+            np.exp(tables[a, :r], out=tables[a, :r])
+        K = tables[0, :r]
+        for a in range(1, n):
+            cols = K.shape[1] * len(k)
+            prod = phases[(n - 1 - a) % 2][:r * cols].reshape(r, -1, len(k))
+            np.multiply(K[:, :, None], tables[a, :r, None, :], out=prod)
+            K = prod.reshape(r, cols)
+        sig = sigma[:r]
+        if not terms:
+            sig.fill(0)
+        for t, (a_fn, b) in enumerate(terms):
+            dst = term[:r] if t else sig
+            np.multiply(np.asarray(a_fn(xc))[..., None], b, out=dst)
+            if t:
+                np.add(sig, dst, out=sig)
+        np.multiply(K, sig, out=K)
+        out[i:j] = K @ fhat_flat
     return out / grid.period ** grid.n
 
 

@@ -13,10 +13,10 @@ and the bi-parameter variant replaces (1+|xi|)^m by per-factor orders
 analytically, by construction, and every experiment report records them;
 class membership is not estimated numerically.
 
-A symbol is its separable terms sigma = sum_k a_k(x) b_k(xi).  The FFT path
-of the operators applies the terms, and ``make_symbol``, the one constructor,
-sets the evaluator to their sum, which the dense reference path reads.  A
-builtin or derived symbol is written as its terms only.
+A symbol is its separable terms sigma = sum_k a_k(x) b_k(xi).  Both paths of
+the operators apply the terms, and ``make_symbol``, the one constructor, sets
+the evaluator to their sum, which kernel slices read.  A builtin or derived
+symbol is written as its terms only.
 
 The class geometry lives here, below every module that reads it: the
 frequency norms (``sq_norm``, ``block_norms``) and the frozen cutoff profile
@@ -51,7 +51,7 @@ class SymbolDescriptor:
     evaluator : callable
         ``evaluator(x, xi) -> array``, the sum of the separable terms, set by
         :func:`make_symbol`; ``x`` and ``xi`` are broadcast-compatible arrays
-        whose last axis has length n1 + n2.  The dense path reads it.
+        whose last axis has length n1 + n2.  Kernel slices read it.
     n1, n2 : int
         Dimensions of the two frequency factors.
     order : float or tuple
@@ -108,7 +108,8 @@ def make_symbol(terms, n1: int, n2: int, order=0.0, rho: float = 0.0,
         raise ValueError("separable terms must be (a(x), b(xi)) pairs") from None
 
     def evaluator(x, xi):
-        # summed as computed, real or complex: a complex copy slows dense sweeps
+        # summed as computed, real or complex; a kernel slice makes the one
+        # complex copy it needs
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
         return sum_terms((np.asarray(a(x)) * np.asarray(b(xi)) for a, b in terms),

@@ -427,8 +427,18 @@ def test_kernel_decay_rejects_empty_or_misshapen_x_samples(monkeypatch):
         raise AssertionError("a piece was quantized")
 
     monkeypatch.setattr(bp.analysis, "quantize", no_quantize)
-    for xs in (np.empty((0, 2)), [], np.zeros((2, 3))):
+    for xs in (np.empty((0, 2)), [], np.zeros((2, 3)), np.zeros((1, 2, 2))):
         with pytest.raises(ValueError, match="x_samples must be one or more rows"):
+            kernel_decay_experiment(sym, 3, range(0, 3), xs, grid)
+
+
+def test_kernel_decay_reads_x_samples_not_coerced(monkeypatch):
+    # a string or a bool is not a coordinate: ["0", "0"] is not the origin
+    grid = make_grid(1, 1, 16, 1.0)
+    sym = builtin("multiplier_bessel", {"m": -0.5})
+    monkeypatch.setattr(bp.analysis, "quantize", None)
+    for xs in ([["0", "0"]], [[True, 0.0]], [[0.0, np.nan]], [[0.0, 0.0], [1.0]]):
+        with pytest.raises(ValueError, match="x_samples must be a finite number"):
             kernel_decay_experiment(sym, 3, range(0, 3), xs, grid)
 
 

@@ -260,6 +260,18 @@ def test_derived_symbol_rejects_mismatch():
             derived_symbol(sig, DecompositionIndex(**fields), kind)
 
 
+def test_split_scale_is_read_not_coerced():
+    # r is a positive finite number: a string, a bool, NaN or an infinity is
+    # a ValueError naming it, not a numpy TypeError or a scale of 1
+    for r in ("x", True, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^r must be a finite number"):
+            DecompositionIndex(r=r)
+    for r in (0, -0.5):
+        with pytest.raises(ValueError, match="split scale must be positive"):
+            DecompositionIndex(r=r)
+    assert DecompositionIndex(r=np.float64(0.25)).r == 0.25
+
+
 def test_derived_symbol_takes_no_mollifier():
     # the commutator symbol is theta_symbol's; no derived kind reads a mollifier
     lam = mollifier_lambda(make_grid(1, 1, 16, 1.0), DyadicCube((4, 4), 4), 0.5)

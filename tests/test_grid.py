@@ -228,6 +228,18 @@ def test_lp_rejects_p_below_one():
         lp_norm(f, 0.5)
 
 
+def test_lp_exponent_is_read_not_coerced():
+    # a string or a bool is not an exponent; an infinite one is the sup norm
+    g = make_grid(1, 1, 8, 1.0)
+    f = rand_field(g, 0)
+    for p in ("2", True, np.bool_(True), float("nan"), -np.inf, 10 ** 400):
+        with pytest.raises(ValueError, match="^p must be"):
+            lp_norm(f, p)
+    top = np.abs(f.values).max()
+    assert lp_norm(f, float("inf")) == lp_norm(f, np.inf) == top
+    assert lp_norm(f, 2) == lp_norm(f, np.float64(2.0)) == lp_norm(f, np.int64(2))
+
+
 def test_linf_is_max_abs():
     g = make_grid(1, 1, 8, 1.0)
     f = rand_field(g, 3)

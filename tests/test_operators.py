@@ -4,6 +4,8 @@ The reference oracle is a literal quadrature double sum written here with
 no FFTs, evaluated on grids small enough to brute-force.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,8 +39,9 @@ def literal_apply(symbol, grid, f):
 
 
 def test_apply_matches_literal_sum(monkeypatch):
-    # a three-axis grid checks the axis order of the factored dense phase; a
-    # small chunk runs the dense sweep over several chunks, the last one ragged
+    # a three-axis grid checks the axis order of the factored dense phase and
+    # its alternating buffers; a small block runs the dense sweep over several
+    # blocks of 5 rows, the last one ragged
     exotic = {"m": 0.0, "rho": 0.5}
     cases = [(make_grid(1, 1, 6, 1.0),
               (rand_separable(1), builtin("oscillatory_exotic", exotic))),
@@ -62,6 +65,43 @@ def test_apply_matches_literal_sum(monkeypatch):
                     got = apply_at(T, f, xs)
                     err = np.abs(got - want_at).max() / np.abs(want_at).max()
                     assert err <= 1e-12, (grid.n, sym.name, chunk, "at", err)
+
+
+def test_dense_sweep_keeps_its_bits_at_any_block(monkeypatch):
+    # each row's sum does not depend on the rows it is swept with, and
+    # apply_at at the grid points is apply
+    grid = make_grid(1, 1, 16, 1.0)
+    f = rand_field(grid, 3)
+    xs = np.random.default_rng(2).uniform(-1.0, 2.0, (13, 2))
+    sep = {"terms": [{"amp": 1.0, "xfreq": [1, -1], "phase": 0.4},
+                     {"amp": 0.5, "xfreq": [0, 2], "orders": [-0.5, 0.25]}]}
+    for sym in (builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5}),
+                builtin("separable", sep)):
+        T = quantize(sym, grid, path="dense")
+        outs = []
+        for chunk in (bp.operators._CHUNK, 5 * grid.size):
+            monkeypatch.setattr(bp.operators, "_CHUNK", chunk)
+            outs.append((apply(T, f).values, apply_at(T, f, xs),
+                         apply_at(T, f, grid.points())))
+        (a0, at0, pts0), (a5, at5, pts5) = outs
+        assert np.array_equal(a0, a5) and np.array_equal(at0, at5), sym.name
+        assert np.array_equal(pts0, a0.ravel()) and np.array_equal(pts5, a5.ravel())
+
+
+def test_dense_apply_working_set_does_not_grow_with_the_grid():
+    # the sweep writes each block into buffers of about _CHUNK elements; at
+    # 64^2 the (point, frequency) product alone would be 256 MiB
+    grid = make_grid(1, 1, 64, 1.0)
+    f = rand_field(grid, 4)
+    T = quantize(builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5}), grid,
+                 path="dense")
+    tracemalloc.start()
+    try:
+        apply(T, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
 
 
 def test_identity_symbol():
@@ -147,14 +187,17 @@ _DERIVATIONS = {
                              {"amp": 0.5, "xfreq": [0, 2]}]}),
 ], ids=["exotic", "separable"])
 def test_derived_terms_match_derived_evaluator(name, params, how):
-    # the dense path sums the derived evaluator, the separable path its terms
+    # the literal sum reads the derived evaluator; both paths sum its terms,
+    # the dense one literally and the separable one by FFTs
     grid = make_grid(1, 1, 16, 1.0)
     sym = _DERIVATIONS[how](builtin(name, params), grid)
     assert sym.separable_terms
     f = rand_field(grid, 9)
-    d = apply(quantize(sym, grid, path="dense"), f).values
-    s = apply(quantize(sym, grid, path="separable"), f).values
-    assert np.abs(d - s).max() <= 1e-10 * max(1.0, np.abs(d).max())
+    want = literal_apply(sym, grid, f).values
+    scale = max(1.0, np.abs(want).max())
+    for path in ("dense", "separable"):
+        got = apply(quantize(sym, grid, path=path), f).values
+        assert np.abs(got - want).max() <= 1e-10 * scale, path
 
 
 def test_linearity():

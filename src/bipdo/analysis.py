@@ -222,7 +222,7 @@ def l2_opnorm(T, tol: float = TOL, max_iter: int = MAX_ITER) -> OpNormEstimate:
         return OpNormEstimate(float(np.max(np.abs(A.multiplier))), 0, True, 0.0)
     rng = np.random.default_rng(OPNORM_SEED)
     v = rng.standard_normal(A.grid.shape) + 1j * rng.standard_normal(A.grid.shape)
-    v = np.fft.fftn(v)
+    np.fft.fftn(v, out=v)
     v /= np.linalg.norm(v)
     v_prev = np.zeros_like(v)
     alphas, betas = [], []
@@ -569,7 +569,7 @@ def band_limited_battery(grid: GridSpec, kmax: int, count: int = BATTERY_COUNT,
     while len(fields) < count:
         spec = (rng.standard_normal(grid.shape)
                 + 1j * rng.standard_normal(grid.shape)) * mask
-        fields.append(normalize(np.fft.ifftn(spec)))
+        fields.append(normalize(np.fft.ifftn(spec, out=spec)))
     return fields
 
 
@@ -625,7 +625,7 @@ def adversarial_battery(grid: GridSpec, rho: float, seed: int = SEED) -> list:
     phase = bracket(r1 ** 2, a) + bracket(r2 ** 2, a)
     for sgn in (-1.0, 1.0):
         spec = (env * np.exp(1j * sgn * phase)).reshape(grid.shape)
-        fields.append(SampledField(grid, np.fft.ifftn(spec)))
+        fields.append(SampledField(grid, np.fft.ifftn(spec, out=spec)))
 
     for _ in range(2):
         vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)

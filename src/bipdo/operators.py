@@ -26,7 +26,15 @@ at 32^2 and 64^2).  The path chooses only how apply
 evaluates T: adjoint_apply and the maps ``analysis.l2_opnorm`` iterates read
 the factor tables on either path, and ``multiplier_table`` reads them to spot
 a Fourier multiplier.  A kernel slice transforms sigma(x, .) on the lattice
-on either path.
+on either path: sigma is evaluated in blocks of ``_CHUNK`` lattice rows into
+one complex table, which is transformed and scaled in place, so a 512^2
+slice holds one 4 MiB table and one block of temporaries.
+
+Every FFT here writes into an array its own function allocated (``out=``),
+never into a caller's array such as ``f.values`` or a battery's ``fhat``:
+synthesize and analyze transform the product they have just formed and
+multiply their factor into the same buffer.  An in-place transform has the
+bits of the out-of-place one.
 
 ``apply_at`` evaluates the same lattice sum at arbitrary (off-grid) points,
 which makes the dilation conjugation identity exact: with s = 2^(j rho),
@@ -40,7 +48,8 @@ import numpy as np
 from .grid import GridSpec, SampledField, dft_forward
 from .symbols import SymbolDescriptor, sum_terms
 
-# elements per block buffer of the dense sweep (512 KiB as complex)
+# elements per block buffer of the dense sweep (512 KiB as complex), and
+# lattice rows per block of a kernel slice's symbol evaluation
 _CHUNK = 1 << 15
 
 
@@ -129,6 +138,10 @@ def _dense_rows(T: QuantizedOperator, xs: np.ndarray, f: SampledField) -> np.nda
     is not finite makes the sum non-finite, so callers check the sum once by
     ``_finite``.
     """
+    if len(xs) == 1:
+        # a lone row would take BLAS's one-row kernel (see the bounds below),
+        # so the point is swept twice, as a block of two rows
+        return _dense_rows(T, np.concatenate([xs, xs]), f)[:1]
     grid = T.grid
     fhat_flat = dft_forward(f).values.ravel()
     frs = grid.freqs()
@@ -202,21 +215,30 @@ def adjoint_apply(T: QuantizedOperator, g: SampledField) -> SampledField:
     tables: K + 1 FFTs for K terms.
     """
     check_grid(T, g.grid)
-    return SampledField(T.grid, np.fft.ifftn(analyze(T, g.values)))
+    vals = analyze(T, g.values)
+    return SampledField(T.grid, np.fft.ifftn(vals, out=vals))
 
 
 def synthesize(T: QuantizedOperator, fhat: np.ndarray) -> np.ndarray:
     """T ifft(fhat) = sum_k a_k ifft(b_k fhat) on the point grid, from the DFT
     coefficients ``fhat`` (FFT layout) of the field T is applied to."""
-    return sum_terms((av * np.fft.ifftn(bv * fhat)
-                      for av, bv in T._separable_factors()), T.grid.shape)
+    def term(av, bv):
+        buf = bv * fhat
+        np.fft.ifftn(buf, out=buf)
+        return np.multiply(av, buf, out=buf)
+    return sum_terms((term(av, bv) for av, bv in T._separable_factors()),
+                     T.grid.shape)
 
 
 def analyze(T: QuantizedOperator, g: np.ndarray) -> np.ndarray:
     """fft(T* g) = sum_k conj(b_k) fft(conj(a_k) g): the DFT coefficients of
     the adjoint applied to the point values ``g``."""
-    return sum_terms((np.conj(bv) * np.fft.fftn(np.conj(av) * g)
-                      for av, bv in T._separable_factors()), T.grid.shape)
+    def term(av, bv):
+        buf = np.conj(av) * g
+        np.fft.fftn(buf, out=buf)
+        return np.multiply(np.conj(bv), buf, out=buf)
+    return sum_terms((term(av, bv) for av, bv in T._separable_factors()),
+                     T.grid.shape)
 
 
 def multiplier_table(T: QuantizedOperator):
@@ -230,13 +252,25 @@ def multiplier_table(T: QuantizedOperator):
 
 def kernel_slice(T: QuantizedOperator, x) -> SampledField:
     """The x-slice of the kernel: y -> sum_xi sigma(x, xi) e^{-2 pi i y.xi} / L^n,
-    the fftn of sigma(x, .) on the lattice over L^n, on either path."""
+    the fftn of sigma(x, .) on the lattice over L^n, on either path.
+
+    sigma(x, .) is evaluated in blocks of ``_CHUNK`` lattice rows, each
+    checked by ``_finite`` and written into one complex table that the slice
+    allocates; the table is transformed in place and divided by L^n in place.
+    The values equal the out-of-place fftn of the whole table bit for bit,
+    at any block size."""
     grid = T.grid
     x = np.asarray(x, dtype=float)
     if x.shape != (grid.n,):
         raise ValueError(f"x must be one point of shape ({grid.n},), got {x.shape}")
-    table = _finite(T, T.symbol.evaluator, x[None, :], grid.freqs())
-    vals = np.fft.fftn(table.reshape(grid.shape)) / grid.period ** grid.n
+    frs = grid.freqs()
+    vals = np.empty(grid.shape, dtype=complex)
+    flat = vals.reshape(-1)
+    for i in range(0, len(frs), _CHUNK):
+        flat[i:i + _CHUNK] = _finite(T, T.symbol.evaluator, x[None, :],
+                                     frs[i:i + _CHUNK])
+    np.fft.fftn(vals, out=vals)
+    vals /= grid.period ** grid.n
     return SampledField(grid, vals)
 
 

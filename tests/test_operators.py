@@ -282,6 +282,18 @@ def test_apply_at_consistent_on_lattice():
         assert abs(got - out[idx]) <= 1e-12 * abs(out[idx])
 
 
+def test_apply_at_of_one_point_is_its_row_in_a_stack():
+    # a lone point is swept as a block of two rows, so BLAS sums it with the
+    # kernel that sums every row of a block
+    grid = make_grid(1, 1, 32, 1.0)
+    T = quantize(builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5}), grid)
+    f = rand_field(grid, 15)
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        x, y = rng.uniform(0.0, 1.0, (2, 2))
+        assert apply_at(T, f, x) == apply_at(T, f, [x, y])[0], x
+
+
 def test_apply_at_single_mode_closed_form():
     grid = make_grid(1, 1, 8, 1.0)
     pts = grid.points().reshape(8, 8, 2)
@@ -443,6 +455,81 @@ def test_kernel_l1_homogeneous():
     base = kernel_l1(quantize(sym, grid), np.zeros(2))
     assert kernel_l1(quantize(scaled, grid), np.zeros(2)) == pytest.approx(
         3.0 * base, rel=1e-12)
+
+
+def test_kernel_slice_keeps_its_bits_at_any_block(monkeypatch):
+    # sigma(x, .) is evaluated in blocks of _CHUNK lattice rows and the table
+    # transformed in place; at the default block and at 7-row blocks (the last
+    # one ragged) the slice is the out-of-place transform of the whole table
+    sep = {"terms": [{"amp": 1.0, "xfreq": [1, -1, 2], "phase": 0.4,
+                      "orders": [-0.5, 0.25]},
+                     {"amp": 0.5, "xfreq": [0, 2, 1]}]}
+    for grid in (make_grid(1, 1, 12, 1.0), make_grid(2, 1, 6, 1.5)):
+        n1, n = grid.n1, grid.n
+        exotic = builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5, "xmod": 0.75},
+                         n1=n1, n2=1)
+        syms = (builtin("multiplier_bessel", {"m": -0.5}, n1=n1, n2=1), exotic,
+                derived_symbol(exotic, DecompositionIndex(j=1, ell=1, ell_max=3),
+                               "cone_lj"),
+                builtin("separable", {"terms": [{**t, "xfreq": t["xfreq"][:n]}
+                                                for t in sep["terms"]]}, n1=n1, n2=1))
+        assert grid.size % 7
+        for sym in syms:
+            T = quantize(sym, grid)
+            for x in (np.zeros(n), np.linspace(0.3, 1.1, n)):
+                table = np.asarray(sym.evaluator(x[None, :], grid.freqs()), dtype=complex)
+                want = np.fft.fftn(table.reshape(grid.shape)) / grid.period ** n
+                for chunk in (bp.operators._CHUNK, 7):
+                    monkeypatch.setattr(bp.operators, "_CHUNK", chunk)
+                    got = kernel_slice(T, x).values
+                    assert np.array_equal(got, want), (n, sym.name, chunk, x)
+
+
+def test_kernel_slice_working_set_stays_below_the_lattice_table():
+    # a 512^2 slice holds its 4 MiB complex table and one block of the
+    # evaluator's temporaries; the out-of-place transform and scaling held
+    # three such tables (23 MiB for a five-slice experiment).  The grid's
+    # frequency cache is built before tracing.
+    grid = make_grid(1, 1, 512, 1.0)
+    grid.freqs()
+    piece = derived_symbol(builtin("multiplier_bessel", {"m": -0.5}),
+                           DecompositionIndex(j=5, ell=2, ell_max=6), "cone_lj")
+    T = quantize(piece, grid)
+    tracemalloc.start()
+    try:
+        kernel_l1(T, np.zeros(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << 20, peak
+
+
+def test_transforms_leave_their_inputs_unchanged():
+    # the halves and the kernel slice transform only arrays they allocate:
+    # the battery maximum reuses one fhat for every operator on a grid, so a
+    # transform into it (or into a factor table) would corrupt every later
+    # image without an error
+    grid = make_grid(1, 1, 16, 1.0)
+    f, g = rand_field(grid, 21), rand_field(grid, 22)
+    fhat = np.fft.fftn(f.values)
+    x = np.array([0.3, 0.71])
+    for sym in (builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5}),
+                rand_separable(23)):
+        T = quantize(sym, grid)
+        tables = [(a.copy(), b.copy()) for a, b in T._separable_factors()]
+        inputs = [fhat.copy(), g.values.copy(), f.values.copy(), x.copy()]
+        calls = (lambda: bp.operators.synthesize(T, fhat),
+                 lambda: bp.operators.analyze(T, g.values),
+                 lambda: apply(T, f).values, lambda: adjoint_apply(T, g).values,
+                 lambda: kernel_slice(T, x).values)
+        for call in calls:
+            first, second = call(), call()
+            assert np.array_equal(first, second), sym.name
+            assert not any(np.shares_memory(first, v) for v in (fhat, g.values, f.values))
+        for have, kept in zip((fhat, g.values, f.values, x), inputs):
+            assert np.array_equal(have, kept), sym.name
+        for (a, b), (a0, b0) in zip(T._separable_factors(), tables):
+            assert np.array_equal(a, a0) and np.array_equal(b, b0), sym.name
 
 
 # ---------------------------------------------------------------------------

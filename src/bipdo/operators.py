@@ -16,13 +16,12 @@ so that T f = synthesize(T, fft(f)) and T* g = ifft(analyze(T, g)), the
 adjoint for the quadrature inner product <u, v> = sum u conj(v) (L/N)^n.  A
 product of operators can chain the halves on DFT coefficients and skip the
 ifft/fft pair between them.  The dense path, on request, is the oracle of the
-separable apply: it evaluates the lattice sum literally, with sigma summed
-from the same terms, each b_k evaluated on the lattice once per sweep.  The
-dense apply and apply_at share one sweep over blocks of output points, which
-builds the phase e^{2 pi i x.xi} as a product of per-axis tables
-e^{2 pi i x_a k_a} and writes every block into the same few buffers of about
-``_CHUNK`` elements, so its working set does not grow with N (about 1.5 MiB
-at 32^2 and 64^2).  The path chooses only how apply
+separable apply: the direct sum (no inverse FFT) of the same lattice sum,
+sum_k a_k(x) sum_xi b_k(xi) fhat(xi) e^{2 pi i x.xi}, which the dense apply
+and apply_at sweep over blocks of output points one axis at a time, so their
+working set does not grow with N (0.5 MiB at 32^2, 0.6 MiB at 64^2).  The
+literal sum of sigma from the evaluator is ``literal_sum`` in
+``tests/test_operators.py``.  The path chooses only how apply
 evaluates T: adjoint_apply and the maps ``analysis.l2_opnorm`` iterates read
 the factor tables on either path, and ``multiplier_table`` reads them to spot
 a Fourier multiplier.  A kernel slice transforms sigma(x, .) on the lattice
@@ -46,10 +45,10 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GridSpec, SampledField, dft_forward
-from .symbols import SymbolDescriptor, sum_terms
+from .symbols import SymbolDescriptor, read_number, sum_terms
 
-# elements per block buffer of the dense sweep (512 KiB as complex), and
-# lattice rows per block of a kernel slice's symbol evaluation
+# lattice rows per block of a kernel slice's symbol evaluation, and four
+# times the elements of a block of the dense sweep's per-axis sums
 _CHUNK = 1 << 15
 
 
@@ -62,7 +61,7 @@ class QuantizedOperator:
     serve the separable apply, and the adjoint and the norm iteration on
     either path.  The dense apply does not read them: every sweep evaluates
     the terms afresh, each b_k once on the lattice and each a_k per block of
-    points.
+    points, and sums them directly.
     """
 
     def __init__(self, symbol: SymbolDescriptor, grid: GridSpec,
@@ -125,86 +124,76 @@ def apply(T: QuantizedOperator, f: SampledField) -> SampledField:
 
 
 def _dense_rows(T: QuantizedOperator, xs: np.ndarray, f: SampledField) -> np.ndarray:
-    """The lattice sum of T f at the points ``xs``, swept over blocks of rows,
-    with K = sigma(x, xi) e^{2 pi i x.xi} over (point, frequency) per block.
+    """The lattice sum of T f at the points ``xs``, summed directly (no
+    inverse FFT), one axis at a time, over blocks of rows.
 
-    sigma is summed from the symbol's terms in their order: each b_k is
-    evaluated on the lattice once per sweep and each a_k at the block's
-    points.  The phase factors over the axes, e^{2 pi i x.xi} = prod_a
-    e^{2 pi i x_a k_a}, so each block builds n tables of shape (rows, N) and
-    multiplies them out in the lattice's row-major order.  Every block is
-    written into buffers allocated once per sweep, so the working set is a
-    few blocks of about ``_CHUNK`` elements at any N.  A value of sigma that
-    is not finite makes the sum non-finite, so callers check the sum once by
-    ``_finite``.
+    sigma's terms are summed in their order: v_k = b_k fhat is formed on the
+    lattice once per sweep, and each block contracts it with the per-axis
+    phases E_a = e^{2 pi i x_a k_a}, last axis first, then multiplies by a_k
+    at the block's points.  The contractions are ``np.einsum`` calls, which
+    call no BLAS, so each row's sum has the same bits in any block, a lone
+    row included.  A block holds about ``_CHUNK`` / 4 elements, so the working
+    set does not grow with the rows.  A value of sigma that is not finite
+    makes the sum non-finite, so callers check the sum once by ``_finite``.
     """
-    if len(xs) == 1:
-        # a lone row would take BLAS's one-row kernel (see the bounds below),
-        # so the point is swept twice, as a block of two rows
-        return _dense_rows(T, np.concatenate([xs, xs]), f)[:1]
     grid = T.grid
-    fhat_flat = dft_forward(f).values.ravel()
-    frs = grid.freqs()
+    fhat = dft_forward(f).values
     k = grid.axis_freqs()
-    n, size = grid.n, frs.shape[0]
-    terms = [(a, np.asarray(b(frs))) for a, b in T.symbol.separable_terms]
-    rows = max(3, _CHUNK // size)
-    angles = np.empty((rows, len(k)))
-    tables = np.empty((n, rows, len(k)), dtype=complex)
-    # the phase is multiplied out axis by axis, alternating between two
-    # buffers from three axes on so that the last product lands in the first
-    phases = [np.empty(rows * size, dtype=complex),
-              np.empty(rows * size // len(k) if n > 2 else 0, dtype=complex)]
-    sigma = np.empty((rows, size), dtype=complex)
-    term = np.empty((rows, size) if len(terms) > 1 else 0, dtype=complex)
+    n, N = grid.n, grid.points_per_axis
+    terms = [(a, np.reshape(b(grid.freqs()), grid.shape) * fhat)
+             for a, b in T.symbol.separable_terms]
+    rows = max(1, _CHUNK // (4 * max(n * N, N ** (n - 1))))
     out = np.empty(len(xs), dtype=complex)
-    # BLAS sums a lone row by another kernel than a row of a block, so a
-    # last block of one row takes a row from the block before it, which
-    # keeps two or more since rows >= 3
-    bounds = [*range(0, len(xs), rows), len(xs)]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        bounds[-2] -= 1
-    for i, j in zip(bounds, bounds[1:]):
-        xc, r = xs[i:j], j - i
-        for a in range(n):
-            np.multiply.outer(xc[:, a], k, out=angles[:r])
-            np.multiply(2j * np.pi, angles[:r], out=tables[a, :r])
-            np.exp(tables[a, :r], out=tables[a, :r])
-        K = tables[0, :r]
-        for a in range(1, n):
-            cols = K.shape[1] * len(k)
-            prod = phases[(n - 1 - a) % 2][:r * cols].reshape(r, -1, len(k))
-            np.multiply(K[:, :, None], tables[a, :r, None, :], out=prod)
-            K = prod.reshape(r, cols)
-        sig = sigma[:r]
-        if not terms:
-            sig.fill(0)
-        for t, (a_fn, b) in enumerate(terms):
-            dst = term[:r] if t else sig
-            np.multiply(np.asarray(a_fn(xc))[..., None], b, out=dst)
-            if t:
-                np.add(sig, dst, out=sig)
-        np.multiply(K, sig, out=K)
-        out[i:j] = K @ fhat_flat
+    for i in range(0, len(xs), rows):
+        xc = xs[i:i + rows]
+        E = np.exp(2j * np.pi * (xc[:, :, None] * k))
+        sums = []
+        for a_fn, v in terms:
+            t = np.einsum("...j,rj->r...", v, E[:, -1])
+            for a in range(n - 2, -1, -1):
+                t = np.einsum("r...j,rj->r...", t, E[:, a])
+            sums.append(np.asarray(a_fn(xc)) * t)
+        out[i:i + rows] = sum_terms(sums, len(xc))
     return out / grid.period ** grid.n
+
+
+def _read_points(name: str, x) -> np.ndarray:
+    """``x`` as a float array, read before anything is evaluated: a
+    coordinate that ``read_number`` rejects (a bool, not a real number, not
+    finite) is a ValueError naming its point.  An int or float array is read
+    whole, the rest one coordinate at a time, since asarray reads True among
+    floats as 1."""
+    whole = isinstance(x, np.ndarray) and x.dtype.kind in "iuf"
+    src = x if whole else np.asarray(x, dtype=object)
+    pts = np.asarray(src if whole else np.frompyfunc(_coordinate, 1, 1)(src), dtype=float)
+    ok = np.isfinite(np.atleast_1d(pts)).all(axis=-1)
+    if not ok.all():
+        point = np.atleast_1d(src)[np.unravel_index(np.argmin(ok), ok.shape)]
+        raise ValueError(f"{name} must have finite real coordinates, got {point.tolist()!r}")
+    return pts
+
+
+def _coordinate(v) -> float:
+    """v read by ``read_number``, or NaN where it would be a ValueError."""
+    try:
+        return read_number("x", v)
+    except ValueError:
+        return np.nan
 
 
 def apply_at(T: QuantizedOperator, f: SampledField, x) -> complex:
     """Evaluate T f at arbitrary points (same lattice quadrature as apply).
 
-    ``x`` is one point of shape (n,) or a stack (..., n); returns a complex
-    scalar or the matching array.
+    ``x`` is one point of shape (n,) or a stack (..., n) of finite real
+    coordinates; returns a complex scalar or the matching array.
     """
     check_grid(T, f.grid)
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
+    x = _read_points("points", x)
     rows = np.atleast_2d(x)
     if rows.shape[-1] != T.grid.n:
         raise ValueError(f"points have {rows.shape[-1]} axes, grid has {T.grid.n}")
-    vals = _finite(T, _dense_rows, T, rows.reshape(-1, T.grid.n), f)
-    if single:
-        return complex(vals[0])
-    return vals.reshape(x.shape[:-1])
+    vals = _finite(T, _dense_rows, T, rows.reshape(-1, T.grid.n), f).reshape(x.shape[:-1])
+    return complex(vals) if x.ndim == 1 else vals
 
 
 def adjoint_apply(T: QuantizedOperator, g: SampledField) -> SampledField:
@@ -260,7 +249,7 @@ def kernel_slice(T: QuantizedOperator, x) -> SampledField:
     The values equal the out-of-place fftn of the whole table bit for bit,
     at any block size."""
     grid = T.grid
-    x = np.asarray(x, dtype=float)
+    x = _read_points("x", x)
     if x.shape != (grid.n,):
         raise ValueError(f"x must be one point of shape ({grid.n},), got {x.shape}")
     frs = grid.freqs()

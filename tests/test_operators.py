@@ -39,15 +39,19 @@ def literal_apply(symbol, grid, f):
 
 
 def test_apply_matches_literal_sum(monkeypatch):
-    # a three-axis grid checks the axis order of the factored dense phase and
-    # its alternating buffers; a small block runs the dense sweep over several
-    # blocks of 5 rows, the last one ragged
+    # three- and four-axis grids check the axis order of the dense sweep's
+    # per-axis sums, the earlier axes contracted once and twice after the
+    # last; a small block runs the sweep over several blocks, the last one
+    # ragged
     exotic = {"m": 0.0, "rho": 0.5}
     cases = [(make_grid(1, 1, 6, 1.0),
               (rand_separable(1), builtin("oscillatory_exotic", exotic))),
              (make_grid(2, 1, 4, 1.5),
               (rand_separable(1, n1=2),
-               builtin("oscillatory_exotic", exotic, n1=2, n2=1)))]
+               builtin("oscillatory_exotic", exotic, n1=2, n2=1))),
+             (make_grid(2, 2, 4, 1.0),
+              (rand_separable(1, n1=2, n2=2),
+               builtin("oscillatory_exotic", exotic, n1=2, n2=2)))]
     for grid, syms in cases:
         f = rand_field(grid, 0)
         xs = np.random.default_rng(1).uniform(0.0, grid.period, (7, grid.n))
@@ -68,29 +72,32 @@ def test_apply_matches_literal_sum(monkeypatch):
 
 
 def test_dense_sweep_keeps_its_bits_at_any_block(monkeypatch):
-    # each row's sum does not depend on the rows it is swept with, and
-    # apply_at at the grid points is apply
-    grid = make_grid(1, 1, 16, 1.0)
-    f = rand_field(grid, 3)
-    xs = np.random.default_rng(2).uniform(-1.0, 2.0, (13, 2))
-    sep = {"terms": [{"amp": 1.0, "xfreq": [1, -1], "phase": 0.4},
-                     {"amp": 0.5, "xfreq": [0, 2], "orders": [-0.5, 0.25]}]}
-    for sym in (builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5}),
-                builtin("separable", sep)):
-        T = quantize(sym, grid, path="dense")
-        outs = []
-        for chunk in (bp.operators._CHUNK, 5 * grid.size):
-            monkeypatch.setattr(bp.operators, "_CHUNK", chunk)
-            outs.append((apply(T, f).values, apply_at(T, f, xs),
-                         apply_at(T, f, grid.points())))
-        (a0, at0, pts0), (a5, at5, pts5) = outs
-        assert np.array_equal(a0, a5) and np.array_equal(at0, at5), sym.name
-        assert np.array_equal(pts0, a0.ravel()) and np.array_equal(pts5, a5.ravel())
+    # each row's sum does not depend on the rows it is swept with, one-row
+    # blocks included (a _CHUNK of 1), and apply_at at the grid points is apply
+    exotic = {"m": 0.0, "rho": 0.5}
+    sep = {"terms": [{"amp": 1.0, "xfreq": [1, -1, 0], "phase": 0.4},
+                     {"amp": 0.5, "xfreq": [0, 2, 1], "orders": [-0.5, 0.25]}]}
+    for grid in (make_grid(1, 1, 16, 1.0), make_grid(2, 1, 6, 1.0)):
+        f = rand_field(grid, 3)
+        xs = np.random.default_rng(2).uniform(-1.0, 2.0, (13, grid.n))
+        sep_n = {"terms": [{**t, "xfreq": t["xfreq"][:grid.n]} for t in sep["terms"]]}
+        for sym in (builtin("oscillatory_exotic", exotic, n1=grid.n1),
+                    builtin("separable", sep_n, n1=grid.n1)):
+            T = quantize(sym, grid, path="dense")
+            outs = []
+            for chunk in (bp.operators._CHUNK, 5 * grid.size, 1):
+                monkeypatch.setattr(bp.operators, "_CHUNK", chunk)
+                outs.append((apply(T, f).values, apply_at(T, f, xs),
+                             apply_at(T, f, grid.points())))
+            a0, at0, pts0 = outs[0]
+            for a, at, pts in outs:
+                assert np.array_equal(a, a0) and np.array_equal(at, at0), sym.name
+                assert np.array_equal(pts, a.ravel()), sym.name
 
 
 def test_dense_apply_working_set_does_not_grow_with_the_grid():
-    # the sweep writes each block into buffers of about _CHUNK elements; at
-    # 64^2 the (point, frequency) product alone would be 256 MiB
+    # the sweep holds one block of rows of about _CHUNK / 4 elements at a
+    # time; at 64^2 the (point, frequency) product alone would be 256 MiB
     grid = make_grid(1, 1, 64, 1.0)
     f = rand_field(grid, 4)
     T = quantize(builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5}), grid,
@@ -252,6 +259,29 @@ def test_mismatched_axes_and_grids_are_rejected(call, message):
         call(make_grid(1, 1, 8, 1.0))
 
 
+@pytest.mark.parametrize("x,shown", [
+    (["0.1", "0.2"], "['0.1', '0.2']"),
+    ([True, False], "[True, False]"),
+    ([0.5, True], "[0.5, True]"),
+    ([float("nan"), 0.0], "[nan, 0.0]"),
+    (np.array([[0.1, 0.2], [0.3, np.inf]]), "[0.3, inf]"),
+    ([[0.1, 0.2], [0.3, None]], "[0.3, None]"),
+], ids=["strings", "bools", "a-bool", "nan", "inf-in-stack", "none-in-stack"])
+def test_points_must_have_finite_real_coordinates(x, shown):
+    # the point at fault is named before the symbol is evaluated at all
+    def unreachable(v):
+        raise AssertionError("the symbol was evaluated")
+
+    grid = make_grid(1, 1, 8, 1.0)
+    T = quantize(make_symbol([(unreachable, unreachable)], 1, 1), grid)
+    f = rand_field(grid, 0)
+    for name, call in (("points", lambda: apply_at(T, f, x)),
+                       ("x", lambda: kernel_slice(T, x))):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"{name} must have finite real coordinates, got {shown}"
+
+
 def test_norm_iteration_ignores_the_path():
     # the norm iteration reads only the factor tables, so a dense-path
     # operator gets the separable estimate bit for bit, alone or in a product
@@ -283,8 +313,7 @@ def test_apply_at_consistent_on_lattice():
 
 
 def test_apply_at_of_one_point_is_its_row_in_a_stack():
-    # a lone point is swept as a block of two rows, so BLAS sums it with the
-    # kernel that sums every row of a block
+    # a lone point is a block of one row, summed as it is in a larger block
     grid = make_grid(1, 1, 32, 1.0)
     T = quantize(builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5}), grid)
     f = rand_field(grid, 15)

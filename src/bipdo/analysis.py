@@ -18,7 +18,8 @@ Conventions shared by the experiments:
   the quadrature floor, not on the decay line),
 * every random choice is driven by an explicit seed, so reports are
   reproducible byte for byte,
-* the L2, BMO and sharpness sweeps share one family-by-N loop, and BMO and
+* the L2, BMO and sharpness sweeps share one family-by-N loop, which
+  builds the grid of every size before any operator, and BMO and
   L^p ratios one battery maximum: lower bounds on the operator norm, not
   certified upper bounds; growth verdicts compare the fitted exponent of the
   ratio as a function of N against a 0.05 threshold,
@@ -41,7 +42,7 @@ from .grid import (GridSpec, SampledField, bmo_norm, lp_exponent, lp_norm,
 from .decompose import (DecompositionIndex, default_ell_max, derived_symbol,
                         mollifier_lambda, theta_symbol)
 from .symbols import (SymbolDescriptor, block_norms, bracket, builtin, read_number,
-                      read_numbers, sq_norm, varphi)
+                      read_numbers, read_points, sq_norm, varphi)
 from .operators import (analyze, apply, check_grid, kernel_l1, multiplier_table,
                         quantize, synthesize)
 
@@ -350,18 +351,16 @@ def kernel_decay_experiment(sigma: SymbolDescriptor, j: int, ell_range,
     theoretical -n1/2; the first point is dropped from the fit as a
     transient, and so are values of exactly zero.  Fewer than two values
     left to fit give verdict "degenerate" and a NaN slope.  ``ell_range`` is
-    strictly increasing, each x-sample is a row of n finite numbers, and
-    every cone index and sample is checked before any slice.
+    strictly increasing, the x-samples are one point or a list of them read
+    by ``read_points``, and every cone index and sample is checked before
+    any slice.
     """
     j = read_number("j", j, int)
     ells = read_numbers("ell_range", ell_range, int, increasing=True)
     if ell_max is None:
         ell_max = default_ell_max(grid.points_per_axis)
     idxs = [DecompositionIndex(j=j, ell=ell, ell_max=ell_max) for ell in ells]
-    rows = np.atleast_2d(np.asarray(x_samples, dtype=object))
-    if rows.ndim != 2 or rows.shape[1] != grid.n or len(rows) == 0:
-        raise ValueError(f"x_samples must be one or more rows of {grid.n} columns")
-    xs = np.array([read_numbers("x_samples", list(x)) for x in rows])
+    xs = np.atleast_2d(read_points("x_samples", x_samples, grid.n))
     # a slice at x transforms sum_k a_k(x) b_k over the cone piece's terms,
     # which keep sigma's a_k: samples with equal a-values share every slice,
     # bit for bit
@@ -396,12 +395,13 @@ def sweep_sizes(N_list) -> list:
 
 def _family_sweep(make, values, Ns, n1, n2, period, probe) -> dict:
     """{(v, key): [ratio per N]} over the symbols ``make(v)``, v in ``values``,
-    each built once.  Per size in ``Ns`` (``sweep_sizes``), one grid's measure
+    each built once.  The grid of every size in ``Ns`` (``sweep_sizes``) is
+    built before any symbol or operator, and one grid's measure
     T -> {key: ratio}, ``probe(grid)``, is held at a time."""
+    grids = [make_grid(n1, n2, N, period) for N in Ns]
     syms = {v: make(v) for v in values}
     out = {}
-    for N in Ns:
-        grid = make_grid(n1, n2, N, period)
+    for grid in grids:
         measure = probe(grid)
         for v, sym in syms.items():
             for key, r in measure(quantize(sym, grid)).items():
@@ -642,11 +642,12 @@ def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
     exponent is the fitted slope of log2(ratio) against log2(N).  p = inf is
     measured through the BMO/L-inf proxy ratio.  The report's ``cells`` hold
     one entry per (m, p), m major, with the ratios per N, the exponent, and
-    whether it exceeds ``GROWTH_EXPONENT_THRESHOLD``.  ``m_grid`` is
-    strictly increasing; ``p_list`` may hold the exponents in any order.
+    whether it exceeds ``GROWTH_EXPONENT_THRESHOLD``.  ``m_grid`` and
+    ``p_list`` are strictly increasing.
     """
     rho = read_number("rho", rho)
-    ps = [lp_exponent(p) for p in read_numbers("p_list", p_list, finite=False)]
+    ps = [lp_exponent(p) for p in read_numbers("p_list", p_list, finite=False,
+                                               increasing=True)]
     ms = read_numbers("m_grid", m_grid, increasing=True)
     Ns = sweep_sizes(N_list)
     ratios = _family_sweep(

@@ -6,7 +6,9 @@ experiment does not read, abort with exit code 2 and a line-numbered message;
 so does a missing key the experiment requires.  ``_EXPERIMENTS`` declares each
 experiment's runner, required keys and optional keys.  Physical parameters
 (grid, ranges) have no defaults; only tolerances, seeds, and the output
-directory do.
+directory do.  A value the library reads is passed to it unread, so each
+range rule is written once; the CLI reads only what the library does not,
+and labels the library's ValueErrors with their keys or flags (``_checked``).
 
 Exit codes: 0 success, 1 experiment failure (FAIL verdict, degenerate fit,
 non-convergence), 2 configuration or usage error.
@@ -133,15 +135,10 @@ def _grid_from_cfg(cfg: dict):
         return make_grid(*g)
 
 
-def _sweep_from_cfg(cfg: dict):
-    """(n1, n2, period, N_list) of a sweep over checked grids."""
-    with _checked("'factors', 'period' or 'N_list'"):
-        n1, n2 = read_numbers("factors", cfg["factors"], int, length=2)
-        Ns = analysis.sweep_sizes(cfg["N_list"])
-    for N in Ns:
-        with _checked(f"'factors', 'period' or 'N_list' entry {N}"):
-            grid = make_grid(n1, n2, N, cfg["period"])
-    return n1, n2, grid.period, Ns
+def _factors_from_cfg(cfg: dict):
+    """(n1, n2) of a sweep; the library reads its 'period' and 'N_list'."""
+    with _checked("'factors'"):
+        return read_numbers("factors", cfg["factors"], int, length=2)
 
 
 def _run_ortho(cfg: dict, seed: int):
@@ -185,20 +182,18 @@ def _sweep_result(report: dict, column: str):
 
 
 def _run_l2_uniformity(cfg: dict, seed: int):
-    n1, n2, period, Ns = _sweep_from_cfg(cfg)
-    sym = _build_symbol(cfg, n1, n2)
-    with _checked("'params', 'tol' or 'max_iter'"):
+    sym = _build_symbol(cfg, *_factors_from_cfg(cfg))
+    with _checked("'params', 'tol', 'max_iter', 'factors', 'period' or 'N_list'"):
         return _sweep_result(analysis.l2_uniformity_sweep(
-            sym, Ns, period, cfg.get("tol", analysis.TOL),
+            sym, cfg["N_list"], cfg["period"], cfg.get("tol", analysis.TOL),
             cfg.get("max_iter", analysis.MAX_ITER)), "opnorm")
 
 
 def _run_bmo(cfg: dict, seed: int):
-    n1, n2, period, Ns = _sweep_from_cfg(cfg)
-    sym = _build_symbol(cfg, n1, n2)
-    with _checked("'params'"):
-        return _sweep_result(analysis.bmo_experiment(sym, Ns, period, seed=seed),
-                             "bmo_ratio")
+    sym = _build_symbol(cfg, *_factors_from_cfg(cfg))
+    with _checked("'params', 'factors', 'period' or 'N_list'"):
+        return _sweep_result(analysis.bmo_experiment(sym, cfg["N_list"], cfg["period"],
+                                                     seed=seed), "bmo_ratio")
 
 
 def _sharpness_flips(report: dict):
@@ -213,13 +208,11 @@ def _sharpness_flips(report: dict):
 
 
 def _run_sharpness(cfg: dict, seed: int):
-    n1, n2, period, Ns = _sweep_from_cfg(cfg)
-    with _checked("'rho', 'p_list' or 'm_grid'"):
-        # the run's flips read p in increasing order; the library scans any
-        # order (test_sharpness_mixed_p_matches_a_literal_loop passes [inf, 2.0])
-        read_numbers("p_list", cfg["p_list"], finite=False, increasing=True)
-        report = analysis.sharpness_scan(cfg["rho"], cfg["p_list"], cfg["m_grid"], Ns,
-                                         period, seed=seed, n1=n1, n2=n2)
+    n1, n2 = _factors_from_cfg(cfg)
+    with _checked("'rho', 'p_list', 'm_grid', 'factors', 'period' or 'N_list'"):
+        report = analysis.sharpness_scan(cfg["rho"], cfg["p_list"], cfg["m_grid"],
+                                         cfg["N_list"], cfg["period"], seed=seed,
+                                         n1=n1, n2=n2)
     rows = [[c["m"], c["p"], N, r, c["exponent"], int(c["growing"])]
             for c in report["cells"] for N, r in zip(report["n_values"], c["ratios"])]
     flips, monotone = _sharpness_flips(report)
@@ -383,10 +376,7 @@ def cmd_apply(args) -> int:
     grid = _parse_grid_flag(args.grid)
     sym = _symbol_from_flags(args, grid)
     f = read_field(args.infile)
-    if f.grid != grid:
-        raise ConfigError(
-            f"field grid {f.grid} does not match --grid {grid}")
-    with _checked("--params"):
+    with _checked("--in, --grid or --params"):
         g = apply(quantize(sym, grid, path=args.path), f)
     write_field(g, args.outfile)
     print(f"apply: wrote {args.outfile} (l2={lp_norm(g, 2):.6g})")
@@ -397,14 +387,10 @@ def cmd_kernel(args) -> int:
     grid = _parse_grid_flag(args.grid)
     sym = _symbol_from_flags(args, grid)
     try:
-        x = np.array([float(t) for t in args.x.split(",")])
+        x = [float(t) for t in args.x.split(",")]
     except ValueError:
         raise ConfigError(f"--x expects comma-separated reals, got '{args.x}'")
-    if not np.all(np.isfinite(x)):
-        raise ConfigError(f"--x expects finite coordinates, got '{args.x}'")
-    if x.shape != (grid.n,):
-        raise ConfigError(f"--x needs {grid.n} coordinates")
-    with _checked("--params"):
+    with _checked("--x or --params"):
         sl = kernel_slice(quantize(sym, grid), x)
     pts = grid.points()
     vals = sl.values.ravel()

@@ -202,8 +202,10 @@ def lp_norm(f: SampledField, p: float) -> float:
         return float(a.max())
     vol = f.grid.cell_volume
     with np.errstate(over="ignore"):
-        norm = float((np.sum(a ** p) * vol) ** (1.0 / p))
+        a **= p  # in place, with the bits of a ** p and no second lattice array
+        norm = float((np.sum(a) * vol) ** (1.0 / p))
     if not 0.0 < norm < np.inf:
+        a = np.abs(f.values)
         top = float(a.max())
         if top > 0.0:
             norm = top * float((np.sum((a / top) ** p) * vol) ** (1.0 / p))

@@ -27,7 +27,8 @@ the factor tables on either path, and ``multiplier_table`` reads them to spot
 a Fourier multiplier.  A kernel slice transforms sigma(x, .) on the lattice
 on either path: sigma is evaluated in blocks of ``_CHUNK`` lattice rows into
 one complex table, which is transformed and scaled in place, so a 512^2
-slice holds one 4 MiB table and one block of temporaries.
+slice holds one 4 MiB table and one block of temporaries.  Its L1 norm,
+``kernel_l1``, is ``grid.lp_norm`` of the slice at p = 1.
 
 Every FFT here writes into an array its own function allocated (``out=``),
 never into a caller's array such as ``f.values`` or a battery's ``fhat``:
@@ -38,14 +39,16 @@ bits of the out-of-place one.
 ``apply_at`` evaluates the same lattice sum at arbitrary (off-grid) points,
 which makes the dilation conjugation identity exact: with s = 2^(j rho),
 T f at x equals the operator with symbol sigma(x/s, s xi) on the grid of
-period s L applied to the rescaled samples, evaluated at s x.
+period s L applied to the rescaled samples, evaluated at s x.  ``apply_at``
+and ``kernel_slice`` read their points by ``symbols.read_points`` before
+anything is evaluated.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridSpec, SampledField, dft_forward
-from .symbols import SymbolDescriptor, read_number, sum_terms
+from .grid import GridSpec, SampledField, dft_forward, lp_norm
+from .symbols import SymbolDescriptor, read_points, sum_terms
 
 # lattice rows per block of a kernel slice's symbol evaluation, and four
 # times the elements of a block of the dense sweep's per-axis sums
@@ -157,43 +160,27 @@ def _dense_rows(T: QuantizedOperator, xs: np.ndarray, f: SampledField) -> np.nda
     return out / grid.period ** grid.n
 
 
-def _read_points(name: str, x) -> np.ndarray:
-    """``x`` as a float array, read before anything is evaluated: a
-    coordinate that ``read_number`` rejects (a bool, not a real number, not
-    finite) is a ValueError naming its point.  An int or float array is read
-    whole, the rest one coordinate at a time, since asarray reads True among
-    floats as 1."""
-    whole = isinstance(x, np.ndarray) and x.dtype.kind in "iuf"
-    src = x if whole else np.asarray(x, dtype=object)
-    pts = np.asarray(src if whole else np.frompyfunc(_coordinate, 1, 1)(src), dtype=float)
-    ok = np.isfinite(np.atleast_1d(pts)).all(axis=-1)
-    if not ok.all():
-        point = np.atleast_1d(src)[np.unravel_index(np.argmin(ok), ok.shape)]
-        raise ValueError(f"{name} must have finite real coordinates, got {point.tolist()!r}")
-    return pts
-
-
-def _coordinate(v) -> float:
-    """v read by ``read_number``, or NaN where it would be a ValueError."""
-    try:
-        return read_number("x", v)
-    except ValueError:
-        return np.nan
-
-
 def apply_at(T: QuantizedOperator, f: SampledField, x) -> complex:
     """Evaluate T f at arbitrary points (same lattice quadrature as apply).
 
-    ``x`` is one point of shape (n,) or a stack (..., n) of finite real
-    coordinates; returns a complex scalar or the matching array.
+    ``x`` is one point of shape (n,) or a list (k, n) of them, read by
+    ``read_points``; returns a complex scalar or the matching array.  A point
+    whose phase e^{2 pi i x.xi} is not finite on the lattice is a ValueError
+    naming it, raised before the symbol is evaluated.
     """
     check_grid(T, f.grid)
-    x = _read_points("points", x)
+    x = read_points("points", x, T.grid.n)
     rows = np.atleast_2d(x)
-    if rows.shape[-1] != T.grid.n:
-        raise ValueError(f"points have {rows.shape[-1]} axes, grid has {T.grid.n}")
-    vals = _finite(T, _dense_rows, T, rows.reshape(-1, T.grid.n), f).reshape(x.shape[:-1])
-    return complex(vals) if x.ndim == 1 else vals
+    # a row's largest phase angle is 2 pi max|x_a| max|k|, rounded as in _dense_rows
+    with np.errstate(over="ignore"):
+        far = ~np.isfinite(2 * np.pi * (np.abs(rows).max(axis=-1)
+                                        * np.abs(T.grid.axis_freqs()).max()))
+    if far.any():
+        raise ValueError(f"points must have a finite phase e^(2 pi i x.xi) on the "
+                         f"{T.grid.points_per_axis}^{T.grid.n} grid, "
+                         f"got {rows[np.argmax(far)].tolist()!r}")
+    vals = _finite(T, _dense_rows, T, rows, f)
+    return complex(vals[0]) if x.ndim == 1 else vals
 
 
 def adjoint_apply(T: QuantizedOperator, g: SampledField) -> SampledField:
@@ -249,9 +236,9 @@ def kernel_slice(T: QuantizedOperator, x) -> SampledField:
     The values equal the out-of-place fftn of the whole table bit for bit,
     at any block size."""
     grid = T.grid
-    x = _read_points("x", x)
-    if x.shape != (grid.n,):
-        raise ValueError(f"x must be one point of shape ({grid.n},), got {x.shape}")
+    x = read_points("x", x, grid.n)
+    if x.ndim != 1:
+        raise ValueError(f"x must be one point, got shape {x.shape}")
     frs = grid.freqs()
     vals = np.empty(grid.shape, dtype=complex)
     flat = vals.reshape(-1)
@@ -264,7 +251,5 @@ def kernel_slice(T: QuantizedOperator, x) -> SampledField:
 
 
 def kernel_l1(T: QuantizedOperator, x) -> float:
-    """Quadrature L1 norm of the kernel slice at x: ``lp_norm(slice, 1)`` bit
-    for bit, without its power and rescaling."""
-    sl = kernel_slice(T, x)
-    return float(np.sum(np.abs(sl.values)) * T.grid.cell_volume)
+    """Quadrature L1 norm of the kernel slice at x."""
+    return lp_norm(kernel_slice(T, x), 1)

@@ -16,7 +16,8 @@ class membership is not estimated numerically.
 A symbol is its separable terms sigma = sum_k a_k(x) b_k(xi).  Both paths of
 the operators apply the terms, and ``make_symbol``, the one constructor, sets
 the evaluator to their sum, which kernel slices read.  A builtin or derived
-symbol is written as its terms only.
+symbol is written as its terms only.  Outside numbers are read by
+``read_number`` and ``read_numbers``, outside points by ``read_points``.
 
 The class geometry lives here, below every module that reads it: the
 frequency norms (``sq_norm``, ``block_norms``) and the frozen cutoff profile
@@ -87,17 +88,16 @@ def make_symbol(terms, n1: int, n2: int, order=0.0, rho: float = 0.0,
     """Validate the declared parameters and build the :class:`SymbolDescriptor`
     of sigma = sum_k a_k(x) b_k(xi) over the ``(a, b)`` pairs in ``terms``.
 
-    The declared order and (rho, delta) are recorded as given; they are not
+    By :func:`read_number`, n1 and n2 are integers >= 1, the order a finite
+    number or a pair (a tuple), and rho and delta in [0, 1]; they are not
     checked against the terms.
     """
+    n1, n2 = read_number("n1", n1, int), read_number("n2", n2, int)
     if n1 < 1 or n2 < 1:
         raise ValueError(f"factor dimensions must be positive, got ({n1}, {n2})")
-    if isinstance(order, (list, tuple)):
-        if len(order) != 2:
-            raise ValueError(f"order pair must have two entries, got {order}")
-        order = (float(order[0]), float(order[1]))
-    else:
-        order = float(order)
+    order = (tuple(read_numbers("order pair", order, length=2))
+             if isinstance(order, (list, tuple)) else read_number("order", order))
+    rho, delta = read_number("rho", rho), read_number("delta", delta)
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     if not 0.0 <= delta <= 1.0:
@@ -114,8 +114,7 @@ def make_symbol(terms, n1: int, n2: int, order=0.0, rho: float = 0.0,
         xi = np.asarray(xi, dtype=float)
         return sum_terms((np.asarray(a(x)) * np.asarray(b(xi)) for a, b in terms),
                          np.broadcast(x[..., 0], xi[..., 0]).shape)
-    return SymbolDescriptor(evaluator, n1, n2, order, float(rho), float(delta),
-                            terms, name)
+    return SymbolDescriptor(evaluator, n1, n2, order, rho, delta, terms, name)
 
 
 def transform_symbol(sym: SymbolDescriptor, term, name: str) -> SymbolDescriptor:
@@ -237,6 +236,30 @@ def read_numbers(name: str, values, kind=float, length: int | None = None,
     if increasing and any(b <= a for a, b in zip(out, out[1:])):
         raise ValueError(f"{name} must be strictly increasing, got {out}")
     return out
+
+
+def read_points(name: str, x, n: int) -> np.ndarray:
+    """Outside points ``x`` as a float array of shape (n,) or (k, n), k >= 1.
+    Another shape, or a coordinate that :func:`read_number` rejects, is a
+    ValueError naming the shape or the point.  An int or float array is read
+    whole, anything else one coordinate at a time (asarray reads True as 1)."""
+    def coordinate(v):
+        try:
+            return read_number(name, v)
+        except ValueError:
+            return np.nan
+
+    whole = isinstance(x, np.ndarray) and x.dtype.kind in "iuf"
+    src = x if whole else np.asarray(x, dtype=object)
+    if src.ndim not in (1, 2) or src.shape[-1] != n or src.size == 0:
+        raise ValueError(f"{name} must be a point of {n} coordinates or a non-empty "
+                         f"list of them, got shape {src.shape}")
+    pts = np.asarray(src if whole else np.frompyfunc(coordinate, 1, 1)(src), dtype=float)
+    ok = np.isfinite(np.atleast_2d(pts)).all(axis=-1)
+    if not ok.all():
+        point = np.atleast_2d(src)[np.argmin(ok)].tolist()
+        raise ValueError(f"{name} must have finite real coordinates, got {point!r}")
+    return pts
 
 
 BUILTIN_PARAMS = {

@@ -6,6 +6,7 @@ singular value, sharing no code with the Lanczos iteration under test.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -428,7 +429,9 @@ def test_kernel_decay_rejects_empty_or_misshapen_x_samples(monkeypatch):
 
     monkeypatch.setattr(bp.analysis, "quantize", no_quantize)
     for xs in (np.empty((0, 2)), [], np.zeros((2, 3)), np.zeros((1, 2, 2))):
-        with pytest.raises(ValueError, match="x_samples must be one or more rows"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"x_samples must be a point of 2 coordinates or a non-empty list of "
+                f"them, got shape {np.shape(xs)}")):
             kernel_decay_experiment(sym, 3, range(0, 3), xs, grid)
 
 
@@ -437,8 +440,11 @@ def test_kernel_decay_reads_x_samples_not_coerced(monkeypatch):
     grid = make_grid(1, 1, 16, 1.0)
     sym = builtin("multiplier_bessel", {"m": -0.5})
     monkeypatch.setattr(bp.analysis, "quantize", None)
-    for xs in ([["0", "0"]], [[True, 0.0]], [[0.0, np.nan]], [[0.0, 0.0], [1.0]]):
-        with pytest.raises(ValueError, match="x_samples must be a finite number"):
+    for xs, shown in (([["0", "0"]], "['0', '0']"), ([[True, 0.0]], "[True, 0.0]"),
+                      ([[0.0, np.nan]], "[0.0, nan]"),
+                      ([[0.0, 0.0], [1.0]], "[[0.0, 0.0], [1.0]]")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"x_samples must have finite real coordinates, got {shown}")):
             kernel_decay_experiment(sym, 3, range(0, 3), xs, grid)
 
 
@@ -722,13 +728,36 @@ def test_sharpness_ratios_match_a_literal_loop():
             == _literal_sharpness_ratios(ps, ms, Ns))
 
 
-@pytest.mark.parametrize("ps", [[2.0, np.inf], [np.inf, 2.0]])
+@pytest.mark.parametrize("ps", [[2.0, np.inf]])
 def test_sharpness_mixed_p_matches_a_literal_loop(ps):
     # the BMO floor of each image is read from the running best of its own p
     ms, Ns = [-0.5, 0.5], [16, 32]
     tab = sharpness_scan(0.5, ps, ms, Ns)
     assert ({(c["m"], c["p"]): c["ratios"] for c in tab["cells"]}
             == _literal_sharpness_ratios(ps, ms, Ns))
+
+
+def test_sharpness_rejects_a_decreasing_p_list(monkeypatch):
+    # the flips of a run read p in increasing order; the scan reads p_list so
+    monkeypatch.setattr(bp.analysis, "quantize", None)
+    with pytest.raises(ValueError, match=re.escape(
+            "p_list must be strictly increasing, got [inf, 2.0]")):
+        sharpness_scan(0.5, [np.inf, 2.0], [0.0], [16, 32])
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda Ns: l2_uniformity_sweep(builtin("multiplier_bessel", {"m": -0.5}), Ns),
+    lambda Ns: bmo_experiment(builtin("multiplier_bessel", {"m": -0.5}), Ns),
+    lambda Ns: sharpness_scan(0.5, [2.0], [0.0], Ns),
+], ids=["l2_uniformity", "bmo", "sharpness"])
+def test_sweeps_build_every_grid_before_any_operator(monkeypatch, sweep):
+    def no_quantize(*args):
+        raise AssertionError("an operator was quantized")
+
+    monkeypatch.setattr(bp.analysis, "quantize", no_quantize)
+    with pytest.raises(ValueError, match="points_per_axis must be an even integer "
+                                         ">= 4, got 15"):
+        sweep([8, 15])
 
 
 def test_sharpness_transforms_each_battery_field_once_per_grid(monkeypatch):

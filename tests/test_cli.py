@@ -289,7 +289,7 @@ _BIG = "1" + "0" * 400
     ("run", f'experiment = "bmo"\n{_SWEEP}period = -1.0\nN_list = [8, 16]',
      "period must be positive"),
     ("run", f'experiment = "l2_uniformity"\n{_SWEEP}period = 1.0\nN_list = [15, 16]',
-     "'N_list' entry 15"),
+     "'N_list': points_per_axis must be an even integer >= 4, got 15"),
     ("run", f'experiment = "l2_uniformity"\n{_SWEEP}period = 1.0\nN_list = [16, 8]',
      "'N_list'"),
     ("run", 'experiment = "ortho"\nsymbol = "multiplier_bessel"\n'
@@ -384,7 +384,7 @@ _BIG = "1" + "0" * 400
     ("run", 'experiment = "bmo"\nsymbol = "multiplier_bessel"\nfactors = [1, 100]\n'
             'period = 1.0\nN_list = [8, 16]', "'factors'"),
     ("run", f'experiment = "bmo"\n{_SWEEP}period = 1.0\nN_list = [8, {2 ** 62}]',
-     "'N_list' entry"),
+     f"'N_list': a grid of {2 ** 62}^2 points does not fit an array index"),
 ], ids=["period", "N_list-odd", "N_list-decreasing", "j_range", "ell_range",
         "ell_max", "x_count", "sharpness-rho", "cube_side", "cube_anchor",
         "battery_kmax", "mollifier-radius", "p_list", "battery-spectrum",
@@ -678,7 +678,8 @@ def test_kernel_rejects_bad_x(tmp_path, capsys):
     rc = main(["kernel", "--symbol", "constant", "--grid", "1,1,8,1.0",
                "--x", "0.25", "--out", str(tmp_path / "k.csv")])
     assert rc == 2
-    assert "--x needs 2 coordinates" in capsys.readouterr().err
+    assert ("--x or --params: x must be a point of 2 coordinates or a non-empty list "
+            "of them, got shape (1,)") in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ return its value bit for bit.
 
 import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +204,25 @@ def test_lp_large_p_leaves_no_overflow():
         f = SampledField(g, np.full(g.shape, c + 0j))
         for p in (400.0, 1000.0):
             assert lp_norm(f, p) == pytest.approx(c * 1.3 ** (2 / p), rel=1e-12)
+
+
+def test_lp_norm_is_the_literal_sum_and_holds_one_lattice_array():
+    # |f|^p is formed in place: the bits of the literal weighted sum (at p = 1
+    # the plain sum of |f| times the cell volume, which kernel_l1 once kept as
+    # its own code), and one float lattice array at the peak, not two
+    g = make_grid(1, 1, 128, 1.7)
+    f = rand_field(g, 5)
+    a = np.abs(f.values)
+    assert lp_norm(f, 1) == float(np.sum(a) * g.cell_volume)
+    for p in (1.0, 4 / 3, 2.0, 3.0):
+        assert lp_norm(f, p) == float((np.sum(a ** p) * g.cell_volume) ** (1.0 / p))
+    tracemalloc.start()
+    try:
+        lp_norm(f, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * a.nbytes, peak
 
 
 def test_lp_spike():

@@ -2,7 +2,8 @@
 Every private module-level name of the package is read inside the package,
 and no package module reads a private name another package module defines.
 No package module imports inside a function or class body.  Every label
-of a ``cli._checked`` block names config keys or parser flags it declares.
+of a ``cli._checked`` block names config keys or parser flags it declares,
+and no config key is read both by the CLI and by a library module.
 
 ``bipdo/__init__.py`` is left out of the import check, since it imports
 names to re-export them.
@@ -172,3 +173,24 @@ def test_checked_labels_name_config_keys_or_flags():
                 or not set(dashed) <= flags:
             bad.append(f"{path.relative_to(ROOT)}:{line}: {text!r}")
     assert not bad, bad
+
+
+def read_names_of(path):
+    """The constant first argument of each ``read_number``, ``read_numbers``
+    or ``read_points`` call in the module: the names it reads values as."""
+    readers = ("read_number", "read_numbers", "read_points")
+    return {node.args[0].value
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and node.args
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in readers
+            and isinstance(node.args[0], ast.Constant)}
+
+
+def test_no_config_key_is_read_by_the_cli_and_the_library():
+    # a key has one reader: the CLI reads only what no library module reads
+    cli_path = ROOT / "src" / "bipdo" / "cli.py"
+    cli_keys = read_names_of(cli_path) & _KNOWN_KEYS
+    twice = sorted(f"{p.relative_to(ROOT)}: {key}"
+                   for p in sorted((ROOT / "src" / "bipdo").glob("*.py")) if p != cli_path
+                   for key in read_names_of(p) & cli_keys)
+    assert cli_keys and not twice, twice

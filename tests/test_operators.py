@@ -4,6 +4,7 @@ The reference oracle is a literal quadrature double sum written here with
 no FFTs, evaluated on grids small enough to brute-force.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -246,14 +247,18 @@ def test_apply_validates_inputs():
      r"symbol has factors \(2, 1\), grid has \(1, 2\)"),
     (lambda g: apply_at(quantize(builtin("constant", {"c": 1.0}), g),
                         rand_field(g, 0), np.zeros((4, 3))),
-     "points have 3 axes, grid has 2"),
+     r"points must be a point of 2 coordinates or a non-empty list of them, "
+     r"got shape \(4, 3\)"),
     (lambda g: kernel_slice(quantize(builtin("constant", {"c": 1.0}), g), np.zeros(3)),
-     r"x must be one point of shape \(2,\), got \(3,\)"),
+     r"x must be a point of 2 coordinates or a non-empty list of them, got shape \(3,\)"),
+    (lambda g: kernel_slice(quantize(builtin("constant", {"c": 1.0}), g), np.zeros((2, 2))),
+     r"x must be one point, got shape \(2, 2\)"),
     (lambda g: adjoint_product(
         quantize(builtin("constant", {"c": 1.0}), g),
         quantize(builtin("constant", {"c": 1.0}), make_grid(1, 1, 16, 1.0))),
      "composed maps must share a grid"),
-], ids=["quantize-axes", "quantize-factors", "apply_at-axes", "kernel_slice-shape", "adjoint_product-grids"])
+], ids=["quantize-axes", "quantize-factors", "apply_at-axes", "kernel_slice-shape",
+        "kernel_slice-stack", "adjoint_product-grids"])
 def test_mismatched_axes_and_grids_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call(make_grid(1, 1, 8, 1.0))
@@ -280,6 +285,23 @@ def test_points_must_have_finite_real_coordinates(x, shown):
         with pytest.raises(ValueError) as err:
             call()
         assert str(err.value) == f"{name} must have finite real coordinates, got {shown}"
+
+
+def test_apply_at_names_a_point_whose_phase_is_not_finite():
+    # e^{2 pi i x.xi} overflows at x = 2^1023 on the 8^2 lattice; the point is
+    # named before the symbol is evaluated, for a lone point and in a stack
+    def unreachable(v):
+        raise AssertionError("the symbol was evaluated")
+
+    grid = make_grid(1, 1, 8, 1.0)
+    f = rand_field(grid, 0)
+    for T in (quantize(builtin("constant", {"c": 1.0}), grid),
+              quantize(make_symbol([(unreachable, unreachable)], 1, 1), grid)):
+        for x in ([2 ** 1023, 0.0], np.array([[0.1, 0.2], [0.0, -2.0 ** 1023]])):
+            with pytest.raises(ValueError, match=re.escape(
+                    "points must have a finite phase e^(2 pi i x.xi) on the 8^2 grid, "
+                    f"got {[float(c) for c in np.atleast_2d(x)[-1]]!r}")):
+                apply_at(T, f, x)
 
 
 def test_norm_iteration_ignores_the_path():

@@ -43,6 +43,28 @@ def test_make_symbol_rejects_bad_parameters():
             make_symbol(*args, **kwargs)
 
 
+def test_make_symbol_reads_its_numbers():
+    # the factor dimensions, the order and (rho, delta) are read by
+    # read_number: nothing is coerced, and valid values keep their types
+    terms = [(ones, ones)]
+    for kwargs, needle in [
+            ({"order": "1"}, "order must be a finite number, got '1'"),
+            ({"order": True}, "order must be a finite number, got True"),
+            ({"order": float("nan")}, "order must be a finite number, got nan"),
+            ({"order": (0.0, float("inf"))}, "order pair must be a finite number, got inf"),
+            ({"n1": 1.5}, "n1 must be an integer, got 1.5"),
+            ({"n2": True}, "n2 must be an integer, got True"),
+            ({"rho": "0.5"}, "rho must be a finite number, got '0.5'"),
+            ({"delta": float("nan")}, "delta must be a finite number, got nan")]:
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            make_symbol(**{"terms": terms, "n1": 1, "n2": 1, **kwargs})
+    sym = make_symbol(terms, np.int64(2), 1, order=[1, 2], rho=1, delta=np.float64(0.25))
+    assert (sym.n1, sym.n2, sym.order, sym.rho, sym.delta) == (2, 1, (1.0, 2.0), 1.0, 0.25)
+    assert [type(v) for v in (sym.n1, sym.order, *sym.order, sym.rho, sym.delta)] == \
+        [int, tuple, float, float, float, float]
+    assert type(make_symbol(terms, 1, 1, order=np.float64(-0.5)).order) is float
+
+
 def test_builtin_unknown_names_and_params():
     # unknown families and parameters are named in the error
     for name, params, key in [

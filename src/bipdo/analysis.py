@@ -25,7 +25,13 @@ Conventions shared by the experiments:
   ratio as a function of N against a 0.05 threshold,
 * the battery maximum transforms each battery field once per grid, and
   forms each symbol's image from that transform, so a sweep over many
-  symbols makes one forward FFT per field, not one per field and symbol,
+  symbols makes one forward FFT per field, not one per field and symbol;
+  it reads the battery one field at a time, and takes the finite-p norms
+  of a field or an image from one |f| (``lp_norms``),
+* the sharpness scan measures one grid in one pass over its orders: the
+  m-independent tables of ``oscillatory_exotic``, its a-factor and its
+  carrier, are built once per grid, and order m's b-table is the carrier
+  table times <xi>^m, with the bits of the builtin's own table,
 * the battery maximum of BMO ratios passes the best ratio so far to each
   image's cube scan as a floor, so an image that cannot raise the maximum
   is not scanned exactly; the maximum is the floor-free one bit for bit.
@@ -38,13 +44,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (GridSpec, SampledField, bmo_norm, lp_exponent, lp_norm,
-                   make_grid)
+                   lp_norms, make_grid)
 from .decompose import (DecompositionIndex, default_ell_max, derived_symbol,
                         mollifier_lambda, theta_symbol)
-from .symbols import (SymbolDescriptor, block_norms, bracket, builtin, read_number,
-                      read_numbers, read_points, sq_norm, varphi)
+from .symbols import (SymbolDescriptor, block_norms, bracket, builtin, exotic_carrier,
+                      exotic_weight, make_symbol, read_number, read_numbers,
+                      read_points, sq_norm, varphi)
 from .operators import (analyze, apply, check_grid, kernel_l1, multiplier_table,
-                        quantize, synthesize)
+                        quantize, reweighted, synthesize)
 
 # fixed start-vector seed for every Lanczos iteration (documented constant;
 # another start changes the iteration count and moves each reported Ritz
@@ -393,18 +400,19 @@ def sweep_sizes(N_list) -> list:
     return Ns
 
 
-def _family_sweep(make, values, Ns, n1, n2, period, probe) -> dict:
-    """{(v, key): [ratio per N]} over the symbols ``make(v)``, v in ``values``,
-    each built once.  The grid of every size in ``Ns`` (``sweep_sizes``) is
-    built before any symbol or operator, and one grid's measure
-    T -> {key: ratio}, ``probe(grid)``, is held at a time."""
+def _family_sweep(family, Ns, n1, n2, period, probe) -> dict:
+    """{(v, key): [ratio per N]} over a family of operators.  The grid of
+    every size in ``Ns`` (``sweep_sizes``) is built first, then the family,
+    once: ``family()`` builds its symbols and returns ``members(grid)``, the
+    (v, operator) pairs of one grid, the same v on every grid.  One grid's
+    measure T -> {key: ratio}, ``probe(grid)``, is held at a time."""
     grids = [make_grid(n1, n2, N, period) for N in Ns]
-    syms = {v: make(v) for v in values}
+    members = family()
     out = {}
     for grid in grids:
         measure = probe(grid)
-        for v, sym in syms.items():
-            for key, r in measure(quantize(sym, grid)).items():
+        for v, T in members(grid):
+            for key, r in measure(T).items():
                 out.setdefault((v, key), []).append(r)
     return out
 
@@ -416,8 +424,8 @@ def _sweep(experiment: str, sigma: SymbolDescriptor, N_list, period: float,
     where the variation is their relative spread (max-min)/max.  The
     report's params are sigma's class parameters and the exponent ``p``."""
     Ns = sweep_sizes(N_list)
-    (ratios,) = _family_sweep(lambda _: sigma, [None], Ns, sigma.n1, sigma.n2,
-                              period, probe).values()
+    (ratios,) = _family_sweep(lambda: lambda grid: [(None, quantize(sigma, grid))],
+                              Ns, sigma.n1, sigma.n2, period, probe).values()
     tail = ratios[-3:]
     variation = (max(tail) - min(tail)) / max(tail) if max(tail) != 0.0 else 0.0
     order = sigma.order
@@ -451,25 +459,31 @@ def _bmo_floor(best: float, d: float) -> float:
 
 def _battery_max(battery, ps):
     """The measure T -> {p: max over the battery of |Tf|_p / |f|_p}, with
-    bmo(Tf) / |f|_inf at p = inf and 0 for a zero f.  The norms and the
-    forward FFT of each f are taken once per battery, so once per grid, and
-    each image is Tf = synthesize(T, fftn(f)), the separable apply bit for
-    bit; T's grid is checked against f's as ``apply`` checks it.  One image
-    is held at a time.  At p = inf each cube scan starts from the best ratio
-    so far times |f|_inf (``_bmo_floor``), so only a field that can raise
-    the maximum is scanned far, and the maximum is the floor-free one bit
-    for bit."""
-    denoms = [[lp_norm(f, p) for p in ps] for f in battery]
-    fhats = [(f.grid, np.fft.fftn(f.values)) for f in battery]
+    bmo(Tf) / |f|_inf at p = inf and 0 for a zero f.  ``battery``, any
+    iterable of fields, is read once, so once per grid: each field's norms
+    and forward FFT are taken before the next field is read, and a lazy
+    battery holds one field at a time.  Each image is
+    Tf = synthesize(T, fftn(f)), the separable apply bit for bit; T's grid
+    is checked against f's as ``apply`` checks it.  One image is held at a
+    time, and its finite-p norms, like a field's, come from one |f| by
+    ``lp_norms``.  At p = inf each cube scan starts from the best ratio so
+    far times |f|_inf (``_bmo_floor``), so only a field that can raise the
+    maximum is scanned far, and the maximum is the floor-free one bit for
+    bit."""
+    fhats, denoms = [], []
+    for f in battery:
+        denoms.append(lp_norms(f, ps))
+        fhats.append((f.grid, np.fft.fftn(f.values)))
+    finite = [p for p in ps if not math.isinf(p)]
 
     def measure(T):
         best = [0.0] * len(ps)
         for (grid, fhat), ds in zip(fhats, denoms):
             check_grid(T, grid)
             Tf = SampledField(grid, synthesize(T, fhat))
-            rs = [(bmo_norm(Tf, _bmo_floor(b, d)) if math.isinf(p)
-                   else lp_norm(Tf, p)) / d if d > 0 else 0.0
-                  for p, d, b in zip(ps, ds, best)]
+            norms = dict(zip(finite, lp_norms(Tf, finite)))
+            rs = [(bmo_norm(Tf, _bmo_floor(b, d)) if math.isinf(p) else norms[p]) / d
+                  if d > 0 else 0.0 for p, d, b in zip(ps, ds, best)]
             best = [max(b, r) for b, r in zip(best, rs)]
         return dict(zip(ps, best))
     return measure
@@ -595,26 +609,31 @@ def adversarial_battery(grid: GridSpec, rho: float, seed: int = SEED) -> list:
     Composition (7 fields): a lattice spike, a spike train, the extreme
     lattice mode, a chirp whose spectral phase cancels the symbol phase
     exp(i(<xi_1>^a + <xi_2>^a)) with a = 1-rho over a dyadic band, the
-    conjugate chirp, and two random complex fields.
+    conjugate chirp, and two random complex fields.  The list of
+    ``_adversarial_fields``, which makes them one at a time.
     """
+    return list(_adversarial_fields(grid, rho, seed))
+
+
+def _adversarial_fields(grid: GridSpec, rho: float, seed: int):
+    """The fields of ``adversarial_battery`` in its order, made one at a
+    time: no field or lattice temporary is held here after the next field
+    is made."""
     rng = np.random.default_rng(seed)
-    fields = []
+    vals = np.zeros(grid.shape, dtype=complex)
+    vals[(0,) * grid.n] = 1.0
+    yield SampledField(grid, vals)
 
-    spike = np.zeros(grid.shape, dtype=complex)
-    spike[(0,) * grid.n] = 1.0
-    fields.append(SampledField(grid, spike))
-
-    train = np.zeros(grid.shape, dtype=complex)
+    vals = np.zeros(grid.shape, dtype=complex)
     step = max(1, grid.points_per_axis // 4)
-    train[(slice(None, None, step),) * grid.n] = 1.0
-    fields.append(SampledField(grid, train))
+    vals[(slice(None, None, step),) * grid.n] = 1.0
+    yield SampledField(grid, vals)
 
     frs = grid.freqs()
-    pts = grid.points()
     sq = sq_norm(frs)
     top = frs[int(np.argmax(sq))]
-    fields.append(SampledField(grid,
-                               np.exp(2j * np.pi * (pts @ top)).reshape(grid.shape)))
+    vals = np.exp(2j * np.pi * (grid.points() @ top)).reshape(grid.shape)
+    yield SampledField(grid, vals)
 
     r = np.sqrt(sq)
     R = float(np.max(r))
@@ -623,14 +642,35 @@ def adversarial_battery(grid: GridSpec, rho: float, seed: int = SEED) -> list:
     a = 1.0 - rho
     # r ** 2 keeps the battery's bits; sq_norm differs in the last place
     phase = bracket(r1 ** 2, a) + bracket(r2 ** 2, a)
+    del sq, r, r1, r2
     for sgn in (-1.0, 1.0):
-        spec = (env * np.exp(1j * sgn * phase)).reshape(grid.shape)
-        fields.append(SampledField(grid, np.fft.ifftn(spec, out=spec)))
+        vals = (env * np.exp(1j * sgn * phase)).reshape(grid.shape)
+        yield SampledField(grid, np.fft.ifftn(vals, out=vals))
+    del env, phase
 
     for _ in range(2):
         vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        fields.append(SampledField(grid, vals))
-    return fields
+        yield SampledField(grid, vals)
+
+
+def _exotic_orders(rho: float, ms, n1: int, n2: int):
+    """The ``_family_sweep`` family of the ``oscillatory_exotic`` builtin at
+    rho over the orders ``ms``.  On each grid the m-independent tables, the
+    builtin's a-factor and its carrier (``exotic_carrier``), are built once,
+    and each order's operator is ``reweighted`` from them by its weight
+    (``exotic_weight``), so that its tables are those of
+    quantize(builtin(...), grid) bit for bit."""
+    syms = {m: builtin("oscillatory_exotic", {"m": m, "rho": rho}, n1=n1, n2=n2)
+            for m in ms}
+    ((a, _),) = syms[ms[0]].separable_terms
+    carrier = make_symbol([(a, lambda xi: exotic_carrier(xi, rho, n1))], n1, n2,
+                          rho=rho, name=f"exotic carrier[rho={rho:g}]")
+
+    def members(grid):
+        base = quantize(carrier, grid)
+        for m, sym in syms.items():
+            yield m, reweighted(base, sym, lambda xi, _m=m: exotic_weight(xi, _m))
+    return members
 
 
 def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
@@ -651,9 +691,8 @@ def sharpness_scan(rho: float, p_list, m_grid, N_list, period: float = 1.0,
     ms = read_numbers("m_grid", m_grid, increasing=True)
     Ns = sweep_sizes(N_list)
     ratios = _family_sweep(
-        lambda m: builtin("oscillatory_exotic", {"m": m, "rho": rho}, n1=n1, n2=n2),
-        ms, Ns, n1, n2, period,
-        lambda grid: _battery_max(adversarial_battery(grid, rho, seed), ps))
+        lambda: _exotic_orders(rho, ms, n1, n2), Ns, n1, n2, period,
+        lambda grid: _battery_max(_adversarial_fields(grid, rho, seed), ps))
     cells = []
     for m in ms:
         for p in ps:

@@ -190,26 +190,44 @@ def lp_exponent(p) -> float:
     return p
 
 
-def lp_norm(f: SampledField, p: float) -> float:
-    """Discrete L^p norm with cell-volume weight; p = inf gives the sup norm.
+def lp_norms(f: SampledField, ps) -> list:
+    """The discrete L^p norms of f, with cell-volume weight, for each p in
+    ``ps`` (p = inf gives the sup norm), from one |f|.
 
-    When sum |f|^p leaves the float range (large p), the norm is taken again
-    as max|f| (sum (|f| / max|f|)^p vol)^(1/p).
+    Each finite p sums |f|^p formed in place, in a copy of |f| except at the
+    last finite p, so the norms hold at most two lattice arrays besides the
+    field; each equals the one-exponent sum bit for bit.  When sum |f|^p
+    leaves the float range (large p), that norm is taken again as
+    max|f| (sum (|f| / max|f|)^p vol)^(1/p).
     """
-    p = lp_exponent(p)
+    ps = [lp_exponent(p) for p in ps]
+    if not ps:
+        return []
     a = np.abs(f.values)
-    if np.isinf(p):
-        return float(a.max())
+    out = [float(a.max()) if np.isinf(p) else 0.0 for p in ps]
+    finite = [i for i, p in enumerate(ps) if not np.isinf(p)]
+    buf = np.empty_like(a) if len(finite) > 1 else None
     vol = f.grid.cell_volume
-    with np.errstate(over="ignore"):
-        a **= p  # in place, with the bits of a ** p and no second lattice array
-        norm = float((np.sum(a) * vol) ** (1.0 / p))
-    if not 0.0 < norm < np.inf:
-        a = np.abs(f.values)
-        top = float(a.max())
-        if top > 0.0:
-            norm = top * float((np.sum((a / top) ** p) * vol) ** (1.0 / p))
-    return norm
+    for i in finite:
+        p, ap = ps[i], a
+        if i != finite[-1]:
+            np.copyto(buf, a)
+            ap = buf
+        with np.errstate(over="ignore"):
+            ap **= p  # in place, with the bits of a ** p
+            norm = float((np.sum(ap) * vol) ** (1.0 / p))
+        if not 0.0 < norm < np.inf:
+            full = np.abs(f.values)
+            top = float(full.max())
+            if top > 0.0:
+                norm = top * float((np.sum((full / top) ** p) * vol) ** (1.0 / p))
+        out[i] = norm
+    return out
+
+
+def lp_norm(f: SampledField, p: float) -> float:
+    """The discrete L^p norm of f: ``lp_norms`` at the one exponent p."""
+    return lp_norms(f, [p])[0]
 
 
 # complex values gathered per block of exactly evaluated cubes

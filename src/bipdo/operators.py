@@ -28,7 +28,9 @@ a Fourier multiplier.  A kernel slice transforms sigma(x, .) on the lattice
 on either path: sigma is evaluated in blocks of ``_CHUNK`` lattice rows into
 one complex table, which is transformed and scaled in place, so a 512^2
 slice holds one 4 MiB table and one block of temporaries.  Its L1 norm,
-``kernel_l1``, is ``grid.lp_norm`` of the slice at p = 1.
+``kernel_l1``, is ``grid.lp_norm`` of the slice at p = 1.  ``reweighted``
+builds one operator's tables from another's on the same grid: the a_k tables
+shared, and each b_k table the other's times one weight on the lattice.
 
 Every FFT here writes into an array its own function allocated (``out=``),
 never into a caller's array such as ``f.values`` or a battery's ``fhat``:
@@ -109,6 +111,21 @@ def _finite(T: QuantizedOperator, fn, *args) -> np.ndarray:
 def quantize(symbol: SymbolDescriptor, grid: GridSpec,
              path: str = "separable") -> QuantizedOperator:
     return QuantizedOperator(symbol, grid, path)
+
+
+def reweighted(T: QuantizedOperator, symbol: SymbolDescriptor, weight) -> QuantizedOperator:
+    """``symbol`` on T's grid and path, for a symbol whose terms are T's with
+    each b_k times one weight w(xi) = ``weight(xi)``: its factor tables are
+    T's a_k tables, shared, and T's b_k tables times w on the lattice, each
+    product checked by ``_finite`` as a table of ``symbol``.  A product has
+    the bits of the table of b_k(xi) * w(xi) computed left to right, so an
+    order whose weight overflows is refused as ``quantize`` refuses it."""
+    grid = T.grid
+    S = QuantizedOperator(symbol, grid, T.path)
+    with np.errstate(all="ignore"):
+        w = np.reshape(weight(grid.freqs()), grid.shape)
+    S._factors = [(av, _finite(S, np.multiply, bv, w)) for av, bv in T._separable_factors()]
+    return S
 
 
 def check_grid(T: QuantizedOperator, grid: GridSpec):

@@ -190,6 +190,25 @@ def bracket(sq, s):
     return (1.0 + sq) ** (s / 2.0)
 
 
+def exotic_carrier(xi, rho: float, n1: int):
+    """chi(|xi|) e^{i(<xi_1>^a + <xi_2>^a)}, a = 1 - rho, chi = 1 - varphi:
+    the m-independent part of the ``oscillatory_exotic`` b-factor, whose
+    b is exotic_carrier(xi, ...) * exotic_weight(xi, m), left to right."""
+    xi = np.asarray(xi, dtype=float)
+    chi = 1.0 - varphi(np.sqrt(sq_norm(xi)))
+    a = 1.0 - rho
+    phase = bracket(sq_norm(xi[..., :n1]), a) + bracket(sq_norm(xi[..., n1:]), a)
+    return chi * np.exp(1j * phase)
+
+
+def exotic_weight(xi, m: float):
+    """<xi>^m of the ``oscillatory_exotic`` b-factor, from |xi|^2 formed as
+    r ** 2, r = |xi|: that keeps the bits of every report, where sq_norm(xi)
+    differs in the last place."""
+    r = np.sqrt(sq_norm(np.asarray(xi, dtype=float)))
+    return bracket(r ** 2, m)
+
+
 def _axis_cos_modulation(freq: int, depth: float):
     """The a-factor 1 + depth * mu(x), mu(x) the mean over axes of
     cos(2 pi freq x_a): unit period, |mu| <= 1."""
@@ -240,9 +259,11 @@ def read_numbers(name: str, values, kind=float, length: int | None = None,
 
 def read_points(name: str, x, n: int) -> np.ndarray:
     """Outside points ``x`` as a float array of shape (n,) or (k, n), k >= 1.
-    Another shape, or a coordinate that :func:`read_number` rejects, is a
-    ValueError naming the shape or the point.  An int or float array is read
-    whole, anything else one coordinate at a time (asarray reads True as 1)."""
+    Another shape, a list of rows of which one has another length than n,
+    or a coordinate that :func:`read_number` rejects, is a ValueError naming
+    the shape, the first such row or the point.  An int or float array is
+    read whole, anything else one coordinate at a time (asarray reads True
+    as 1)."""
     def coordinate(v):
         try:
             return read_number(name, v)
@@ -251,6 +272,12 @@ def read_points(name: str, x, n: int) -> np.ndarray:
 
     whole = isinstance(x, np.ndarray) and x.dtype.kind in "iuf"
     src = x if whole else np.asarray(x, dtype=object)
+    if src.ndim == 1 and not whole:
+        # rows of unequal lengths make a 1-D object array of rows
+        for i, row in enumerate(src):
+            if isinstance(row, (list, tuple, np.ndarray)) and len(row) != n:
+                raise ValueError(f"{name} row {i} has {len(row)} coordinate"
+                                 f"{'' if len(row) == 1 else 's'}, expected {n}")
     if src.ndim not in (1, 2) or src.shape[-1] != n or src.size == 0:
         raise ValueError(f"{name} must be a point of {n} coordinates or a non-empty "
                          f"list of them, got shape {src.shape}")
@@ -372,20 +399,10 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
     if name == "oscillatory_exotic":
         m = num("m")
         rho = num("rho")
-        a = 1.0 - rho
         xmod = num("xmod")
         freq = num("mod_freq", int)
-
-        def b_part(xi, _m=m, _a=a, _n1=n1):
-            xi = np.asarray(xi, dtype=float)
-            r = np.sqrt(sq_norm(xi))
-            chi = 1.0 - varphi(r)
-            phase = (bracket(sq_norm(xi[..., :_n1]), _a)
-                     + bracket(sq_norm(xi[..., _n1:]), _a))
-            # r ** 2 keeps the bits of every report; sq_norm(xi) differs in the last place
-            return chi * np.exp(1j * phase) * bracket(r ** 2, _m)
-
-        terms = ((_axis_cos_modulation(freq, xmod), b_part),)
+        terms = ((_axis_cos_modulation(freq, xmod),
+                  lambda xi, _m=m: exotic_carrier(xi, rho, n1) * exotic_weight(xi, _m)),)
         return make_symbol(terms, n1, n2, order=m, rho=rho, delta=0.0,
                            name=f"exotic[m={m:g},rho={rho:g}]")
 

@@ -21,7 +21,7 @@ from bipdo import (DecompositionIndex, SampledField, adjoint_product,
                    sharpness_scan, DyadicCube)
 from bipdo import test_battery as standard_battery
 from bipdo.analysis import (OPNORM_SEED, LinearFieldMap, _as_map, _battery_max,
-                            _ritz_screen, fit_line)
+                            _exotic_orders, _ritz_screen, fit_line)
 from bipdo.cli import _sharpness_flips
 from helpers import count_ffts, dense_opnorm_oracle, ones, rand_field, rand_separable
 
@@ -442,9 +442,24 @@ def test_kernel_decay_reads_x_samples_not_coerced(monkeypatch):
     monkeypatch.setattr(bp.analysis, "quantize", None)
     for xs, shown in (([["0", "0"]], "['0', '0']"), ([[True, 0.0]], "[True, 0.0]"),
                       ([[0.0, np.nan]], "[0.0, nan]"),
-                      ([[0.0, 0.0], [1.0]], "[[0.0, 0.0], [1.0]]")):
+                      ([[0.0, 0.0], [1, "x"]], "[1, 'x']")):
         with pytest.raises(ValueError, match=re.escape(
                 f"x_samples must have finite real coordinates, got {shown}")):
+            kernel_decay_experiment(sym, 3, range(0, 3), xs, grid)
+
+
+def test_kernel_decay_names_a_row_of_another_length(monkeypatch):
+    # a ragged list of rows is refused by its first row of another length,
+    # before any piece is quantized
+    grid = make_grid(1, 1, 16, 1.0)
+    sym = builtin("multiplier_bessel", {"m": -0.5})
+    monkeypatch.setattr(bp.analysis, "quantize", None)
+    for xs, row in (([[0.0, 0.0], [1.0]], "row 1 has 1 coordinate"),
+                    ([[0.0, 0.0], [1.0], [2.0, 3.0]], "row 1 has 1 coordinate"),
+                    ([[0.0, 0.0, 0.0], (1.0, 2.0)], "row 0 has 3 coordinates"),
+                    ([[0.0, 0.0], np.zeros(3), [1.0, 2.0]], "row 1 has 3 coordinates"),
+                    ([[0.0, 0.0], []], "row 1 has 0 coordinates")):
+        with pytest.raises(ValueError, match=re.escape(f"x_samples {row}, expected 2")):
             kernel_decay_experiment(sym, 3, range(0, 3), xs, grid)
 
 
@@ -772,6 +787,60 @@ def test_sharpness_transforms_each_battery_field_once_per_grid(monkeypatch):
     sharpness_scan(0.5, [2.0], ms, Ns)
     assert calls.count("fftn") == len(Ns) * fields
     assert calls.count("ifftn") == len(Ns) * (2 + fields * len(ms))
+
+
+@pytest.mark.parametrize("n1,n2,N", [(1, 1, 32), (2, 1, 16)])
+@pytest.mark.parametrize("rho", [0.25, 0.5])
+def test_sharpness_family_tables_are_the_builtin_tables(rho, n1, n2, N):
+    # each order's tables, built from the grid's a-factor and carrier, are
+    # the bytes of the quantized builtin's; the a-table is shared
+    ms = [-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5]
+    grid = make_grid(n1, n2, N, 1.0)
+    members = list(_exotic_orders(rho, ms, n1, n2)(grid))
+    assert [m for m, _ in members] == ms
+    for m, T in members:
+        sym = builtin("oscillatory_exotic", {"m": m, "rho": rho}, n1=n1, n2=n2)
+        want = quantize(sym, grid)._separable_factors()
+        assert T.symbol.name == sym.name and T.path == "separable"
+        assert ([(a.tobytes(), b.tobytes()) for a, b in T._separable_factors()]
+                == [(a.tobytes(), b.tobytes()) for a, b in want])
+        assert T._separable_factors()[0][0] is members[0][1]._separable_factors()[0][0]
+
+
+def test_sharpness_refuses_an_overflowing_order_as_quantize_does():
+    # <xi>^1000 overflows on the 16^2 lattice: the family's product table is
+    # refused with the message of the builtin's own table
+    message = "symbol exotic[m=1000,rho=0.5] is not finite on the 16^2 grid"
+    sym = builtin("oscillatory_exotic", {"m": 1000.0, "rho": 0.5})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        quantize(sym, make_grid(1, 1, 16, 1.0))._separable_factors()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sharpness_scan(0.5, [2.0], [0.0, 1000.0], [16, 32])
+
+
+def test_sharpness_builds_the_m_independent_tables_once_per_grid(monkeypatch):
+    # the a-factor and the carrier chi e^{i phi} are evaluated once per grid,
+    # not once per (m, N); in symbols, varphi is read only by the carrier
+    counts = {"a": 0, "carrier": 0}
+    modulation, varphi = bp.symbols._axis_cos_modulation, bp.symbols.varphi
+
+    def counted_modulation(*args):
+        a = modulation(*args)
+
+        def counted_a(x):
+            counts["a"] += 1
+            return a(x)
+        return counted_a
+
+    def counted_varphi(t):
+        counts["carrier"] += 1
+        return varphi(t)
+    monkeypatch.setattr(bp.symbols, "_axis_cos_modulation", counted_modulation)
+    monkeypatch.setattr(bp.symbols, "varphi", counted_varphi)
+    tab = sharpness_scan(0.5, [2.0, 4.0], [-0.5, 0.0, 0.5], [16, 32])
+    assert counts == {"a": 2, "carrier": 2}
+    monkeypatch.undo()
+    assert tab == sharpness_scan(0.5, [2.0, 4.0], [-0.5, 0.0, 0.5], [16, 32])
 
 
 def test_sharpness_large_p_ratios_are_finite():

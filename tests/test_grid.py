@@ -18,6 +18,7 @@ import pytest
 from bipdo import (SampledField, DyadicCube, builtin, make_grid,
                    dft_forward, dft_inverse, lp_norm, bmo_norm,
                    apply, quantize, read_field, write_field)
+from bipdo.grid import lp_norms
 from bipdo import test_battery as standard_battery
 from helpers import rand_field
 
@@ -223,6 +224,36 @@ def test_lp_norm_is_the_literal_sum_and_holds_one_lattice_array():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * a.nbytes, peak
+
+
+def test_lp_norms_are_the_literal_sums_from_one_abs():
+    # every exponent of one call has the bits of its own literal sum: at
+    # p = 1, 4/3, 2, 4 and inf, on a zero field, and at p = 400, where
+    # sum |f|^p overflows and the norm is rescaled by max |f|; several
+    # exponents hold two float lattice arrays at the peak, one |f| shared
+    g = make_grid(1, 1, 128, 1.7)
+    vol = g.cell_volume
+    ps = [1.0, 4 / 3, 2.0, 4.0, np.inf]
+    for f in (rand_field(g, 5), SampledField(g, np.zeros(g.shape, dtype=complex))):
+        a = np.abs(f.values)
+        expect = [float(a.max()) if p == np.inf
+                  else float((np.sum(a ** p) * vol) ** (1.0 / p)) for p in ps]
+        for order in (ps, ps[::-1], [np.inf, 2.0], [4 / 3]):
+            assert lp_norms(f, order) == [expect[ps.index(p)] for p in order]
+            assert [lp_norm(f, p) for p in order] == lp_norms(f, order)
+    f = SampledField(g, 8.0 * rand_field(g, 6).values)
+    a = np.abs(f.values)
+    top = float(a.max())
+    big = top * float((np.sum((a / top) ** 400.0) * vol) ** (1.0 / 400.0))
+    assert lp_norms(f, [2.0, 400.0]) == [lp_norm(f, 2.0), big] and big < np.inf
+    assert lp_norms(f, []) == []
+    tracemalloc.start()
+    try:
+        lp_norms(f, ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * a.nbytes, peak
 
 
 def test_lp_spike():

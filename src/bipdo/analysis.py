@@ -29,9 +29,9 @@ Conventions shared by the experiments:
   it reads the battery one field at a time, and takes the finite-p norms
   of a field or an image from one |f| (``lp_norms``),
 * the sharpness scan measures one grid in one pass over its orders: the
-  m-independent tables of ``oscillatory_exotic``, its a-factor and its
-  carrier, are built once per grid, and order m's b-table is the carrier
-  table times <xi>^m, with the bits of the builtin's own table,
+  m = 0 member of ``oscillatory_exotic`` is quantized and |xi|^2 formed once
+  per grid, and order m's b-table is the m = 0 table times <xi>^m, with
+  the bits of the builtin's own table,
 * the battery maximum of BMO ratios passes the best ratio so far to each
   image's cube scan as a floor, so an image that cannot raise the maximum
   is not scanned exactly; the maximum is the floor-free one bit for bit.
@@ -47,9 +47,8 @@ from .grid import (GridSpec, SampledField, bmo_norm, lp_exponent, lp_norm,
                    lp_norms, make_grid)
 from .decompose import (DecompositionIndex, default_ell_max, derived_symbol,
                         mollifier_lambda, theta_symbol)
-from .symbols import (SymbolDescriptor, block_norms, bracket, builtin, exotic_carrier,
-                      exotic_weight, make_symbol, read_number, read_numbers,
-                      read_points, sq_norm, varphi)
+from .symbols import (SymbolDescriptor, bracket, builtin, exotic_phase, read_number,
+                      read_numbers, read_points, sq_norm, varphi)
 from .operators import (analyze, apply, check_grid, kernel_l1, multiplier_table,
                         quantize, reweighted, synthesize)
 
@@ -638,11 +637,8 @@ def _adversarial_fields(grid: GridSpec, rho: float, seed: int):
     r = np.sqrt(sq)
     R = float(np.max(r))
     env = varphi(2.0 * r / R) - varphi(16.0 * r / R)
-    r1, r2 = block_norms(frs, grid.n1)
-    a = 1.0 - rho
-    # r ** 2 keeps the battery's bits; sq_norm differs in the last place
-    phase = bracket(r1 ** 2, a) + bracket(r2 ** 2, a)
-    del sq, r, r1, r2
+    phase = exotic_phase(frs, rho, grid.n1)
+    del sq, r
     for sgn in (-1.0, 1.0):
         vals = (env * np.exp(1j * sgn * phase)).reshape(grid.shape)
         yield SampledField(grid, np.fft.ifftn(vals, out=vals))
@@ -655,21 +651,17 @@ def _adversarial_fields(grid: GridSpec, rho: float, seed: int):
 
 def _exotic_orders(rho: float, ms, n1: int, n2: int):
     """The ``_family_sweep`` family of the ``oscillatory_exotic`` builtin at
-    rho over the orders ``ms``.  On each grid the m-independent tables, the
-    builtin's a-factor and its carrier (``exotic_carrier``), are built once,
-    and each order's operator is ``reweighted`` from them by its weight
-    (``exotic_weight``), so that its tables are those of
-    quantize(builtin(...), grid) bit for bit."""
+    rho over the orders ``ms``.  Order m's b-factor is the m = 0 one times
+    <xi>^m, bit for bit, so on each grid the m = 0 member is quantized once,
+    |xi|^2 is formed once, and each order's operator is ``reweighted`` from
+    them by <xi>^m: its tables are those of quantize(builtin(...), grid)."""
     syms = {m: builtin("oscillatory_exotic", {"m": m, "rho": rho}, n1=n1, n2=n2)
-            for m in ms}
-    ((a, _),) = syms[ms[0]].separable_terms
-    carrier = make_symbol([(a, lambda xi: exotic_carrier(xi, rho, n1))], n1, n2,
-                          rho=rho, name=f"exotic carrier[rho={rho:g}]")
+            for m in [0.0, *ms]}
 
     def members(grid):
-        base = quantize(carrier, grid)
-        for m, sym in syms.items():
-            yield m, reweighted(base, sym, lambda xi, _m=m: exotic_weight(xi, _m))
+        base, sq = quantize(syms[0.0], grid), sq_norm(grid.freqs())
+        for m in ms:
+            yield m, reweighted(base, syms[m], lambda _xi, _m=m: bracket(sq, _m))
     return members
 
 

@@ -141,6 +141,14 @@ def _factors_from_cfg(cfg: dict):
         return read_numbers("factors", cfg["factors"], int, length=2)
 
 
+def _sweep_symbol(cfg: dict):
+    """The builtin of an l2_uniformity or bmo config on its 'factors', which
+    ``make_symbol`` checks, so the label names them too."""
+    n1, n2 = _factors_from_cfg(cfg)
+    with _checked(f"'symbol' {cfg['symbol']!r}, its 'params' or 'factors'"):
+        return builtin(cfg["symbol"], cfg.get("params", {}), n1=n1, n2=n2)
+
+
 def _run_ortho(cfg: dict, seed: int):
     grid = _grid_from_cfg(cfg)
     sym = _build_symbol(cfg, grid.n1, grid.n2)
@@ -151,7 +159,11 @@ def _run_ortho(cfg: dict, seed: int):
     line = (f"ortho: epsilon={report['fitted_epsilon']:.4g} "
             f"A={report['fitted_A']:.4g} R2={report['r_squared']:.4g} "
             f"converged={report['converged']}")
-    return report, report["entries"], ["j", "k", "opnorm"], line, report["converged"]
+    # a j_range with fewer than two pairs k - j >= min_gap has no fit
+    js = report["js"]
+    passed = report["converged"] and sum(k - j >= report["min_gap"]
+                                         for j in js for k in js) >= 2
+    return report, report["entries"], ["j", "k", "opnorm"], line, passed
 
 
 def _run_kernel_decay(cfg: dict, seed: int):
@@ -182,7 +194,7 @@ def _sweep_result(report: dict, column: str):
 
 
 def _run_l2_uniformity(cfg: dict, seed: int):
-    sym = _build_symbol(cfg, *_factors_from_cfg(cfg))
+    sym = _sweep_symbol(cfg)
     with _checked("'params', 'tol', 'max_iter', 'factors', 'period' or 'N_list'"):
         return _sweep_result(analysis.l2_uniformity_sweep(
             sym, cfg["N_list"], cfg["period"], cfg.get("tol", analysis.TOL),
@@ -190,7 +202,7 @@ def _run_l2_uniformity(cfg: dict, seed: int):
 
 
 def _run_bmo(cfg: dict, seed: int):
-    sym = _build_symbol(cfg, *_factors_from_cfg(cfg))
+    sym = _sweep_symbol(cfg)
     with _checked("'params', 'factors', 'period' or 'N_list'"):
         return _sweep_result(analysis.bmo_experiment(sym, cfg["N_list"], cfg["period"],
                                                      seed=seed), "bmo_ratio")

@@ -190,23 +190,12 @@ def bracket(sq, s):
     return (1.0 + sq) ** (s / 2.0)
 
 
-def exotic_carrier(xi, rho: float, n1: int):
-    """chi(|xi|) e^{i(<xi_1>^a + <xi_2>^a)}, a = 1 - rho, chi = 1 - varphi:
-    the m-independent part of the ``oscillatory_exotic`` b-factor, whose
-    b is exotic_carrier(xi, ...) * exotic_weight(xi, m), left to right."""
+def exotic_phase(xi, rho: float, n1: int):
+    """<xi_1>^a + <xi_2>^a, a = 1 - rho: the phase of the ``oscillatory_exotic``
+    b-factor, which the adversarial battery's chirps cancel."""
     xi = np.asarray(xi, dtype=float)
-    chi = 1.0 - varphi(np.sqrt(sq_norm(xi)))
     a = 1.0 - rho
-    phase = bracket(sq_norm(xi[..., :n1]), a) + bracket(sq_norm(xi[..., n1:]), a)
-    return chi * np.exp(1j * phase)
-
-
-def exotic_weight(xi, m: float):
-    """<xi>^m of the ``oscillatory_exotic`` b-factor, from |xi|^2 formed as
-    r ** 2, r = |xi|: that keeps the bits of every report, where sq_norm(xi)
-    differs in the last place."""
-    r = np.sqrt(sq_norm(np.asarray(xi, dtype=float)))
-    return bracket(r ** 2, m)
+    return bracket(sq_norm(xi[..., :n1]), a) + bracket(sq_norm(xi[..., n1:]), a)
 
 
 def _axis_cos_modulation(freq: int, depth: float):
@@ -401,8 +390,14 @@ def builtin(name: str, params: dict = None, n1: int = 1, n2: int = 1) -> SymbolD
         rho = num("rho")
         xmod = num("xmod")
         freq = num("mod_freq", int)
-        terms = ((_axis_cos_modulation(freq, xmod),
-                  lambda xi, _m=m: exotic_carrier(xi, rho, n1) * exotic_weight(xi, _m)),)
+
+        def b(xi):
+            # chi(|xi|) e^{i phase} <xi>^m, left to right, from one |xi|^2:
+            # <xi>^0 is 1.0, so order m's b is the m = 0 b times <xi>^m
+            sq = sq_norm(xi)
+            return ((1.0 - varphi(np.sqrt(sq))) * np.exp(1j * exotic_phase(xi, rho, n1))
+                    * bracket(sq, m))
+        terms = ((_axis_cos_modulation(freq, xmod), b),)
         return make_symbol(terms, n1, n2, order=m, rho=rho, delta=0.0,
                            name=f"exotic[m={m:g},rho={rho:g}]")
 

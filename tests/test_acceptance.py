@@ -122,6 +122,10 @@ def test_c4_scaling_conjugation(capsys):
 
 
 def test_c5_almost_orthogonality_decay(capsys):
+    # a one-term symbol a(x)|b|(xi)u(xi) with |u| = 1 has L2 numbers that
+    # cannot see u: every entry, and so epsilon, is the same at any rho
+    # (test_ortho_entries_of_a_one_term_symbol_do_not_see_rho). The fit
+    # measures cutoff overlap and x-bandwidth, not the class.
     t0 = time.time()
     grid = make_grid(1, 1, 64, 1.0)
     sym = builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5})
@@ -164,6 +168,9 @@ def test_c6_kernel_cone_decay(capsys):
 
 
 def test_c7_uniform_l2_bound(capsys):
+    # the L2 norm of a one-term symbol is that of a(x)|b|(xi), so these
+    # ratios cannot see rho either
+    # (test_l2_norm_of_a_one_term_symbol_is_that_of_its_modulus)
     sym = builtin("oscillatory_exotic", {"m": 0.0, "rho": 0.5})
     rep = l2_uniformity_sweep(sym, [16, 32, 64], tol=1e-8, max_iter=2000)
     vals = rep["ratios"]

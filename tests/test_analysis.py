@@ -385,6 +385,39 @@ def test_ortho_without_a_far_pair_has_no_fit():
     assert math.isnan(rep["fitted_epsilon"]) and math.isnan(rep["fitted_A"])
 
 
+def test_ortho_entries_of_a_one_term_symbol_do_not_see_rho():
+    # T_j = a |psi_j b|(D) u(D) with u = e^{i phase} unimodular, so
+    # |T_j* T_k| = |P_j |a|^2 P_k| does not depend on the phase, hence not on
+    # rho: c5's epsilon measures cutoff overlap and x-bandwidth, not the class
+    # (entries at the report's zero floor are roundoff and stay there)
+    grid = make_grid(1, 1, 32, 1.0)
+
+    def entries(rho):
+        sym = builtin("oscillatory_exotic", {"m": 0.0, "rho": rho})
+        rep = ortho_experiment(sym, [1, 2, 3, 4], grid, max_iter=2000)
+        return {(j, k): v if v > rep["zero_floor"] else 0.0 for j, k, v in rep["entries"]}
+    want = entries(0.5)
+    assert sum(v > 0.0 for v in want.values()) == 14
+    for rho in (0.25, 0.75):
+        got = entries(rho)
+        assert got.keys() == want.keys()
+        for jk, w in want.items():
+            assert got[jk] == pytest.approx(w, rel=1e-10, abs=0.0), (rho, jk)
+
+
+@pytest.mark.parametrize("m", [-0.5, 0.0, 0.5])
+def test_l2_norm_of_a_one_term_symbol_is_that_of_its_modulus(m):
+    # the same identity for c7: |a b(D)| = |a |b|(D)|, so the norm of
+    # oscillatory_exotic is that of its a-factor times |b|, at every rho
+    grid = make_grid(1, 1, 32, 1.0)
+    sym = builtin("oscillatory_exotic", {"m": m, "rho": 0.5})
+    ((a, b),) = sym.separable_terms
+    modulus = make_symbol([(a, lambda xi: np.abs(b(xi)))], 1, 1)
+    got, want = (l2_opnorm(quantize(s, grid), max_iter=2000) for s in (sym, modulus))
+    assert got.converged and want.converged
+    assert got.value == pytest.approx(want.value, rel=1e-14, abs=0.0)
+
+
 def test_ortho_diagonal_matches_opnorm_squared():
     grid = make_grid(1, 1, 16, 1.0)
     sym = builtin("multiplier_bessel", {"m": 0.0})
@@ -702,6 +735,23 @@ def test_adversarial_battery_deterministic():
     for fa, fb in zip(a, b):
         assert np.array_equal(fa.values, fb.values)
         assert np.abs(fa.values).max() > 0
+
+
+@pytest.mark.parametrize("n1,n2,N", [(1, 1, 32), (1, 1, 64), (2, 1, 16)])
+@pytest.mark.parametrize("rho", [0.25, 0.5, 0.75])
+def test_adversarial_chirp_cancels_the_symbol_phase(rho, n1, n2, N):
+    # the first chirp is ifftn(env e^{-i phase}): the pure multiplier
+    # chi e^{i phase} (xmod 0, m 0) maps it to ifftn(chi env), with env and
+    # chi written here from varphi
+    grid = make_grid(n1, n2, N, 1.0)
+    chirp = adversarial_battery(grid, rho)[3]
+    sym = builtin("oscillatory_exotic", {"m": 0.0, "rho": rho, "xmod": 0.0},
+                  n1=n1, n2=n2)
+    r = np.sqrt(np.sum(grid.freqs() ** 2, axis=-1))
+    env = bp.varphi(2.0 * r / r.max()) - bp.varphi(16.0 * r / r.max())
+    want = np.fft.ifftn(((1.0 - bp.varphi(r)) * env).reshape(grid.shape))
+    got = apply(quantize(sym, grid), chirp).values
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------

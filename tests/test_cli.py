@@ -1,6 +1,7 @@
 """Command line behavior: configs, exit codes, selftest, file round trips."""
 
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -101,6 +102,24 @@ def test_run_exit_one_when_experiment_fails(tmp_path, capsys):
         """)
     assert main(["run", cfg]) == 1
     assert "verdict=FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("j_range", [[1, 2], [1, 6]])
+def test_run_exit_one_when_the_ortho_fit_is_degenerate(tmp_path, capsys, j_range):
+    # fewer than two pairs with |j - k| >= 2 leave nothing to fit: the report
+    # is written with its NaN epsilon, and the command exits 1
+    cfg = write_cfg(tmp_path / "few.cfg", f"""\
+        experiment = "ortho"
+        symbol = "oscillatory_exotic"
+        params = {{"m": 0.0, "rho": 0.5}}
+        grid = [1, 1, 16, 1.0]
+        j_range = {json.dumps(j_range)}
+        outdir = {json.dumps(str(tmp_path))}
+        """)
+    assert main(["run", cfg]) == 1
+    assert "epsilon=nan A=nan R2=0 converged=True" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "ortho.json").read_text())
+    assert math.isnan(doc["report"]["fitted_epsilon"]) and doc["report"]["converged"]
 
 
 def test_run_sweep_line_hides_roundoff_variation(tmp_path, capsys):
@@ -385,6 +404,14 @@ _BIG = "1" + "0" * 400
             'period = 1.0\nN_list = [8, 16]', "'factors'"),
     ("run", f'experiment = "bmo"\n{_SWEEP}period = 1.0\nN_list = [8, {2 ** 62}]',
      f"'N_list': a grid of {2 ** 62}^2 points does not fit an array index"),
+    ("run", 'experiment = "l2_uniformity"\nsymbol = "multiplier_bessel"\n'
+            'factors = [0, 1]\nperiod = 1.0\nN_list = [8, 16]', "'factors'"),
+    ("run", 'experiment = "l2_uniformity"\nsymbol = "multiplier_bessel"\n'
+            'factors = [1, -2]\nperiod = 1.0\nN_list = [8, 16]', "'factors'"),
+    ("run", 'experiment = "bmo"\nsymbol = "multiplier_bessel"\nfactors = [0, 1]\n'
+            'period = 1.0\nN_list = [8, 16]', "'factors'"),
+    ("run", 'experiment = "bmo"\nsymbol = "multiplier_bessel"\nfactors = [1, -2]\n'
+            'period = 1.0\nN_list = [8, 16]', "'factors'"),
 ], ids=["period", "N_list-odd", "N_list-decreasing", "j_range", "ell_range",
         "ell_max", "x_count", "sharpness-rho", "cube_side", "cube_anchor",
         "battery_kmax", "mollifier-radius", "p_list", "battery-spectrum",
@@ -401,7 +428,8 @@ _BIG = "1" + "0" * 400
         "commutator-rho-big", "tol-big", "p_list-big", "m_grid-big", "j_range-big",
         "j-big", "ell_range-big", "ell_max-big", "apply-j-big", "kernel-ell-big",
         "apply-ellmax-big", "factors-big", "N_list-big", "factors-grid-size",
-        "N_list-grid-size"])
+        "N_list-grid-size", "l2_uniformity-factors-zero", "l2_uniformity-factors-negative",
+        "bmo-factors-zero", "bmo-factors-negative"])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, body,
                                                needle):
     out = tmp_path / "out"

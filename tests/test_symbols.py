@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from bipdo import builtin, make_symbol, varphi
-from bipdo.symbols import (BUILTIN_PARAMS, _axis_cos_modulation, read_number,
-                           read_numbers, sq_norm)
+from bipdo.symbols import (BUILTIN_PARAMS, _axis_cos_modulation, bracket,
+                           read_number, read_numbers, sq_norm)
 from helpers import ones
 
 
@@ -257,3 +257,23 @@ def test_axis_cos_modulation_has_the_bits_of_np_mean():
     for n, x in _seeded_components(12):
         want = 1 + 0.75 * np.mean(np.cos(2.0 * np.pi * 2 * x), axis=-1)
         assert np.array_equal(_bits(a(x)), _bits(want)), (n, x.shape)
+
+
+@pytest.mark.parametrize("n1", [1, 2])
+@pytest.mark.parametrize("name,params", [
+    ("multiplier_bessel", {}), ("modulated_bessel", {}),
+    ("oscillatory_exotic", {"rho": 0.25}), ("oscillatory_exotic", {"rho": 0.5}),
+    ("oscillatory_exotic", {"rho": 0.75})],
+    ids=["multiplier_bessel", "modulated_bessel", "exotic-rho0.25", "exotic-rho0.5",
+         "exotic-rho0.75"])
+def test_order_m_b_factor_is_the_order_0_one_times_the_bracket(name, params, n1):
+    # the order enters through one weight: b_m = b_0 * bracket(sq_norm(xi), m),
+    # bit for bit, so an order-m table is the m = 0 table reweighted
+    xi = np.random.default_rng(37).uniform(-40.0, 40.0, size=(4096, n1 + 1))
+
+    def b(m):
+        ((_, b_m),) = builtin(name, {**params, "m": m}, n1=n1, n2=1).separable_terms
+        return np.asarray(b_m(xi))
+    b0 = b(0.0)
+    for m in (-1.0, -0.5, 0.25, 0.5, 2.0):
+        assert b(m).tobytes() == (b0 * bracket(sq_norm(xi), m)).tobytes(), m
